@@ -19,8 +19,8 @@ from .errors import SchemaError, WindowError
 from .expansion import ExpandedSeries, RationalFn, Region, expand_rational, series_match
 from .factory import (build_heisenberg, build_matrix_mosva, matrix_units_mosva,
                       self_module, with_scaled_entry)
-from .graded import (DualVec, GradedOp, GradedSpace, Vec, apply_op, basis_dual,
-                     basis_vec, dual_space, exp_op_series, pair, transpose_op)
+from .graded import (DualVec, GradedOp, GradedSpace, Vec, basis_dual, basis_vec,
+                     dual_space, exp_op_series, pair, transpose_op)
 from .laurent import LaurentPoly, taylor_shift
 from .report import Report
 from .scalars import Scalar, format_scalar, parse_scalar

@@ -80,10 +80,7 @@ def check_vacuum(inst) -> Report:
         checked, witness = 0, None
         for lbl in vmap.second_space.labels():
             v = Vec(vmap.second_space, {lbl: 1})
-            wv = vmap.second_space.weight_of(lbl)
-            n_lo = math.ceil(wv - 1 - vmap.out_space.cutoff)
-            n_hi = math.floor(wv - 1 - vmap.out_space.min_weight)
-            for n in range(n_lo, n_hi + 1):
+            for n in vmap.out_space.mode_window(vmap.second_space.weight_of(lbl)):
                 out, exact = mode_apply(vmap, vac, n, v)
                 if not exact:
                     continue

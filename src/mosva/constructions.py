@@ -16,21 +16,19 @@ absences, never as silent zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import GradedOp, Vec, dual_space, op_power_apply, transpose_op
 from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
-                     VertexMap)
+                     VertexMap, mode_apply)
 
 
 def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     """Apply the skew transport to a whole mode table.
 
     The result's first/second roles are swapped relative to the source.
-    Returns (VertexMap, provenance) where provenance records, per produced
-    entry, the (k, source key) terms of the exponential sum that built it.
     """
     first_space = source.second_space
     second_space = source.first_space
@@ -38,14 +36,12 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     minw = out_space.min_weight
     entries: dict[tuple, Vec] = {}
     absent = set()
-    provenance: dict[tuple, tuple] = {}
-    shaped = VertexMap(out_kind, first_space, second_space, out_space)
     for f in first_space.labels():
         for s in second_space.labels():
-            for n in shaped.mode_range(f, s):
-                wtout = first_space.weight_of(f) + second_space.weight_of(s) - n - 1
+            w = first_space.weight_of(f) + second_space.weight_of(s)
+            for n in out_space.mode_window(w):
+                wtout = w - n - 1
                 total = Vec(out_space)
-                used = []
                 ok = True
                 for k in range(math.floor(wtout - minw) + 1):
                     base, stored = source.basis_entry(s, n + k, f)
@@ -60,22 +56,18 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                         break
                     sign = -1 if (n + k + 1) % 2 else 1
                     total = total.add(lifted.scale(sign * factorial_fraction(k)))
-                    used.append((k, (s, n + k, f)))
                 key = (f, n, s)
                 if not ok:
                     absent.add(key)
                 elif not total.is_zero():
                     entries[key] = total
-                    provenance[key] = tuple(used)
-    return (VertexMap(out_kind, first_space, second_space, out_space,
-                      entries, absent), provenance)
+    return VertexMap(out_kind, first_space, second_space, out_space, entries, absent)
 
 
 @dataclass(frozen=True)
 class OppositeWitness:
     source: AlgebraInstance
     result: AlgebraInstance
-    mode_table: dict = field(default_factory=dict)
 
     @property
     def fully_exact(self) -> bool:
@@ -88,10 +80,10 @@ def opposite_mosva(V: AlgebraInstance) -> OppositeWitness:
     The underlying space, vacuum, grading and sl(2) data are untouched;
     entries whose computation touched absent data stay absent.
     """
-    Y_op, provenance = _skew_map(V.Y, V.D, ALGEBRA)
+    Y_op = _skew_map(V.Y, V.D, ALGEBRA)
     result = AlgebraInstance(V.space, Y_op, V.vacuum, V.D, V.L1,
                              meta={**V.meta, "opposite_of": V.meta.get("example", "?")})
-    return OppositeWitness(V, result, provenance)
+    return OppositeWitness(V, result)
 
 
 _DIRECTIONS = {
@@ -119,11 +111,11 @@ def transport_module(W: ModuleInstance, direction: str,
     if target_algebra is None:
         target_algebra = opposite_mosva(W.algebra).result
     if src_side == RIGHT:
-        new_map, _ = _skew_map(W.YR, W.D, LEFT)
+        new_map = _skew_map(W.YR, W.D, LEFT)
         return ModuleInstance(LEFT, W.space, target_algebra, YL=new_map,
                               D=W.D, L1=W.L1, N0=W.N0,
                               meta={**W.meta, "transport": direction})
-    new_map, _ = _skew_map(W.YL, W.D, RIGHT)
+    new_map = _skew_map(W.YL, W.D, RIGHT)
     return ModuleInstance(RIGHT, W.space, target_algebra, YR=new_map,
                           D=W.D, L1=W.L1, N0=W.N0,
                           meta={**W.meta, "transport": direction})
@@ -166,11 +158,12 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         if wv + shift > W.space.cutoff and not W.space.complete:
             exact = False
             continue
+        w = Vec(W.space, {lbl: 1})
         out = Vec(W.space)
         ok_all = True
         for m, um in enumerate(powers):
             mode = -n - m - 2 + 2 * h
-            contrib, ok = _left_mode(W, um, mode, lbl)
+            contrib, ok = mode_apply(W.YL, um, mode, w)
             if not ok:
                 ok_all = False
                 break
@@ -180,18 +173,6 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         else:
             exact = False
     return GradedOp(W.space, shift, action), exact
-
-
-def _left_mode(W: ModuleInstance, u: Vec, mode: int, w_label: str):
-    out = Vec(W.space)
-    exact = True
-    for ul, cu in u.entries.items():
-        hit, ok = W.YL.basis_entry(ul, mode, w_label)
-        if not ok:
-            exact = False
-            continue
-        out = out.add(hit.scale(cu))
-    return out, exact
 
 
 def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = True,
@@ -220,9 +201,9 @@ def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = 
     for u_lbl in W.algebra.space.labels():
         u = Vec(W.algebra.space, {u_lbl: 1})
         hu = int(W.algebra.space.weight_of(u_lbl))
-        n_lo = math.ceil(hu + minw - 1 - top)
-        n_hi = math.floor(hu + top - 1 - minw)
-        for n in range(n_lo, n_hi + 1):
+        # the union over module weights wt w of the windows of hu + wt w
+        for n in range(W.space.mode_window(hu + minw).start,
+                       W.space.mode_window(hu + top).stop):
             op, _ = opposite_vertex_components(W, u, n)
             for beta in W.space.labels():
                 src_weight = W.space.weight_of(beta) + hu - n - 1

@@ -1,21 +1,23 @@
 """Correlation functions, exact on a certified window, and their
 reconstruction as rational functions with certified pole divisors.
 
-A product correlator <bra, Y(u1,z1)...Y(un,zn) ket> is computed by composing
-stored modes from the ket outward; a coefficient is emitted exactly when the
-whole chain of intermediate weights stays under the cutoff, and is provably
-zero off the grading hyperplane.  The certified set is decided by weight
-arithmetic, so membership can be tested for monomials that were never
-computed.
+Products <bra, Y(u1,z1)...Y(un,zn) ket> and iterates
+<bra, Y(Y(...Y(u1,z1-z2)u2...), zn) ket> are the same composition of stored
+modes, nested two ways, and one chain walk computes both: the product walk
+starts at the ket and applies the operators outward, the iterate walk starts
+at u1 and folds in u2, ..., un and finally the ket.  A coefficient is emitted
+exactly when the whole chain of intermediate weights stays under the cutoff,
+and is provably zero off the grading hyperplane.  The certified set is
+decided by weight arithmetic, so membership can be tested for monomials that
+were never computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expansion import RationalFn
+from .expansion import RationalFn, divisor_poly
 from .graded import DualVec, Vec, pair
 from .laurent import LaurentPoly
 from .vertex import AlgebraInstance, LEFT, RIGHT, mode_apply
@@ -42,13 +44,13 @@ class PoleOrderWitness:
 class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
-    __slots__ = ("variables", "coefficients", "certified_window", "provenance",
-                 "mode", "_op_weights", "_ket_weight", "_bra_weight",
-                 "_chain_cutoffs", "_chain_minw", "_holes", "_trivial")
+    __slots__ = ("variables", "coefficients", "certified_window", "mode",
+                 "_op_weights", "_ket_weight", "_bra_weight", "_chain_cutoffs",
+                 "_chain_minw", "_holes", "_trivial")
 
     def __init__(self, variables, coefficients, mode, op_weights, ket_weight,
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
-                 provenance=None, trivially_zero=False):
+                 trivially_zero=False):
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "coefficients",
                            {tuple(k): Fraction(v) for k, v in coefficients.items()
@@ -61,7 +63,6 @@ class CorrelationSeries:
         object.__setattr__(self, "_chain_minw", tuple(chain_minw))
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
-        object.__setattr__(self, "provenance", dict(provenance or {}))
         object.__setattr__(self, "certified_window", self._window_box())
 
     def __setattr__(self, name, value):
@@ -122,9 +123,6 @@ class CorrelationSeries:
             box[v] = (min(exps), max(exps))
         return box
 
-    def as_poly(self) -> LaurentPoly:
-        return LaurentPoly(self.variables, self.coefficients)
-
     def __repr__(self):
         return (f"CorrelationSeries({self.variables}, {len(self.coefficients)} "
                 f"coefficients, mode={self.mode})")
@@ -182,80 +180,61 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
                                  bra.weight() or Fraction(0),
                                  [Fraction(0)] * len(ops),
                                  [Fraction(0)] * len(ops),
-                                 provenance={"mode": mode, "ops": list(names)},
                                  trivially_zero=True)
     bw, kw = bra.weight(), ket.weight()
+    if bra.space != chain[0].out_space:
+        raise ValueError("bra lives in the wrong space")
 
-    coefficients: dict[tuple, Fraction] = {}
-    holes: set[tuple] = set()
-    if mode in (PRODUCT, MIXED):
-        if bra.space != chain[0].out_space:
-            raise ValueError("bra lives in the wrong space")
-        cutoffs = [vm.out_space.cutoff for vm in chain]
-        minws = [vm.out_space.min_weight for vm in chain]
-        states: dict[tuple, Vec] = {(): ket}
-        for j in range(len(chain) - 1, -1, -1):
-            vmap, u = chain[j], ops[j][0]
-            nxt: dict[tuple, Vec] = {}
-            for suffix, vec in states.items():
-                wv = vec.weight()
-                n_lo = math.ceil(op_weights[j] + wv - 1 - vmap.out_space.cutoff)
-                n_hi = math.floor(op_weights[j] + wv - 1 - vmap.out_space.min_weight)
-                for n in range(n_lo, n_hi + 1):
-                    out, exact = mode_apply(vmap, u, n, vec)
-                    if not exact:
-                        holes.add((-n - 1,) + suffix)
-                    elif not out.is_zero():
-                        nxt[(-n - 1,) + suffix] = out
-            states = nxt
-        for mono, vec in states.items():
-            c = pair(bra, vec)
-            if c != 0:
-                assert sum(mono) == bw - sum(op_weights) - kw, "degree invariant"
-                coefficients[mono] = c
-    else:
-        cutoffs, minws = [], []
+    # A step (vmap, fixed) applies every mode n in the output window of vmap
+    # to each state.  A product walk starts at the ket and works outward: the
+    # operator is the fixed first argument and -n-1 is prepended.  An iterate
+    # walk starts at the first operator and builds the nested operator: each
+    # later operator, and finally the ket, is the fixed second argument and
+    # -n-1 is appended.
+    if mode == ITERATE:
         outer = chain[0]
         inner = inst.Y if isinstance(inst, AlgebraInstance) else (
             inst.algebra.Y if outer is inst.YL else inst.YR)
-        states = {(): ops[0][0]}
-        for j in range(1, len(ops)):
-            cutoffs.append(inner.out_space.cutoff)
-            minws.append(inner.out_space.min_weight)
-            uj = ops[j][0]
-            nxt = {}
-            for prefix, vec in states.items():
-                wv = vec.weight()
-                n_lo = math.ceil(wv + op_weights[j] - 1 - inner.out_space.cutoff)
-                n_hi = math.floor(wv + op_weights[j] - 1 - inner.out_space.min_weight)
-                for n in range(n_lo, n_hi + 1):
-                    out, exact = mode_apply(inner, vec, n, uj)
-                    if not exact:
-                        holes.add(prefix + (-n - 1,))
-                    elif not out.is_zero():
-                        nxt[prefix + (-n - 1,)] = out
-            states = nxt
-        cutoffs.append(outer.out_space.cutoff)
-        minws.append(outer.out_space.min_weight)
-        if bra.space != outer.out_space:
-            raise ValueError("bra lives in the wrong space")
-        for prefix, vec in states.items():
-            wv = vec.weight()
-            n_lo = math.ceil(wv + kw - 1 - outer.out_space.cutoff)
-            n_hi = math.floor(wv + kw - 1 - outer.out_space.min_weight)
-            for n in range(n_lo, n_hi + 1):
-                out, exact = mode_apply(outer, vec, n, ket)
+        start, prepend = ops[0][0], False
+        steps = [(inner, u) for u, _ in ops[1:]] + [(outer, ket)]
+    else:
+        start, prepend = ket, True
+        steps = [(vmap, u) for vmap, (u, _) in zip(chain, ops)][::-1]
+    degree = bw - sum(op_weights) - kw
+    holes: set[tuple] = set()
+    cutoffs, minws = [], []
+    states: dict[tuple, Vec] = {(): start}
+    for vmap, fixed in steps:
+        space = vmap.out_space
+        cutoffs.append(space.cutoff)
+        minws.append(space.min_weight)
+        wf = fixed.weight()
+        nxt: dict[tuple, Vec] = {}
+        for mono, vec in states.items():
+            for n in space.mode_window(wf + vec.weight()):
+                if prepend:
+                    out, exact = mode_apply(vmap, fixed, n, vec)
+                    key = (-n - 1,) + mono
+                else:
+                    out, exact = mode_apply(vmap, vec, n, fixed)
+                    key = mono + (-n - 1,)
                 if not exact:
-                    holes.add(prefix + (-n - 1,))
-                    continue
-                c = pair(bra, out)
-                if c != 0:
-                    mono = prefix + (-n - 1,)
-                    assert sum(mono) == bw - sum(op_weights) - kw, "degree invariant"
-                    coefficients[mono] = c
+                    holes.add(key)
+                elif not out.is_zero():
+                    nxt[key] = out
+        states = nxt
+    coefficients: dict[tuple, Fraction] = {}
+    for mono, vec in states.items():
+        c = pair(bra, vec)
+        if c != 0:
+            if sum(mono) != degree:
+                raise ArithmeticError(
+                    f"degree invariant: monomial {mono} is off the hyperplane {degree}")
+            coefficients[mono] = c
+    if prepend:  # the product chain data is indexed by operator position
+        cutoffs, minws = cutoffs[::-1], minws[::-1]
     return CorrelationSeries(names, coefficients, mode, op_weights, kw, bw,
-                             cutoffs, minws, holes,
-                             provenance={"mode": mode, "ops": list(names)})
+                             cutoffs, minws, holes)
 
 
 @dataclass(frozen=True)
@@ -267,19 +246,6 @@ class ReconstructionResult:
 
     def __iter__(self):
         return iter((self.fn, self.certified))
-
-
-def _divisor_poly(variables, p_axis, p_diag) -> LaurentPoly:
-    out = LaurentPoly.constant(variables, 1)
-    for v, p in sorted(p_axis.items()):
-        if p:
-            out = out * LaurentPoly.monomial(variables, {v: p})
-    for (a, b), p in sorted(p_diag.items()):
-        if p:
-            diff = (LaurentPoly.variable(a, variables)
-                    - LaurentPoly.variable(b, variables))
-            out = out * diff ** p
-    return out
 
 
 def _normalize_witness(witness: PoleOrderWitness, variables):
@@ -309,7 +275,7 @@ def reconstruct_rational(series: CorrelationSeries,
     vs = series.variables
     n = len(vs)
     p_axis, p_diag = _normalize_witness(witness, vs)
-    divisor = _divisor_poly(vs, p_axis, p_diag)
+    divisor = divisor_poly(vs, p_axis, p_diag)
     deg_f = sum(p_axis.values()) + sum(p_diag.values()) + series.degree_sum
     if deg_f != int(deg_f):
         return ReconstructionResult(None, False, None,
@@ -322,14 +288,6 @@ def reconstruct_rational(series: CorrelationSeries,
         return ReconstructionResult(None, False, deg,
                                     "negative predicted degree but nonzero series")
 
-    def monomials_of_degree(d, slots):
-        if slots == 1:
-            yield (d,)
-            return
-        for x in range(d + 1):
-            for rest in monomials_of_degree(d - x, slots - 1):
-                yield (x,) + rest
-
     def product_coeff(mono):
         total = Fraction(0)
         for t, c in divisor.terms.items():
@@ -340,7 +298,7 @@ def reconstruct_rational(series: CorrelationSeries,
         return total
 
     numerator_terms = {}
-    for mono in monomials_of_degree(deg, n):
+    for mono in _compositions(deg, n):
         val = product_coeff(mono)
         if val is None:
             return ReconstructionResult(

@@ -77,6 +77,18 @@ def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly:
     return LaurentPoly(poly.variables, quo)
 
 
+def divisor_poly(variables, pole_axis: Mapping[str, int],
+                 pole_diag: Mapping[tuple[str, str], int]) -> LaurentPoly:
+    """prod z_i^{p_i} * prod_{i<j} (z_i - z_j)^{p_ij} as a polynomial."""
+    out = LaurentPoly.constant(variables, 1)
+    for v, p in sorted(pole_axis.items()):
+        out = out * LaurentPoly.monomial(variables, {v: p})
+    for (a, b), p in sorted(pole_diag.items()):
+        diff = LaurentPoly.variable(a, variables) - LaurentPoly.variable(b, variables)
+        out = out * diff ** p
+    return out
+
+
 class RationalFn:
     """g(z) over the pole divisor {z_i = 0, z_i = z_j}, stored reduced."""
 
@@ -137,13 +149,7 @@ class RationalFn:
         return self.numerator.is_zero()
 
     def denominator_poly(self) -> LaurentPoly:
-        out = LaurentPoly.constant(self.variables, 1)
-        for v, p in sorted(self.pole_axis.items()):
-            out = out * LaurentPoly.monomial(self.variables, {v: p})
-        for (a, b), p in sorted(self.pole_diag.items()):
-            diff = LaurentPoly.variable(a, self.variables) - LaurentPoly.variable(b, self.variables)
-            out = out * diff ** p
-        return out
+        return divisor_poly(self.variables, self.pole_axis, self.pole_diag)
 
     def scale(self, c) -> "RationalFn":
         return RationalFn(self.variables, self.numerator.scale(c), self.pole_axis, self.pole_diag)

@@ -189,21 +189,6 @@ def _mode_table_for_pair(mu, nu, level: Fraction, cutoff: int):
     return {m: {p: c for p, c in v.items() if c != 0} for m, v in table.items()}
 
 
-def oscillator_apply(m: int, state: dict, level: Fraction) -> dict:
-    """a_m on a dict {partition: coeff}: prepend for m<0, commute for m>0."""
-    out: dict[tuple, Fraction] = {}
-    for part, c in state.items():
-        if m < 0:
-            key = _add_part(part, -m)
-            out[key] = out.get(key, Fraction(0)) + c
-        elif m > 0:
-            cnt = part.count(m)
-            if cnt:
-                key = _remove_part(part, m)
-                out[key] = out.get(key, Fraction(0)) + c * m * level * cnt
-    return {p: c for p, c in out.items() if c != 0}
-
-
 def build_heisenberg(level=1, cutoff=6):
     """The rank-1 free boson algebra and its Fock space as a left module."""
     level = Fraction(level)
@@ -276,24 +261,20 @@ def with_scaled_entry(inst, key, factor=2):
     standard fault injection for sensitivity tests."""
     factor = Fraction(factor)
 
-    def scaled(vmap: VertexMap) -> VertexMap:
-        if key not in vmap.entries:
+    def scaled(vmap: VertexMap | None) -> VertexMap:
+        if vmap is None or key not in vmap.entries:
             raise KeyError(f"no stored entry {key}")
         entries = dict(vmap.entries)
         entries[key] = entries[key].scale(factor)
         return VertexMap(vmap.kind, vmap.first_space, vmap.second_space,
-                         vmap.out_space, entries)
+                         vmap.out_space, entries, vmap.absent)
 
+    meta = {**inst.meta, "fault": str(key)}
     if isinstance(inst, AlgebraInstance):
         return AlgebraInstance(inst.space, scaled(inst.Y), inst.vacuum,
-                               inst.D, inst.L1, meta={**inst.meta, "fault": str(key)})
-    which = inst.YL if inst.YL and key in inst.YL.entries else inst.YR
-    if which is inst.YL:
-        return ModuleInstance(inst.side, inst.space, inst.algebra,
-                              YL=scaled(inst.YL), YR=inst.YR, D=inst.D,
-                              L1=inst.L1, N0=inst.N0,
-                              meta={**inst.meta, "fault": str(key)})
+                               inst.D, inst.L1, meta=meta)
+    in_left = inst.YL is not None and key in inst.YL.entries
     return ModuleInstance(inst.side, inst.space, inst.algebra,
-                          YL=inst.YL, YR=scaled(inst.YR), D=inst.D,
-                          L1=inst.L1, N0=inst.N0,
-                          meta={**inst.meta, "fault": str(key)})
+                          YL=scaled(inst.YL) if in_left else inst.YL,
+                          YR=inst.YR if in_left else scaled(inst.YR),
+                          D=inst.D, L1=inst.L1, N0=inst.N0, meta=meta)

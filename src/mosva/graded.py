@@ -8,6 +8,7 @@ so a truncation artifact can never masquerade as a theorem.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -66,8 +67,11 @@ class GradedSpace:
     def dim(self, weight) -> int:
         return len(self.labels_at(weight))
 
-    def has_weight(self, weight) -> bool:
-        return Fraction(weight) in self.components
+    def mode_window(self, weight_sum) -> range:
+        """The modes n whose output weight weight_sum - n - 1 lies in
+        [min_weight, cutoff]: all a truncated space can represent."""
+        return range(math.ceil(weight_sum - 1 - self.cutoff),
+                     math.floor(weight_sum - 1 - self.min_weight) + 1)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSpace):
@@ -230,10 +234,6 @@ class GradedOp:
             return NotImplemented
         return (self.space == other.space and self.weight_shift == other.weight_shift
                 and self.action == other.action)
-
-
-def apply_op(op: GradedOp, v: Vec) -> tuple[Vec, bool]:
-    return op.apply(v)
 
 
 def weight_diagonal_op(space: GradedSpace) -> GradedOp:

@@ -9,7 +9,6 @@ it reports exact=False.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -80,14 +79,8 @@ class VertexMap:
 
     def mode_range(self, first_label: str, second_label: str):
         """All modes n whose output weight the truncated space can represent."""
-        w = (self.first_space.weight_of(first_label)
-             + self.second_space.weight_of(second_label))
-        n_lo = math.ceil(w - 1 - self.out_space.cutoff)
-        n_hi = math.floor(w - 1 - self.out_space.min_weight)
-        return range(n_lo, n_hi + 1)
-
-    def stored_keys(self):
-        return sorted(self.entries)
+        return self.out_space.mode_window(self.first_space.weight_of(first_label)
+                                          + self.second_space.weight_of(second_label))
 
     def __eq__(self, other):
         if not isinstance(other, VertexMap):
@@ -133,14 +126,12 @@ def vertex_series(vmap: VertexMap, first: Vec, second: Vec, var: str = "x"):
         return {}, (0, -1), True
     for wf, fv in fparts.items():
         for ws, sv in sparts.items():
-            total = wf + ws
-            n_lo = math.ceil(total - 1 - vmap.out_space.cutoff)
-            n_hi = math.floor(total - 1 - vmap.out_space.min_weight)
-            # certified exponents e = -n-1 for n in [n_lo, n_hi]
-            e_lo, e_hi = -n_hi - 1, -n_lo - 1
+            modes = vmap.out_space.mode_window(wf + ws)
+            # certified exponents e = -n-1 for n in modes
+            e_lo, e_hi = -modes.stop, -modes.start - 1
             lo_w = e_lo if lo_w is None else max(lo_w, e_lo)
             hi_w = e_hi if hi_w is None else min(hi_w, e_hi)
-            for n in range(n_lo, n_hi + 1):
+            for n in modes:
                 out, ok = mode_apply(vmap, fv, n, sv)
                 if not ok:
                     exact = False

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from mosva.correlators import (PoleOrderWitness, correlate, estimate_pole_orders
                                reconstruct_rational)
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
 from mosva.graded import DualVec, basis_dual
+from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
 
 from oracle_oscillator import Oracle
 
@@ -163,3 +165,70 @@ def test_operators_must_be_homogeneous(heis):
     mixed = alg.basis_vec("a1").add(alg.basis_vec("vac"))
     with pytest.raises(ValueError, match="homogeneous"):
         correlate(alg, basis_dual(alg.space, "vac"), [(mixed, "z1")], alg.vacuum)
+
+
+# Pinned 3-point correlators: coefficients in insertion order and every
+# monomial of a box that the certified set leaves out.
+@pytest.fixture(scope="module")
+def heis5():
+    alg, _ = build_heisenberg(level=1, cutoff=5)
+    return alg
+
+
+def _uncertified(s, lo, hi):
+    return [m for m in itertools.product(range(lo, hi + 1), repeat=len(s.variables))
+            if not s.is_certified(m)]
+
+
+def test_mixed_three_point_on_bimodule(heis5):
+    alg = heis5
+    ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a1", "a1.a1", "a1"])]
+    s = correlate(self_module(alg, "bi"), basis_dual(alg.space, "a2"), ops,
+                  alg.basis_vec("a1"), "mixed", module_at=1)
+    assert s.degree_sum == -3
+    assert list(s.coefficients.items()) == [
+        ((-2, -4, 3), 8), ((1, -7, 3), 8), ((-4, -1, 2), 6), ((-2, -3, 2), 6),
+        ((1, -6, 2), 6), ((-4, 0, 1), 6), ((-3, -1, 1), 8), ((-2, -2, 1), 6),
+        ((1, -5, 1), 4), ((-2, -1, 0), 4), ((1, -4, 0), 2), ((-4, 3, -2), 6),
+        ((-3, 2, -2), 4), ((-2, 1, -2), 2)]
+    assert _uncertified(s, -7, 5) == [
+        (-7, -1, 5), (-7, 0, 4), (-7, 1, 3), (-7, 2, 2), (-7, 3, 1), (-7, 4, 0),
+        (-7, 5, -1), (-6, -2, 5), (-6, -1, 4), (-6, 0, 3), (-6, 1, 2), (-6, 2, 1),
+        (-6, 3, 0), (-6, 4, -1), (-6, 5, -2), (-5, -3, 5), (-5, -2, 4), (-5, -1, 3),
+        (-5, 0, 2), (-5, 1, 1), (-5, 2, 0), (-5, 3, -1), (-5, 4, -2), (-4, -4, 5),
+        (-4, -3, 4), (-3, -5, 5), (-3, -4, 4), (-2, -6, 5), (-2, -5, 4), (-1, -7, 5),
+        (-1, -6, 4), (0, -7, 4)]
+
+
+def test_product_three_point_on_right_self_module(heis5):
+    alg = heis5
+    # chain [Y_right, Y, Y]: the module element sits at z1
+    ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a2", "a1", "a1"])]
+    s = correlate(self_module(alg, "right"), basis_dual(alg.space, "a1"), ops,
+                  alg.vacuum)
+    assert s.degree_sum == -3
+    assert list(s.coefficients.items()) == [
+        ((-6, 0, 3), -20), ((-5, 0, 2), -12), ((-4, 0, 1), -6), ((-6, 3, 0), -20),
+        ((-5, 2, 0), -12), ((-4, 1, 0), -6), ((-3, 0, 0), -4)]
+    assert _uncertified(s, -7, 5) == [
+        (-7, -1, 5), (-7, 0, 4), (-7, 1, 3), (-7, 2, 2), (-7, 3, 1), (-7, 4, 0),
+        (-7, 5, -1), (-6, -2, 5), (-5, -3, 5), (-4, -4, 5), (-3, -5, 5), (-2, -6, 5),
+        (-1, -7, 5)]
+
+
+@pytest.mark.parametrize("mode, uncertified", [
+    ("product", [(-1, -1, 0), (-1, 0, 0), (-1, 0, 1), (-1, 1, 0), (0, -1, 0),
+                 (0, -1, 1), (0, 0, 0), (0, 1, 0), (1, -1, 0), (1, 0, 0), (1, 1, 0)]),
+    ("iterate", [(0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, -1), (1, -1, 0), (1, 0, -1)]),
+])
+def test_absent_entry_leaves_holes_in_both_nestings(mode, uncertified):
+    m = matrix_units_mosva(2)
+    Y = VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries,
+                  absent=[("E12", -1, "E12")])
+    inst = AlgebraInstance(m.space, Y, m.vacuum, m.D, m.L1)
+    ops = [(m.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["E11", "E12", "E12"])]
+    s = correlate(inst, basis_dual(m.space, "E12"), ops, m.basis_vec("E12"), mode)
+    # the only mode chain runs into the absent product: no coefficient, and
+    # the hole is not read as a certified zero
+    assert s.is_zero()
+    assert _uncertified(s, -1, 1) == uncertified

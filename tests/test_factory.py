@@ -6,7 +6,8 @@ from mosva.factory import (build_heisenberg, build_matrix_mosva, label_partition
                            matrix_units_mosva, partition_label, partitions_up_to,
                            self_module, with_scaled_entry)
 from mosva.graded import Vec
-from mosva.vertex import mode_apply, validate_instance, vertex_series
+from mosva.vertex import (ALGEBRA, AlgebraInstance, VertexMap, mode_apply,
+                          validate_instance, vertex_series)
 
 from oracle_oscillator import Oracle, deriv
 
@@ -195,3 +196,25 @@ def test_fault_injection_scales_one_entry():
     assert out == bad.basis_vec("a1.a1")
     with pytest.raises(KeyError):
         with_scaled_entry(alg, ("vac", 5, "vac"), 2)
+
+
+def test_fault_injection_keeps_absent_entries_absent():
+    m = matrix_units_mosva(2)
+    gap = ("E12", -1, "E12")  # E12 * E12 = 0, declared unknown here
+    Y = VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries, absent=[gap])
+    inst = AlgebraInstance(m.space, Y, m.vacuum, m.D, m.L1)
+    assert inst.Y.basis_entry(*gap) == (Vec(m.space), False)
+    bad = with_scaled_entry(inst, ("E11", -1, "E12"), 2)
+    assert bad.Y.basis_entry(*gap) == (Vec(m.space), False)
+    assert bad.Y.basis_entry("E11", -1, "E12") == (m.basis_vec("E12").scale(2), True)
+
+
+def test_fault_injection_rejects_keys_of_missing_maps():
+    alg, fock = build_heisenberg(level=1, cutoff=3)
+    # a left module has no right map; the key is in neither
+    with pytest.raises(KeyError):
+        with_scaled_entry(fock, ("vac", 5, "vac"), 2)
+    with pytest.raises(KeyError):
+        with_scaled_entry(self_module(alg, "right"), ("vac", 5, "vac"), 2)
+    bad = with_scaled_entry(fock, ("a1", 1, "a1"), 2)
+    assert bad.YL.entries[("a1", 1, "a1")] == fock.basis_vec("vac").scale(2)

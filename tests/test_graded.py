@@ -27,6 +27,19 @@ def test_space_structure(space):
         GradedSpace({0: ["x"], 1: ["x"]}, cutoff=1)
 
 
+
+def test_mode_window_matches_brute_force_on_fractional_weights():
+    half = GradedSpace({Fraction(1, 2): ["h1"], Fraction(3, 2): ["h3"],
+                        Fraction(5, 2): ["h5"]}, cutoff=Fraction(7, 2))
+    for weight_sum in [Fraction(k, 2) for k in range(-2, 13)]:
+        brute = [n for n in range(-20, 20)
+                 if half.min_weight <= weight_sum - n - 1 <= half.cutoff]
+        assert list(half.mode_window(weight_sum)) == brute, weight_sum
+    # both ends attained: output weights 7/2 at n = -3 and 1/2 at n = 0
+    assert half.mode_window(Fraction(3, 2)) == range(-3, 1)
+    # both ends fractional: output weights 3 and 1 at n = -3 and -1
+    assert half.mode_window(1) == range(-3, 0)
+
 def test_vec_arithmetic(space):
     v = Vec(space, {"e1": 2, "e2a": Fraction(1, 3)})
     w = Vec(space, {"e1": -2})

@@ -1,0 +1,19 @@
+"""Source invariants that must survive ``python -O``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mosva").glob("*.py"))
+
+
+def test_sources_found():
+    assert SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert on lines {lines} vanishes under python -O"
