@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import contragredient_module, opposite_vertex_components
-from .correlators import (ITERATE, PRODUCT, CorrelationSeries, PoleOrderWitness,
-                          correlate, estimate_pole_orders, reconstruct_rational)
+from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
+                          PoleOrderWitness, correlate, estimate_pole_orders,
+                          reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
 from .graded import Vec, basis_dual, pair
@@ -593,7 +594,7 @@ def check_region_consistency(inst, bra, ops, ket, order: int = 6,
         witness = estimate_pole_orders(inst, bra, ops, ket, series=prod)
     rec = reconstruct_rational(prod, witness)
     if not rec.certified:
-        if "window" in rec.detail or "cutoff" in rec.detail:
+        if rec.reason == WINDOW_LIMITED:
             raise WindowError(f"reconstruction not certified: {rec.detail}")
         rep.fail("rational reconstruction", inputs=names, witness=rec.detail)
         return rep

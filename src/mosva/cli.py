@@ -15,8 +15,8 @@ import sys
 
 from .checks import check_region_consistency, run_suite
 from .constructions import contragredient_module, opposite_mosva, transport_module
-from .correlators import (CorrelationSeries, PoleOrderWitness, correlate,
-                          estimate_pole_orders, reconstruct_rational)
+from .correlators import (WINDOW_LIMITED, CorrelationSeries, PoleOrderWitness,
+                          correlate, estimate_pole_orders, reconstruct_rational)
 from .document import load, save
 from .errors import SchemaError, WindowError
 from .factory import build_heisenberg, matrix_units_mosva, self_module
@@ -241,7 +241,7 @@ def _run(args) -> int:
         if res.certified:
             rep.ok("rational reconstruction", inputs=str(res.fn),
                    window=f"degree {res.degree}")
-        elif "window" in res.detail or "cutoff" in res.detail:
+        elif res.reason == WINDOW_LIMITED:
             raise WindowError(res.detail)
         else:
             rep.fail("rational reconstruction", witness=res.detail)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expansion import RationalFn, divisor_poly
+from .expansion import RationalFn, divisor_terms
 from .graded import DualVec, Vec, pair
 from .laurent import LaurentPoly
 from .vertex import AlgebraInstance, LEFT, RIGHT, mode_apply
@@ -45,8 +45,8 @@ class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
     __slots__ = ("variables", "coefficients", "certified_window", "mode",
-                 "_op_weights", "_ket_weight", "_bra_weight", "_chain_cutoffs",
-                 "_chain_minw", "_holes", "_trivial")
+                 "degree_sum", "_op_weights", "_ket_weight", "_chain_cutoffs",
+                 "_chain_minw", "_holes", "_trivial", "_certified")
 
     def __init__(self, variables, coefficients, mode, op_weights, ket_weight,
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
@@ -58,21 +58,18 @@ class CorrelationSeries:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_op_weights", tuple(op_weights))
         object.__setattr__(self, "_ket_weight", ket_weight)
-        object.__setattr__(self, "_bra_weight", bra_weight)
+        # the grading hyperplane: sum of exponents of any nonzero monomial
+        object.__setattr__(self, "degree_sum",
+                           bra_weight - sum(self._op_weights, Fraction(0)) - ket_weight)
         object.__setattr__(self, "_chain_cutoffs", tuple(chain_cutoffs))
         object.__setattr__(self, "_chain_minw", tuple(chain_minw))
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
+        object.__setattr__(self, "_certified", {})  # monomial -> is_certified
         object.__setattr__(self, "certified_window", self._window_box())
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationSeries is immutable")
-
-    @property
-    def degree_sum(self) -> Fraction:
-        """The grading hyperplane: sum of exponents of any nonzero monomial."""
-        return (self._bra_weight - sum(self._op_weights, Fraction(0))
-                - self._ket_weight)
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -83,6 +80,12 @@ class CorrelationSeries:
     def is_certified(self, mono) -> bool:
         """True when the (possibly zero) coefficient at mono is provably exact."""
         mono = tuple(mono)
+        hit = self._certified.get(mono)
+        if hit is None:
+            hit = self._certified[mono] = self._decide_certified(mono)
+        return hit
+
+    def _decide_certified(self, mono) -> bool:
         n = len(self.variables)
         if len(mono) != n:
             raise ValueError("monomial arity mismatch")
@@ -237,11 +240,21 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
                              cutoffs, minws, holes)
 
 
+# Why a reconstruction did or did not certify (ReconstructionResult.reason).
+CERTIFIED = "certified"
+ZERO_FUNCTION = "zero function"
+WINDOW_LIMITED = "window-limited"
+REMAINDER = "remainder"
+NEGATIVE_DEGREE = "negative degree"
+NONINTEGER_DEGREE = "non-integer degree"
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     fn: RationalFn | None
     certified: bool
     degree: int | None
+    reason: str
     detail: str = ""
 
     def __iter__(self):
@@ -269,72 +282,74 @@ def reconstruct_rational(series: CorrelationSeries,
                          witness: PoleOrderWitness) -> ReconstructionResult:
     """Multiply the series by the pole divisor and read off the numerator.
 
-    certified=True iff the certified set covers every monomial of the
-    predicted total degree and the remainder vanishes wherever certified.
+    The product's value at a monomial is exact when every shift (monomial -
+    divisor term) is certified.  Every monomial of the predicted total
+    degree must be exact; the first that is not, in composition order, makes
+    the result window-limited.  The product series x divisor is then formed
+    once, as a sparse convolution in (stored coefficient, divisor term)
+    order: its values there are the numerator, and at every other exact
+    monomial it reaches it must vanish.  The first nonzero remainder in
+    convolution order is reported.
     """
     vs = series.variables
     n = len(vs)
     p_axis, p_diag = _normalize_witness(witness, vs)
-    divisor = divisor_poly(vs, p_axis, p_diag)
+    divisor = divisor_terms(vs, p_axis, p_diag)
     deg_f = sum(p_axis.values()) + sum(p_diag.values()) + series.degree_sum
     if deg_f != int(deg_f):
-        return ReconstructionResult(None, False, None,
+        return ReconstructionResult(None, False, None, NONINTEGER_DEGREE,
                                     f"predicted degree {deg_f} is not an integer")
     deg = int(deg_f)
     if deg < 0:
         if series.is_zero():
             return ReconstructionResult(RationalFn(vs, LaurentPoly.zero(vs)),
-                                        True, deg, "zero function")
-        return ReconstructionResult(None, False, deg,
+                                        True, deg, ZERO_FUNCTION, "zero function")
+        return ReconstructionResult(None, False, deg, NEGATIVE_DEGREE,
                                     "negative predicted degree but nonzero series")
 
-    def product_coeff(mono):
-        total = Fraction(0)
-        for t, c in divisor.terms.items():
-            shifted = tuple(m - x for m, x in zip(mono, t))
-            if not series.is_certified(shifted):
-                return None
-            total += c * series.coefficient(shifted)
-        return total
+    certified = series.is_certified
 
-    numerator_terms = {}
+    def exact(mono):
+        return all(certified(tuple(a - b for a, b in zip(mono, t))) for t in divisor)
+
+    top = []
     for mono in _compositions(deg, n):
-        val = product_coeff(mono)
-        if val is None:
+        if not exact(mono):
             return ReconstructionResult(
-                None, False, deg,
+                None, False, deg, WINDOW_LIMITED,
                 f"window does not certify numerator monomial {mono}; "
                 f"a larger cutoff is needed")
-        if val != 0:
-            numerator_terms[mono] = val
+        top.append(mono)
+
+    product: dict[tuple, Fraction] = {}
+    for m, c in series.coefficients.items():
+        for t, d in divisor.items():
+            key = tuple(a + b for a, b in zip(m, t))
+            acc = product.get(key)
+            product[key] = c * d if acc is None else acc + c * d
+    numerator_terms = {mono: product[mono] for mono in top if product.get(mono)}
 
     # remainder: the product must vanish away from the numerator support,
-    # checked at every certified monomial reachable from the stored series
-    for m in series.coefficients:
-        for t in divisor.terms:
-            cand = tuple(a + b for a, b in zip(m, t))
-            if sum(cand) == deg and all(x >= 0 for x in cand):
-                continue
-            val = product_coeff(cand)
-            if val is not None and val != 0:
-                return ReconstructionResult(
-                    None, False, deg,
-                    f"nonzero remainder at {cand}: these pole orders do not "
-                    f"reduce the series to a polynomial")
+    # checked at every exact monomial reachable from the stored series
+    for cand, val in product.items():
+        if sum(cand) == deg and all(x >= 0 for x in cand):
+            continue
+        if val and exact(cand):
+            return ReconstructionResult(
+                None, False, deg, REMAINDER,
+                f"nonzero remainder at {cand}: these pole orders do not "
+                f"reduce the series to a polynomial")
     fn = RationalFn(vs, LaurentPoly(vs, numerator_terms), p_axis, p_diag)
-    return ReconstructionResult(fn, True, deg)
+    return ReconstructionResult(fn, True, deg, CERTIFIED)
 
 
 def _pair_pole_bound(vmap, first: Vec, second: Vec) -> int:
     """An order bound for the pole between two elements: one past the top
     nonzero nonnegative mode of the map joining them (lower truncation)."""
-    top = -1
-    firsts = set(first.entries)
-    seconds = set(second.entries)
-    for (f, m, s), out in vmap.entries.items():
-        if m > top and f in firsts and s in seconds and not out.is_zero():
-            top = m
-    return top + 1 if top >= 0 else 0
+    tops = vmap.pair_top_modes()
+    top = max((tops.get((f, s), -1) for f in first.entries for s in second.entries),
+              default=-1)
+    return top + 1
 
 
 def truncation_pole_orders(inst, ops, ket, mode=PRODUCT,
@@ -390,14 +405,16 @@ def estimate_pole_orders(inst, bra, ops, ket,
     Extra poles only raise the predicted degree and never help a
     window-limited case, so the first certifying vector is total-minimal.
     When nothing certifies the first window-limited trial is returned so
-    callers can report the honest obstruction."""
+    callers can report the honest obstruction.  With one operator there is
+    nothing to bump and the base orders are tried once."""
     if series is None:
         series = correlate(inst, bra, ops, ket, PRODUCT)
     base_axis, p_diag = truncation_pole_orders(inst, ops, ket)
     interior = series.variables[:-1]
     window_limited = None
     last = None
-    for total in range(0, max_bump + 1):
+    # with no interior variable every bump total gives the same trial
+    for total in range(0, (max_bump if interior else 0) + 1):
         for bumps in _compositions(total, max(1, len(interior))):
             p_axis = dict(base_axis)
             for v, b in zip(interior, bumps):
@@ -407,8 +424,9 @@ def estimate_pole_orders(inst, bra, ops, ket,
             res = reconstruct_rational(series, trial)
             if res.certified:
                 return trial
-            if ("remainder" not in res.detail
-                    and "negative predicted" not in res.detail
+            # wrong pole orders are no obstruction; a non-integer degree,
+            # which no bump changes, is kept like a window limit
+            if (res.reason not in (REMAINDER, NEGATIVE_DEGREE)
                     and window_limited is None):
                 window_limited = trial
             last = trial

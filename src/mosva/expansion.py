@@ -77,16 +77,43 @@ def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly:
     return LaurentPoly(poly.variables, quo)
 
 
+def divisor_terms(variables, pole_axis: Mapping[str, int],
+                  pole_diag: Mapping[tuple[str, str], int]) -> dict:
+    """The nonzero integer coefficients of prod z_i^{p_i} *
+    prod_{i<j} (z_i - z_j)^{p_ij}, keyed by exponent tuple.
+
+    The axis orders are one exponent shift.  Each diagonal factor, in sorted
+    key order, multiplies in its binomial expansion
+    sum_k (-1)^k C(p, k) z_i^{p-k} z_j^k, outer loop over the terms so far
+    and inner loop over k; terms that cancel are dropped after each factor.
+    """
+    pos = {v: i for i, v in enumerate(variables)}
+    start = [0] * len(pos)
+    for v, p in pole_axis.items():
+        start[pos[v]] += p
+    terms = {tuple(start): 1}
+    for (a, b), p in sorted(pole_diag.items()):
+        if p < 0:
+            raise ValueError("only nonnegative integer powers")
+        i, j = pos[a], pos[b]
+        factor = [(p - k, k, (-1) ** k * binomial(p, k)) for k in range(p + 1)]
+        nxt: dict[tuple[int, ...], int] = {}
+        for e, c in terms.items():
+            for x, y, d in factor:
+                new = list(e)
+                new[i] += x
+                new[j] += y
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + c * d
+        terms = {e: c for e, c in nxt.items() if c}
+    return terms
+
+
 def divisor_poly(variables, pole_axis: Mapping[str, int],
                  pole_diag: Mapping[tuple[str, str], int]) -> LaurentPoly:
-    """prod z_i^{p_i} * prod_{i<j} (z_i - z_j)^{p_ij} as a polynomial."""
-    out = LaurentPoly.constant(variables, 1)
-    for v, p in sorted(pole_axis.items()):
-        out = out * LaurentPoly.monomial(variables, {v: p})
-    for (a, b), p in sorted(pole_diag.items()):
-        diff = LaurentPoly.variable(a, variables) - LaurentPoly.variable(b, variables)
-        out = out * diff ** p
-    return out
+    """prod z_i^{p_i} * prod_{i<j} (z_i - z_j)^{p_ij} as a polynomial, with
+    the terms in ``divisor_terms`` order."""
+    return LaurentPoly(variables, divisor_terms(variables, pole_axis, pole_diag))
 
 
 class RationalFn:

@@ -29,7 +29,7 @@ class VertexMap:
     """
 
     __slots__ = ("kind", "first_space", "second_space", "out_space", "entries",
-                 "absent")
+                 "absent", "_pair_tops")
 
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
@@ -52,6 +52,7 @@ class VertexMap:
         object.__setattr__(self, "out_space", out_space)
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "absent", gaps)
+        object.__setattr__(self, "_pair_tops", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
@@ -76,6 +77,17 @@ class VertexMap:
         if self.output_weight(first_label, n, second_label) > self.out_space.cutoff:
             return Vec(self.out_space), self.out_space.complete
         return Vec(self.out_space), True
+
+    def pair_top_modes(self) -> dict:
+        """(first, second) -> the top nonnegative mode n with a nonzero stored
+        entry; pairs without one are missing.  Built on first use."""
+        if self._pair_tops is None:
+            tops: dict[tuple[str, str], int] = {}
+            for (f, n, s), out in self.entries.items():
+                if n >= 0 and n > tops.get((f, s), -1) and not out.is_zero():
+                    tops[(f, s)] = n
+            object.__setattr__(self, "_pair_tops", tops)
+        return self._pair_tops
 
     def mode_range(self, first_label: str, second_label: str):
         """All modes n whose output weight the truncated space can represent."""

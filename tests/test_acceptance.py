@@ -14,7 +14,8 @@ from mosva.checks import (audit_pole_order, check_contragredient,
                           run_suite)
 from mosva.cli import main as cli_main
 from mosva.constructions import opposite_mosva, transport_module
-from mosva.correlators import correlate, estimate_pole_orders, reconstruct_rational
+from mosva.correlators import (WINDOW_LIMITED, correlate, estimate_pole_orders,
+                               reconstruct_rational)
 from mosva.document import save
 from mosva.factory import (build_heisenberg, matrix_units_mosva, self_module,
                            with_scaled_entry)
@@ -189,8 +190,8 @@ def test_criterion_7_rationality_and_degree(heis6):
                 if not res.certified:
                     # only ever a truncation-window limit, never a verified
                     # inconsistency of the series with rationality
-                    assert "cutoff" in res.detail, (op_labels, ket_lbl, bra_lbl,
-                                                    res.detail)
+                    assert res.reason == WINDOW_LIMITED, (op_labels, ket_lbl,
+                                                          bra_lbl, res.detail)
                     uncertified += 1
                     continue
                 fn = res.fn

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mosva.correlators import (PoleOrderWitness, correlate, estimate_pole_orders,
-                               reconstruct_rational)
+from mosva.correlators import (PoleOrderWitness, _pair_pole_bound, correlate,
+                               estimate_pole_orders, reconstruct_rational)
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
-from mosva.graded import DualVec, basis_dual
+from mosva.graded import DualVec, Vec, basis_dual
 from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
 
 from oracle_oscillator import Oracle
@@ -232,3 +232,32 @@ def test_absent_entry_leaves_holes_in_both_nestings(mode, uncertified):
     # the hole is not read as a certified zero
     assert s.is_zero()
     assert _uncertified(s, -1, 1) == uncertified
+
+
+def _scanned_pole_bound(vmap, first, second):
+    """One past the top nonnegative mode with a nonzero entry, by a full scan."""
+    top = -1
+    for (f, m, s), out in vmap.entries.items():
+        if (m > top and f in first.entries and s in second.entries
+                and not out.is_zero()):
+            top = m
+    return top + 1
+
+
+def _matrix_with_stored_zero():
+    m = matrix_units_mosva(2)
+    entries = dict(m.Y.entries)
+    entries[("E11", 2, "E12")] = Vec(m.space)  # stored, but zero: not a pole
+    return AlgebraInstance(m.space, VertexMap(ALGEBRA, m.space, m.space, m.space, entries),
+                           m.vacuum, m.D, m.L1)
+
+
+@pytest.mark.parametrize("build", [lambda: build_heisenberg(level=1, cutoff=5)[0],
+                                   lambda: matrix_units_mosva(2),
+                                   _matrix_with_stored_zero],
+                         ids=["heisenberg", "matrix", "matrix-stored-zero"])
+def test_pair_pole_bound_index_matches_full_scan(build):
+    inst = build()
+    for f, s in itertools.product(inst.space.labels(), repeat=2):
+        u, v = inst.basis_vec(f), inst.basis_vec(s)
+        assert _pair_pole_bound(inst.Y, u, v) == _scanned_pole_bound(inst.Y, u, v), (f, s)

@@ -17,3 +17,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines} vanishes under python -O"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_functools_cache(path):
+    # a process-wide memo carries work and memory across calls; memos belong
+    # on the per-call objects (a series, a vertex map) that own the data
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"cache", "lru_cache"}
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(a.name in names for a in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr in names
+                 and isinstance(node.value, ast.Name) and node.value.id == "functools")]
+    assert not lines, f"{path.name}: functools cache on lines {lines}"

@@ -1,0 +1,224 @@
+"""Rational reconstruction against the per-monomial reference, its typed
+reasons, the divisor term order and the pole-order search trial count."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from mosva import correlators
+from mosva.checks import check_region_consistency
+from mosva.correlators import (CERTIFIED, NEGATIVE_DEGREE, NONINTEGER_DEGREE,
+                               PRODUCT, REMAINDER, WINDOW_LIMITED, ZERO_FUNCTION,
+                               CorrelationSeries, PoleOrderWitness, correlate,
+                               estimate_pole_orders, reconstruct_rational,
+                               truncation_pole_orders)
+from mosva.errors import WindowError
+from mosva.expansion import divisor_poly
+from mosva.factory import build_heisenberg, matrix_units_mosva
+from mosva.graded import basis_dual
+from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
+
+import oracle_reconstruct
+
+
+@pytest.fixture(scope="module")
+def heis4():
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    return alg
+
+
+def _matrix_with_hole():
+    m = matrix_units_mosva(2)
+    Y = VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries,
+                  absent=[("E12", -1, "E12")])
+    return AlgebraInstance(m.space, Y, m.vacuum, m.D, m.L1)
+
+
+def _same_as_oracle(series, witness):
+    res = reconstruct_rational(series, witness)
+    want = oracle_reconstruct.reconstruct_rational(series, witness)
+    assert (res.fn, res.certified, res.degree, res.detail) == want, (series, witness)
+    return res
+
+
+def _bump_witnesses(inst, ops, ket, variables, max_total):
+    """The base truncation orders plus every interior bump of total <= max_total."""
+    base_axis, p_diag = truncation_pole_orders(inst, ops, ket)
+    interior = variables[:-1]
+    for total in range(max_total + 1):
+        for bumps in correlators._compositions(total, max(1, len(interior))):
+            p_axis = dict(base_axis)
+            for v, b in zip(interior, bumps):
+                if b:
+                    p_axis[v] = p_axis.get(v, 0) + b
+            yield PoleOrderWitness(p_axis, dict(p_diag))
+
+
+def _family(space, n_ops, bound):
+    """(operator labels, ket label) whose weights sum to at most ``bound``."""
+    labels = space.labels()
+    for combo in itertools.product(labels, repeat=n_ops + 1):
+        if sum(space.weight_of(lbl) for lbl in combo) <= bound:
+            yield combo[:-1], combo[-1]
+
+
+def _lowered(witness):
+    """Every diagonal order one below the witness: wrong pole orders, whose
+    remainder is nonzero at many monomials."""
+    return PoleOrderWitness(witness.p_axis, {k: p - 1 for k, p in witness.p_diag.items()})
+
+
+def test_heisenberg_sweep_matches_reference(heis4):
+    # the acceptance-7 family at weight bound 2, every bra, every bump
+    # witness of total <= 2 and the same witnesses with lowered diagonals
+    space = heis4.space
+    reasons = set()
+    compared = 0
+    for n in (2, 3):
+        for op_labels, ket_lbl in _family(space, n, 2):
+            ops = [(heis4.basis_vec(lbl), f"z{i + 1}") for i, lbl in enumerate(op_labels)]
+            ket = heis4.basis_vec(ket_lbl)
+            for bra_lbl in space.labels():
+                series = correlate(heis4, basis_dual(space, bra_lbl), ops, ket)
+                if series.is_zero():
+                    continue
+                for w in _bump_witnesses(heis4, ops, ket, series.variables, 2):
+                    reasons.add(_same_as_oracle(series, w).reason)
+                    reasons.add(_same_as_oracle(series, _lowered(w)).reason)
+                    compared += 2
+    assert compared > 600
+    assert {CERTIFIED, WINDOW_LIMITED, REMAINDER} <= reasons
+
+
+def test_matrix_with_absent_entry_matches_reference():
+    inst = _matrix_with_hole()
+    labels = inst.space.labels()
+    witnesses = [PoleOrderWitness({}, {}), PoleOrderWitness({"z1": 1}, {}),
+                 PoleOrderWitness({}, {("z1", "z2"): 1})]
+    reasons = set()
+    for n in (2, 3):
+        for op_labels in itertools.product(labels, repeat=n):
+            ops = [(inst.basis_vec(lbl), f"z{i + 1}") for i, lbl in enumerate(op_labels)]
+            for ket_lbl, bra_lbl in itertools.product(labels, repeat=2):
+                series = correlate(inst, basis_dual(inst.space, bra_lbl), ops,
+                                   inst.basis_vec(ket_lbl))
+                for w in witnesses:
+                    reasons.add(_same_as_oracle(series, w).reason)
+    assert {CERTIFIED, WINDOW_LIMITED} <= reasons
+
+
+def test_one_operator_matches_reference(heis4):
+    space = heis4.space
+    light = [lbl for lbl in space.labels() if space.weight_of(lbl) <= 2]
+    for op_lbl, ket_lbl, bra_lbl in itertools.product(light, light, space.labels()):
+        series = correlate(heis4, basis_dual(space, bra_lbl),
+                           [(heis4.basis_vec(op_lbl), "z1")], heis4.basis_vec(ket_lbl))
+        for p in range(3):
+            _same_as_oracle(series, PoleOrderWitness({"z1": p} if p else {}, {}))
+
+
+def test_divisor_term_order_is_pinned():
+    # recorded from the LaurentPoly product chain (oracle_reconstruct.divisor_poly)
+    args = (("z1", "z2", "z3"), {"z1": 1}, {("z1", "z2"): 2, ("z2", "z3"): 1})
+    d = divisor_poly(*args)
+    assert list(d.terms) == [(3, 1, 0), (3, 0, 1), (2, 2, 0), (2, 1, 1), (1, 3, 0),
+                             (1, 2, 1)]
+    assert list(d.terms.values()) == [1, -1, -2, 2, 1, -1]
+    assert list(oracle_reconstruct.divisor_poly(*args).terms.items()) \
+        == list(d.terms.items())
+
+
+def test_divisor_order_matches_reference_with_cancellation():
+    vs = ("z1", "z2", "z3", "z4")
+    for orders in itertools.product(range(3), repeat=4):
+        axis = {"z1": orders[0]}
+        diag = dict(zip([("z1", "z2"), ("z1", "z3"), ("z2", "z3"), ("z3", "z4")],
+                        orders))
+        assert list(divisor_poly(vs, axis, diag).terms.items()) == \
+            list(oracle_reconstruct.divisor_poly(vs, axis, diag).terms.items())
+
+
+def test_every_reason_is_reached(heis4):
+    vac = basis_dual(heis4.space, "vac")
+    a1 = heis4.basis_vec("a1")
+    two = correlate(heis4, vac, [(a1, "z1"), (a1, "z2")], heis4.vacuum)
+    res = reconstruct_rational(two, PoleOrderWitness({}, {("z1", "z2"): 2}))
+    assert (res.reason, res.certified) == (CERTIFIED, True)
+    res = reconstruct_rational(two, PoleOrderWitness({}, {}))
+    assert (res.reason, res.certified) == (NEGATIVE_DEGREE, False)
+
+    zero = correlate(heis4, vac, [(a1, "z1")], heis4.vacuum)
+    res = reconstruct_rational(zero, PoleOrderWitness({}, {}))
+    assert (res.reason, res.certified, res.detail) == (ZERO_FUNCTION, True, "zero function")
+
+    small, _ = build_heisenberg(level=1, cutoff=2)
+    b2 = small.basis_vec("a2")
+    s = correlate(small, basis_dual(small.space, "vac"), [(b2, "z1"), (b2, "z2")],
+                  small.vacuum)
+    res = reconstruct_rational(s, PoleOrderWitness({}, {("z1", "z2"): 5}))
+    assert (res.reason, res.certified) == (WINDOW_LIMITED, False)
+
+    three = correlate(heis4, basis_dual(heis4.space, "a1"),
+                      [(a1, "z1"), (a1, "z2"), (a1, "z3")], heis4.vacuum)
+    res = _same_as_oracle(three, PoleOrderWitness({}, {("z1", "z2"): 2}))
+    # sixteen monomials carry a nonzero remainder; the first in (stored
+    # coefficient, divisor term) order is reported
+    assert (res.reason, res.certified) == (REMAINDER, False)
+    assert res.detail.startswith("nonzero remainder at (2, -5, 3):")
+
+    half = CorrelationSeries(("z1",), {}, PRODUCT, [Fraction(1, 2)], Fraction(0),
+                             Fraction(0), [Fraction(4)], [Fraction(0)])
+    res = reconstruct_rational(half, PoleOrderWitness({}, {}))
+    assert (res.reason, res.certified, res.degree) == (NONINTEGER_DEGREE, False, None)
+
+
+def test_region_consistency_dispatches_on_reason(heis4):
+    small, _ = build_heisenberg(level=1, cutoff=2)
+    b2 = small.basis_vec("a2")
+    with pytest.raises(WindowError, match="window does not certify"):
+        check_region_consistency(small, basis_dual(small.space, "vac"),
+                                 [(b2, "z1"), (b2, "z2")], small.vacuum,
+                                 witness=PoleOrderWitness({}, {("z1", "z2"): 5}))
+    a1 = heis4.basis_vec("a1")
+    rep = check_region_consistency(heis4, basis_dual(heis4.space, "a1"),
+                                   [(a1, "z1"), (a1, "z2"), (a1, "z3")], heis4.vacuum,
+                                   witness=PoleOrderWitness({}, {("z1", "z2"): 2}))
+    assert not rep.passed
+    assert rep.failures()[0].witness.startswith("nonzero remainder at (2, -5, 3):")
+
+
+def _count_trials(monkeypatch):
+    trials = []
+    real = correlators.reconstruct_rational
+
+    def counted(series, witness):
+        trials.append(witness)
+        return real(series, witness)
+
+    monkeypatch.setattr(correlators, "reconstruct_rational", counted)
+    return trials
+
+
+def test_one_operator_search_tries_once(monkeypatch):
+    inst = _matrix_with_hole()
+    ops = [(inst.basis_vec("E12"), "z1")]
+    ket = inst.basis_vec("E12")
+    bra = basis_dual(inst.space, "E11")
+    series = correlate(inst, bra, ops, ket)
+    assert reconstruct_rational(series, PoleOrderWitness({}, {})).reason == WINDOW_LIMITED
+    trials = _count_trials(monkeypatch)
+    witness = estimate_pole_orders(inst, bra, ops, ket, series)
+    assert len(trials) == 1
+    assert (witness.p_axis, witness.p_diag) == (trials[0].p_axis, trials[0].p_diag)
+
+
+def test_bump_search_still_tries_every_total(monkeypatch):
+    inst = _matrix_with_hole()
+    ops = [(inst.basis_vec("E12"), "z1"), (inst.basis_vec("E12"), "z2")]
+    ket = inst.basis_vec("E12")
+    trials = _count_trials(monkeypatch)
+    estimate_pole_orders(inst, basis_dual(inst.space, "E12"), ops, ket, max_bump=3)
+    # every trial is window-limited; z1 is the only interior variable, so
+    # there is one trial per bump total 0..3
+    assert [t.p_axis.get("z1", 0) for t in trials] == [0, 1, 2, 3]
