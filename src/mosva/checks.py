@@ -18,7 +18,7 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import Vec, basis_dual, pair
+from .graded import Vec, _accumulate, _same_space, basis_dual, pair
 from .laurent import LaurentPoly, taylor_shift
 from .report import Report
 from .scalars import binomial, format_scalar
@@ -176,7 +176,7 @@ def check_derivative(inst) -> Report:
                         skipped += 1
                         continue
                     checked += 1
-                    if lhs != d_here.add(tail.scale(-1)):
+                    if lhs != d_here - tail:
                         bad = bad or f"commutator at ({f}, {n}, {s})"
         rep.record(f"{name}: derivative and commutator",
                    "fail" if bad else "pass", witness=bad or "",
@@ -241,7 +241,7 @@ def check_grading(inst) -> Report:
         bad, checked = None, 0
         for (f, n, s), entry in sorted(vmap.entries.items()):
             d_out, _ = own_o.d.apply(entry)
-            commutator = d_out.add(entry.scale(-vmap.second_space.weight_of(s)))
+            commutator = d_out.add(entry, -vmap.second_space.weight_of(s))
             want = entry.scale(vmap.first_space.weight_of(f) - n - 1)
             checked += 1
             if commutator != want:
@@ -279,7 +279,7 @@ def check_mobius(inst) -> Report:
                 skipped += 1
                 continue
             checked += 1
-            if abv.add(bav.scale(-1)) != want:
+            if abv - bav != want:
                 bad = bad or lbl
         rep.record(rep_name, "fail" if bad else "pass", witness=bad or "",
                    inputs=f"{checked} basis vectors",
@@ -340,19 +340,19 @@ def check_mobius(inst) -> Report:
                             continue
                         out_img, oko = out_op.apply(here)
                         tail, okt = mode_apply(vmap, fv, n, s_img)
-                        rhs = Vec(vmap.out_space)
+                        rhs: dict = {}
                         ok_rhs = True
                         for off, img, scale in firsts:
                             term, okr = mode_apply(vmap, img, n + off, sv)
                             if not okr:
                                 ok_rhs = False
                                 break
-                            rhs = rhs.add(term.scale(scale))
+                            _accumulate(rhs, scale, term.entries)
                         if not (oko and okt and ok_rhs):
                             skipped += 1
                             continue
                         checked += 1
-                        if out_img.add(tail.scale(-1)) != rhs:
+                        if (out_img - tail).entries != rhs:
                             bad = bad or f"({f}, {n}, {s})"
             rep.record(f"{name}: {formula} commutator formula",
                        "fail" if bad else "pass", witness=bad or "",
@@ -412,6 +412,7 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
         raise ValueError("weak associativity takes homogeneous arguments")
     outer_P, inner_P, inner_I, outer_I = _assoc_maps(inst, flavor)
     out_space = outer_P.out_space
+    _same_space(outer_I.out_space, out_space)
     if p1_max is None:
         p1_max = max(0, math.floor(w1 + wk + out_space.cutoff))
 
@@ -429,6 +430,7 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
 
     P_memo: dict = {}
     I_memo: dict = {}
+    S_memo: dict = {}
 
     def P(a, b):
         key = (a, b)
@@ -453,16 +455,20 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
         return I_memo[key]
 
     def P_shifted(c, d):
-        total = Vec(out_space)
-        for k in range(0, d - b_lo + 1):
-            coeff = binomial(c + k, k)
-            if coeff == 0:
-                continue
-            term = P(c + k, d - k)
-            if term is None:
-                return None
-            total = total.add(term.scale(coeff))
-        return total
+        key = (c, d)
+        if key not in S_memo:
+            total: dict | None = {}
+            for k in range(0, d - b_lo + 1):
+                coeff = binomial(c + k, k)
+                if coeff == 0:
+                    continue
+                term = P(c + k, d - k)
+                if term is None:
+                    total = None
+                    break
+                _accumulate(total, coeff, term.entries)
+            S_memo[key] = total
+        return S_memo[key]
 
     found = None
     last_diff = ""
@@ -474,8 +480,8 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
             c_lo = s + p1 - b_hi
             for c in range(c_lo, c_hi + 1):
                 d = s + p1 - c
-                lhs = Vec(out_space)
-                rhs = Vec(out_space)
+                lhs: dict = {}
+                rhs: dict = {}
                 ok = True
                 for i in range(0, p1 + 1):
                     w = binomial(p1, i)
@@ -484,8 +490,8 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                     if l_term is None or r_term is None:
                         ok = False
                         break
-                    lhs = lhs.add(l_term.scale(w))
-                    rhs = rhs.add(r_term.scale(w))
+                    _accumulate(lhs, w, l_term)
+                    _accumulate(rhs, w, r_term.entries)
                 if not ok:
                     continue
                 compared += 1

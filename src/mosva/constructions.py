@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedOp, Vec, dual_space, op_power_apply, transpose_op
+from .graded import (GradedOp, Vec, _accumulate, _same_space, dual_space, op_power_apply,
+                     transpose_op)
 from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
@@ -41,7 +42,7 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
             w = first_space.weight_of(f) + second_space.weight_of(s)
             for n in out_space.mode_window(w):
                 wtout = w - n - 1
-                total = Vec(out_space)
+                total: dict = {}
                 ok = True
                 for k in range(math.floor(wtout - minw) + 1):
                     base, stored = source.basis_entry(s, n + k, f)
@@ -55,12 +56,13 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                         ok = False
                         break
                     sign = -1 if (n + k + 1) % 2 else 1
-                    total = total.add(lifted.scale(sign * factorial_fraction(k)))
+                    _same_space(lifted.space, out_space)
+                    _accumulate(total, sign * factorial_fraction(k), lifted.entries)
                 key = (f, n, s)
                 if not ok:
                     absent.add(key)
-                elif not total.is_zero():
-                    entries[key] = total
+                elif total:
+                    entries[key] = Vec._wrap(out_space, total)
     return VertexMap(out_kind, first_space, second_space, out_space, entries, absent)
 
 
@@ -159,7 +161,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
             exact = False
             continue
         w = Vec(W.space, {lbl: 1})
-        out = Vec(W.space)
+        out: dict = {}
         ok_all = True
         for m, um in enumerate(powers):
             mode = -n - m - 2 + 2 * h
@@ -167,9 +169,10 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
             if not ok:
                 ok_all = False
                 break
-            out = out.add(contrib.scale(sign * factorial_fraction(m)))
+            _same_space(contrib.space, W.space)
+            _accumulate(out, sign * factorial_fraction(m), contrib.entries)
         if ok_all:
-            action[lbl] = out
+            action[lbl] = Vec._wrap(W.space, out)
         else:
             exact = False
     return GradedOp(W.space, shift, action), exact
@@ -223,7 +226,7 @@ def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = 
                 if not ok:
                     absent.add(key)
                 elif row:
-                    entries[key] = Vec(dual, row)
+                    entries[key] = Vec._wrap(dual, row)
     Yp = VertexMap(LEFT, W.algebra.space, dual, dual, entries, absent)
     D_p = transpose_op(W.L1, dual, suffix)
     L1_p = transpose_op(W.D, dual, suffix)

@@ -74,6 +74,8 @@ class GradedSpace:
                      math.floor(weight_sum - 1 - self.min_weight) + 1)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, GradedSpace):
             return NotImplemented
         return (self.components == other.components and self.cutoff == other.cutoff
@@ -82,6 +84,31 @@ class GradedSpace:
     def __repr__(self):
         dims = {str(w): len(ls) for w, ls in self.components.items()}
         return f"GradedSpace(dims={dims}, cutoff={self.cutoff})"
+
+
+def _same_space(got: GradedSpace, want: GradedSpace) -> None:
+    if got is not want and got != want:
+        raise ValueError("space mismatch")
+
+
+def _accumulate(acc: dict, c, entries: Mapping[str, Fraction]) -> None:
+    """acc += c * entries in place, for a nonzero scalar c.
+
+    A label that cancels to zero is popped, so the labels keep the order a
+    chain of ``add`` calls would give them."""
+    one = c == 1
+    for lbl, v in entries.items():
+        if not one:
+            v = v * c
+        s = acc.get(lbl)
+        if s is None:
+            acc[lbl] = v
+        else:
+            s += v
+            if s:
+                acc[lbl] = s
+            else:
+                del acc[lbl]
 
 
 class _Entries:
@@ -101,6 +128,15 @@ class _Entries:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _wrap(cls, space: GradedSpace, clean: dict):
+        """Take ownership of a dict that already maps labels of ``space`` to
+        nonzero Fractions, without checking it again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "entries", clean)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -110,21 +146,20 @@ class _Entries:
     def coefficient(self, label: str) -> Fraction:
         return self.entries.get(label, Fraction(0))
 
-    def add(self, other):
-        if other.space is not self.space and other.space != self.space:
-            raise ValueError("space mismatch")
-        entries = dict(self.entries)
-        for lbl, c in other.entries.items():
-            acc = entries.get(lbl, Fraction(0)) + c
-            if acc == 0:
-                entries.pop(lbl, None)
-            else:
-                entries[lbl] = acc
-        return type(self)(self.space, entries)
+    def add(self, other, c=1):
+        """self + c * other."""
+        _same_space(other.space, self.space)
+        acc = dict(self.entries)
+        c = Fraction(c)
+        if c:
+            _accumulate(acc, c, other.entries)
+        return self._wrap(self.space, acc)
 
     def scale(self, c):
         c = Fraction(c)
-        return type(self)(self.space, {l: c * v for l, v in self.entries.items()})
+        if not c:
+            return self._wrap(self.space, {})
+        return self._wrap(self.space, {l: v * c for l, v in self.entries.items()})
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -134,7 +169,7 @@ class _Entries:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.add(other.scale(-1))
+        return self.add(other, -1)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -143,10 +178,11 @@ class _Entries:
 
     def weight_components(self):
         """Split into homogeneous parts, keyed and sorted by weight."""
+        weight_of = self.space.label_weights
         parts: dict[Fraction, dict[str, Fraction]] = {}
         for lbl, c in self.entries.items():
-            parts.setdefault(self.space.weight_of(lbl), {})[lbl] = c
-        return {w: type(self)(self.space, d) for w, d in sorted(parts.items())}
+            parts.setdefault(weight_of[lbl], {})[lbl] = c
+        return {w: self._wrap(self.space, d) for w, d in sorted(parts.items())}
 
     def weight(self):
         """The weight if homogeneous (zero counts as any weight), else None."""
@@ -218,16 +254,20 @@ class GradedOp:
         return label in self.action
 
     def apply(self, v: Vec) -> tuple[Vec, bool]:
-        """Linear extension to a vector; exact=False if absent data was needed."""
-        out = Vec(v.space)
+        """Linear extension to a vector; exact=False if absent data was needed.
+        A vector of another space raises ValueError."""
+        space = self.space
+        _same_space(v.space, space)
+        acc: dict[str, Fraction] = {}
         exact = True
         for lbl, c in v.entries.items():
             hit = self.action.get(lbl)
             if hit is None:
                 exact = False
                 continue
-            out = out.add(hit.scale(c))
-        return out, exact
+            _same_space(hit.space, space)
+            _accumulate(acc, c, hit.entries)
+        return Vec._wrap(space, acc), exact
 
     def __eq__(self, other):
         if not isinstance(other, GradedOp):

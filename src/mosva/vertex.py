@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .graded import GradedOp, GradedSpace, Vec, weight_diagonal_op
+from .graded import (GradedOp, GradedSpace, Vec, _accumulate, _same_space,
+                     weight_diagonal_op)
 from .report import Report
 
 ALGEBRA = "algebra"
@@ -29,7 +30,7 @@ class VertexMap:
     """
 
     __slots__ = ("kind", "first_space", "second_space", "out_space", "entries",
-                 "absent", "_pair_tops")
+                 "absent", "_pair_tops", "_mode_starts")
 
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
@@ -53,6 +54,7 @@ class VertexMap:
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "absent", gaps)
         object.__setattr__(self, "_pair_tops", None)
+        object.__setattr__(self, "_mode_starts", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
@@ -68,15 +70,25 @@ class VertexMap:
     def basis_entry(self, first_label: str, n: int, second_label: str):
         """(Vec, exact) for one basis pair; a zero vector with exact=False
         marks an absent (cutoff-overflow or explicitly unknown) entry."""
-        key = (first_label, n, second_label)
-        hit = self.entries.get(key)
+        hit = self.entries.get((first_label, n, second_label))
         if hit is not None:
             return hit, True
-        if key in self.absent:
-            return Vec(self.out_space), False
-        if self.output_weight(first_label, n, second_label) > self.out_space.cutoff:
-            return Vec(self.out_space), self.out_space.complete
-        return Vec(self.out_space), True
+        return Vec(self.out_space), self._miss_is_exact(first_label, n, second_label)
+
+    def _miss_is_exact(self, first_label: str, n: int, second_label: str) -> bool:
+        """Whether an unstored entry reads as an exact zero: not when it is
+        explicitly absent, nor when its output weight overflows the cutoff of
+        an incomplete space, that is when n is below the pair's mode window.
+        Window starts are kept per pair on first use."""
+        if (first_label, n, second_label) in self.absent:
+            return False
+        if self.out_space.complete:
+            return True
+        start = self._mode_starts.get((first_label, second_label))
+        if start is None:
+            start = self.mode_range(first_label, second_label).start
+            self._mode_starts[(first_label, second_label)] = start
+        return n >= start
 
     def pair_top_modes(self) -> dict:
         """(first, second) -> the top nonnegative mode n with a nonzero stored
@@ -105,21 +117,24 @@ class VertexMap:
 def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, bool]:
     """Bilinear extension of the stored modes; exact=False if an absent
     (cutoff-overflow) entry was required."""
-    if first.space != vmap.first_space:
+    if first.space is not vmap.first_space and first.space != vmap.first_space:
         raise ValueError(f"first argument lives in the wrong space for kind {vmap.kind!r}")
-    if second.space != vmap.second_space:
+    if second.space is not vmap.second_space and second.space != vmap.second_space:
         raise ValueError(f"second argument lives in the wrong space for kind {vmap.kind!r}")
-    out = Vec(vmap.out_space)
+    out_space = vmap.out_space
+    table = vmap.entries
+    acc: dict = {}
     exact = True
     for f, cf in first.entries.items():
         for s, cs in second.entries.items():
-            hit, ok = vmap.basis_entry(f, n, s)
-            if not ok:
-                exact = False
-                continue
-            if not hit.is_zero():
-                out = out.add(hit.scale(cf * cs))
-    return out, exact
+            hit = table.get((f, n, s))
+            if hit is None:
+                if exact and not vmap._miss_is_exact(f, n, s):
+                    exact = False
+            elif hit.entries:
+                _same_space(hit.space, out_space)
+                _accumulate(acc, cf * cs, hit.entries)
+    return Vec._wrap(out_space, acc), exact
 
 
 def vertex_series(vmap: VertexMap, first: Vec, second: Vec, var: str = "x"):
@@ -129,7 +144,7 @@ def vertex_series(vmap: VertexMap, first: Vec, second: Vec, var: str = "x"):
     window, exact flag).  Inputs need not be homogeneous; the window is the
     intersection over their homogeneous components.
     """
-    coeffs: dict[int, Vec] = {}
+    sums: dict[int, dict] = {}
     exact = True
     lo_w, hi_w = None, None
     fparts = first.weight_components()
@@ -148,11 +163,10 @@ def vertex_series(vmap: VertexMap, first: Vec, second: Vec, var: str = "x"):
                 if not ok:
                     exact = False
                     continue
-                if not out.is_zero():
-                    e = -n - 1
-                    coeffs[e] = coeffs.get(e, Vec(vmap.out_space)).add(out)
-    coeffs = {e: v for e, v in coeffs.items() if not v.is_zero()
-              and lo_w <= e <= hi_w}
+                if out.entries:
+                    _accumulate(sums.setdefault(-n - 1, {}), 1, out.entries)
+    coeffs = {e: Vec._wrap(vmap.out_space, acc) for e, acc in sums.items()
+              if acc and lo_w <= e <= hi_w}
     return coeffs, (lo_w, hi_w), exact
 
 

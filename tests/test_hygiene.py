@@ -31,3 +31,19 @@ def test_no_functools_cache(path):
              or (isinstance(node, ast.Attribute) and node.attr in names
                  and isinstance(node.value, ast.Name) and node.value.id == "functools")]
     assert not lines, f"{path.name}: functools cache on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_add_of_a_scaled_copy(path):
+    # x.add(y.scale(c)) copies x and builds a scaled copy of y for one term;
+    # a sum accumulates into one dict (graded._accumulate) or calls x.add(y, c)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def method_call(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name)
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if method_call(node, "add")
+             and any(method_call(arg, "scale") for arg in node.args)]
+    assert not lines, f"{path.name}: add of a scaled copy on lines {lines}"
