@@ -8,6 +8,7 @@ every record names the window it quantified over.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +19,14 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import Vec, _accumulate, _same_space, basis_dual, pair
+from .graded import Vec, _accumulate, basis_dual, pair
 from .laurent import LaurentPoly, taylor_shift
 from .report import Report
 from .scalars import binomial, format_scalar
-from .vertex import (LEFT, RIGHT, AlgebraInstance, ModuleInstance, mode_apply,
-                     validate_instance, vertex_series)
+from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, chain_maps, mode_apply,
+                     module_position, validate_instance, vertex_series)
+
+COMPAT = "compat"
 
 
 class _SumOp:
@@ -42,29 +45,13 @@ class _SumOp:
 
 def _sl2_of(owner):
     """(L(-1), L(0), L(1)) for an algebra or module instance."""
-    n0 = getattr(owner, "N0", None)
-    return owner.D, _SumOp(owner.d, n0), owner.L1
-
-
-def _maps_of(inst):
-    if isinstance(inst, AlgebraInstance):
-        return [("Y", inst.Y)]
-    out = []
-    if inst.YL is not None:
-        out.append(("Y_left", inst.YL))
-    if inst.YR is not None:
-        out.append(("Y_right", inst.YR))
-    return out
+    return owner.D, _SumOp(owner.d, owner.N0), owner.L1
 
 
 def _owners(inst, vmap):
     """Structure owners of (first, second, output) slots of a vertex map."""
-    alg = inst if isinstance(inst, AlgebraInstance) else inst.algebra
-    if vmap.kind == "algebra":
-        return alg, alg, alg
-    if vmap.kind == LEFT:
-        return alg, inst, inst
-    return inst, alg, inst
+    first, second = (inst if module else inst.algebra for module in ROLES[vmap.kind])
+    return first, second, inst
 
 
 # -- vacuum ------------------------------------------------------------------
@@ -74,8 +61,7 @@ def check_vacuum(inst) -> Report:
     """Identity property on the identity-bearing maps, creation property for
     algebras and right modules, and D(vacuum) = 0 on algebras."""
     rep = Report("vacuum")
-    alg = inst if isinstance(inst, AlgebraInstance) else inst.algebra
-    vac = alg.vacuum
+    vac = inst.algebra.vacuum
 
     def identity_on(vmap, name):
         checked, witness = 0, None
@@ -115,18 +101,18 @@ def check_vacuum(inst) -> Report:
         rep.record(f"{name}: creation property", "fail" if witness else "pass",
                    inputs=f"{checked} coefficients", witness=witness or "")
 
-    if isinstance(inst, AlgebraInstance):
-        identity_on(inst.Y, "Y")
-        creation_on(inst.Y, "Y", inst.D)
+    # the vacuum enters a map wherever an algebra element may
+    for name, vmap in inst.vertex_maps().items():
+        first_is_module, second_is_module = ROLES[vmap.kind]
+        if not first_is_module:
+            identity_on(vmap, name)
+        if not second_is_module:
+            creation_on(vmap, name, inst.D)
+    if inst.algebra is inst:
         dvac, exact = inst.D.apply(vac)
         rep.record("D annihilates the vacuum",
                    "pass" if exact and dvac.is_zero() else "fail",
                    witness="" if dvac.is_zero() else repr(dvac))
-    else:
-        if inst.side in (LEFT, "bi"):
-            identity_on(inst.YL, "Y_left")
-        if inst.side in (RIGHT, "bi"):
-            creation_on(inst.YR, "Y_right", inst.D)
     return rep
 
 
@@ -137,7 +123,7 @@ def check_derivative(inst) -> Report:
     """d/dx Y(u,x) = Y(Du,x) = [D, Y(u,x)] as exact mode identities, plus a
     shift-conjugation spot check through taylor_shift."""
     rep = Report("derivative")
-    for name, vmap in _maps_of(inst):
+    for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
         checked = skipped = 0
         bad = None
@@ -189,7 +175,7 @@ def check_derivative(inst) -> Report:
 def _conjugation_spot_check(inst, rep: Report, samples: int = 3):
     """Y(u, x+y) = Y(exp(yD)u, x) checked through taylor_shift on scalar
     series for a few low-weight samples (binomial expansion in y)."""
-    name, vmap = _maps_of(inst)[0]
+    vmap = next(iter(inst.vertex_maps().values()))
     own_f, _, _ = _owners(inst, vmap)
     checked = 0
     for f in vmap.first_space.labels()[:samples]:
@@ -236,7 +222,7 @@ def check_grading(inst) -> Report:
     [d, Y_n(u)] = (wt u - n - 1) Y_n(u) on every stored entry."""
     rep = Report("grading")
     rep.extend(validate_instance(inst))
-    for name, vmap in _maps_of(inst):
+    for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
         bad, checked = None, 0
         for (f, n, s), entry in sorted(vmap.entries.items()):
@@ -259,8 +245,7 @@ def check_mobius(inst) -> Report:
     nilpotency of the non-semisimple part, and the L(0)/L(1) commutator
     formulas against the vertex operators at mode level."""
     rep = Report("mobius")
-    alg = inst if isinstance(inst, AlgebraInstance) else inst.algebra
-    if inst.L1 is None or alg.L1 is None:
+    if inst.L1 is None or inst.algebra.L1 is None:
         rep.fail("L(1) present", witness="no sl(2) data on the instance")
         return rep
     Lm1, L0, L1 = _sl2_of(inst)
@@ -291,13 +276,13 @@ def check_mobius(inst) -> Report:
     bracket("[L(-1), L(1)] = -2 L(0)", Lm1, L1,
             lambda v: (lambda o, k: (o.scale(-2), k))(*L0.apply(v)))
 
-    if isinstance(inst, AlgebraInstance):
+    if inst.algebra is inst:
         for nm, op in (("L(-1)", Lm1), ("L(0)", L0), ("L(1)", L1)):
             out, ok = op.apply(inst.vacuum)
             rep.record(f"{nm} annihilates the vacuum",
                        "pass" if ok and out.is_zero() else "fail",
                        witness="" if out.is_zero() else repr(out))
-    n0 = getattr(inst, "N0", None)
+    n0 = inst.N0
     if n0 is not None:
         bound = max(len(ls) for ls in inst.space.components.values()) + 1
         bad = None
@@ -311,7 +296,7 @@ def check_mobius(inst) -> Report:
                 bad = bad or lbl
         rep.record("N0 nilpotent", "fail" if bad else "pass", witness=bad or "")
 
-    for name, vmap in _maps_of(inst):
+    for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
         f_m1, f_0, f_1 = _sl2_of(own_f)
         s_m1, s_0, s_1 = _sl2_of(own_s)
@@ -377,22 +362,18 @@ class WeakAssocResult:
         return iter((self.passed, self.witness))
 
 
-def _assoc_maps(inst, flavor=None):
-    """(outer_P, inner_P, inner_I, outer_I) vertex maps for the four shapes
-    of the associativity identity."""
-    if isinstance(inst, AlgebraInstance):
-        return inst.Y, inst.Y, inst.Y, inst.Y
-    alg = inst.algebra
-    side = flavor or ("left" if inst.side == "bi" else inst.side)
-    if side == LEFT:
-        return inst.YL, inst.YL, alg.Y, inst.YL
-    if side == RIGHT:
-        return inst.YR, alg.Y, inst.YR, inst.YR
-    if side == "compat":
-        if inst.side != "bi":
-            raise ValueError("compatibility checks need a bimodule")
-        return inst.YL, inst.YR, inst.YL, inst.YR
-    raise ValueError(f"unknown associativity flavor {side!r}")
+# Where each associativity flavor puts the module element among (first,
+# second, ket), as a module_position side: left = ket, right = first, and
+# compat = second, a bimodule's compatibility of its two actions.
+_FLAVOR_SIDES = {None: None, LEFT: LEFT, RIGHT: RIGHT, COMPAT: BI}
+_SIDE_FLAVORS = {LEFT: (LEFT,), RIGHT: (RIGHT,), BI: (LEFT, RIGHT, COMPAT)}
+
+
+def _assoc_position(inst, flavor):
+    """The module element's index among (first, second, ket) for a flavor."""
+    if flavor not in _FLAVOR_SIDES:
+        raise ValueError(f"unknown associativity flavor {flavor!r}")
+    return module_position(inst, 2, _FLAVOR_SIDES[flavor], 1, "compatibility checks")
 
 
 def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
@@ -410,9 +391,10 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     w1, w2, wk = first.weight(), second.weight(), ket.weight()
     if None in (w1, w2, wk):
         raise ValueError("weak associativity takes homogeneous arguments")
-    outer_P, inner_P, inner_I, outer_I = _assoc_maps(inst, flavor)
+    position = _assoc_position(inst, flavor)
+    outer_P, inner_P = chain_maps(inst, position, 2)
+    inner_I, outer_I = chain_maps(inst, position, 2, nested=True)
     out_space = outer_P.out_space
-    _same_space(outer_I.out_space, out_space)
     if p1_max is None:
         p1_max = max(0, math.floor(w1 + wk + out_space.cutoff))
 
@@ -685,33 +667,25 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
     rep.record("transposition pairing identity", "fail" if bad else "pass",
                witness=bad or "", inputs=f"{checked} pairings")
 
-    # a few region-consistency obligations on the dual side
-    count = 0
-    for u1 in vspace.labels():
-        for u2 in vspace.labels():
+    # region consistency on the first four dual correlators
+    def candidates():
+        for u1, u2 in itertools.product(vspace.labels(), repeat=2):
             h = vspace.weight_of(u1) + vspace.weight_of(u2)
             if h == 0 or h > max_weight:
                 continue
-            for bl in cg.space.labels():
-                for kl in cg.space.labels():
-                    if (cg.space.weight_of(bl) - cg.space.weight_of(kl)) != h - 2:
-                        continue
-                    bra = basis_dual(cg.space, bl)
-                    ops = [(Vec(vspace, {u1: 1}), "z1"), (Vec(vspace, {u2: 1}), "z2")]
-                    ketv = Vec(cg.space, {kl: 1})
-                    sub = check_region_consistency(cg, bra, ops, ketv, order)
-                    if not sub.passed:
-                        rep.extend(sub)
-                        return rep
-                    count += 1
-                    if count >= 4:
-                        break
-                if count >= 4:
-                    break
-            if count >= 4:
-                break
-        if count >= 4:
-            break
+            for bl, kl in itertools.product(cg.space.labels(), repeat=2):
+                if cg.space.weight_of(bl) - cg.space.weight_of(kl) == h - 2:
+                    yield u1, u2, bl, kl
+
+    count = 0
+    for u1, u2, bl, kl in itertools.islice(candidates(), 4):
+        ops = [(Vec(vspace, {u1: 1}), "z1"), (Vec(vspace, {u2: 1}), "z2")]
+        sub = check_region_consistency(cg, basis_dual(cg.space, bl), ops,
+                                       Vec(cg.space, {kl: 1}), order)
+        if not sub.passed:
+            rep.extend(sub)
+            return rep
+        count += 1
     rep.ok("region consistency on dual correlators", inputs=f"{count} correlators")
 
     cg2 = contragredient_module(cg)
@@ -737,18 +711,11 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
 
 def _assoc_suite(inst, max_weight: int, p1_max: int | None) -> Report:
     rep = Report("weak-associativity")
-    alg = inst if isinstance(inst, AlgebraInstance) else inst.algebra
-    flavors = []
-    if isinstance(inst, AlgebraInstance):
-        flavors = [(None, alg.space, alg.space, alg.space)]
-    else:
-        if inst.side in (LEFT, "bi"):
-            flavors.append((LEFT, alg.space, alg.space, inst.space))
-        if inst.side in (RIGHT, "bi"):
-            flavors.append((RIGHT, inst.space, alg.space, alg.space))
-        if inst.side == "bi":
-            flavors.append(("compat", alg.space, inst.space, alg.space))
-    for flavor, sp1, sp2, sp3 in flavors:
+    flavors = (None,) if inst.algebra is inst else _SIDE_FLAVORS[inst.side]
+    for flavor in flavors:
+        position = _assoc_position(inst, flavor)
+        sp1, sp2, sp3 = (inst.space if i == position else inst.algebra.space
+                         for i in range(3))
         triples = []
         for f in sp1.labels():
             for s in sp2.labels():

@@ -15,15 +15,16 @@ import sys
 
 from .checks import check_region_consistency, run_suite
 from .constructions import contragredient_module, opposite_mosva, transport_module
-from .correlators import (WINDOW_LIMITED, CorrelationSeries, PoleOrderWitness,
-                          correlate, estimate_pole_orders, reconstruct_rational)
+from .correlators import (PRODUCT, WINDOW_LIMITED, CorrelationSeries,
+                          PoleOrderWitness, _module_position, correlate,
+                          estimate_pole_orders, reconstruct_rational)
 from .document import load, save
 from .errors import SchemaError, WindowError
 from .factory import build_heisenberg, matrix_units_mosva, self_module
 from .graded import DualVec, Vec
 from .report import Report
 from .scalars import format_scalar, parse_scalar
-from .vertex import AlgebraInstance
+from .vertex import BI, LEFT, RIGHT, AlgebraInstance
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -48,7 +49,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("which", choices=["matrix", "heisenberg"])
     ex.add_argument("--cutoff", type=int, default=6)
     ex.add_argument("--level", default="1")
-    ex.add_argument("--module", choices=["left", "right", "bi"], default=None,
+    ex.add_argument("--module", choices=[LEFT, RIGHT, BI], default=None,
                     help="write the self-module of this side instead of the algebra")
     ex.add_argument("-o", "--output", required=True)
 
@@ -126,26 +127,23 @@ def _parse_ops(inst, text: str):
 
 
 def _op_space(inst, lbl):
-    if isinstance(inst, AlgebraInstance):
-        if lbl not in inst.space.label_weights:
-            raise _UsageError(f"unknown label {lbl!r}")
-        return inst.space
-    if lbl in inst.algebra.space.label_weights:
-        return inst.algebra.space
-    if lbl in inst.space.label_weights:
-        return inst.space
+    for space in (inst.algebra.space, inst.space):
+        if lbl in space.label_weights:
+            return space
     raise _UsageError(f"unknown label {lbl!r}")
 
 
-def _bra_ket(inst, bra_lbl, ket_lbl):
+def _bra_ket(inst, args):
+    bra_lbl, ket_lbl = args.bra, args.ket
     bra_space = inst.space
     if bra_lbl not in bra_space.label_weights:
         raise _UsageError(f"unknown bra label {bra_lbl!r}")
     bra = DualVec(bra_space, {bra_lbl: 1})
-    if isinstance(inst, AlgebraInstance):
-        ket_space = inst.space
-    else:
-        ket_space = inst.space if inst.side in ("left", "bi") else inst.algebra.space
+    # reconstruct and regions take the product form whatever --mode says
+    n_ops = len(args.ops.split(","))
+    mode = args.mode if args.command == "correlate" else PRODUCT
+    at_ket = _module_position(inst, n_ops, mode, args.module_at) == n_ops
+    ket_space = inst.space if at_ket else inst.algebra.space
     if ket_lbl not in ket_space.label_weights:
         raise _UsageError(f"unknown ket label {ket_lbl!r}")
     return bra, Vec(ket_space, {ket_lbl: 1})
@@ -217,7 +215,7 @@ def _run(args) -> int:
         print(f"wrote {args.output}")
         return EXIT_PASS
 
-    bra, ket = _bra_ket(inst, args.bra, args.ket)
+    bra, ket = _bra_ket(inst, args)
     ops = _parse_ops(inst, args.ops)
 
     if args.command == "correlate":
@@ -234,7 +232,7 @@ def _run(args) -> int:
         return EXIT_PASS
 
     if args.command == "reconstruct":
-        series = correlate(inst, bra, ops, ket, "product")
+        series = correlate(inst, bra, ops, ket, PRODUCT)
         witness = estimate_pole_orders(inst, bra, ops, ket, series=series)
         res = reconstruct_rational(series, witness)
         rep = Report("reconstruct")

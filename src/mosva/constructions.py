@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import (GradedOp, Vec, _accumulate, _same_space, dual_space, op_power_apply,
-                     transpose_op)
+from .graded import GradedOp, Vec, _accumulate, dual_space, op_power_apply, transpose_op
 from .scalars import factorial_fraction
-from .vertex import (ALGEBRA, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
+from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
 
 
@@ -56,7 +55,6 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                         ok = False
                         break
                     sign = -1 if (n + k + 1) % 2 else 1
-                    _same_space(lifted.space, out_space)
                     _accumulate(total, sign * factorial_fraction(k), lifted.entries)
                 key = (f, n, s)
                 if not ok:
@@ -112,13 +110,10 @@ def transport_module(W: ModuleInstance, direction: str,
         raise ValueError(f"direction {direction} needs a {src_side} module, got {W.side}")
     if target_algebra is None:
         target_algebra = opposite_mosva(W.algebra).result
-    if src_side == RIGHT:
-        new_map = _skew_map(W.YR, W.D, LEFT)
-        return ModuleInstance(LEFT, W.space, target_algebra, YL=new_map,
-                              D=W.D, L1=W.L1, N0=W.N0,
-                              meta={**W.meta, "transport": direction})
-    new_map = _skew_map(W.YL, W.D, RIGHT)
-    return ModuleInstance(RIGHT, W.space, target_algebra, YR=new_map,
+    new_map = _skew_map(W.YR if src_side == RIGHT else W.YL, W.D, dst_side)
+    return ModuleInstance(dst_side, W.space, target_algebra,
+                          YL=new_map if dst_side == LEFT else None,
+                          YR=new_map if dst_side == RIGHT else None,
                           D=W.D, L1=W.L1, N0=W.N0,
                           meta={**W.meta, "transport": direction})
 
@@ -132,7 +127,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     weight shift n+1-h, exact); basis actions that would overflow the cutoff
     are left absent.
     """
-    if W.side not in (LEFT, "bi"):
+    if W.side not in (LEFT, BI):
         raise ValueError("opposite vertex operator needs a left module structure")
     algebra = W.algebra
     if algebra.L1 is None:
@@ -169,7 +164,6 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
             if not ok:
                 ok_all = False
                 break
-            _same_space(contrib.space, W.space)
             _accumulate(out, sign * factorial_fraction(m), contrib.entries)
         if ok_all:
             action[lbl] = Vec._wrap(W.space, out)
@@ -188,7 +182,7 @@ def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = 
     waiving the flag instead requires a strong pole-order certificate (an
     object carrying a finite constant_C).
     """
-    if W.side not in (LEFT, "bi"):
+    if W.side not in (LEFT, BI):
         raise ValueError("contragredient is defined for left modules")
     if W.L1 is None or W.algebra.L1 is None:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .expansion import RationalFn, divisor_terms
 from .graded import DualVec, Vec, pair
 from .laurent import LaurentPoly
-from .vertex import AlgebraInstance, LEFT, RIGHT, mode_apply
+from .vertex import BI, chain_maps, joining_map, mode_apply, module_position
 
 PRODUCT = "product"
 ITERATE = "iterate"
@@ -131,23 +131,11 @@ class CorrelationSeries:
                 f"coefficients, mode={self.mode})")
 
 
-def _resolve_chain(inst, ops, mode, module_at):
-    """Per-position vertex maps, validated against the instance's roles."""
-    if isinstance(inst, AlgebraInstance):
-        if mode == MIXED:
-            raise ValueError("mixed correlators need a bimodule")
-        return [inst.Y] * len(ops)
-    alg = inst.algebra
-    if mode == MIXED:
-        if inst.side != "bi":
-            raise ValueError("mixed correlators need a bimodule")
-        if module_at is None or not 0 <= module_at < len(ops):
-            raise ValueError("mixed correlators need the module element's position")
-        return ([inst.YL] * module_at + [inst.YR]
-                + [alg.Y] * (len(ops) - module_at - 1))
-    if inst.side in (LEFT, "bi"):
-        return [inst.YL] * len(ops)
-    return [inst.YR] + [alg.Y] * (len(ops) - 1)
+def _module_position(inst, n_ops, mode, module_at):
+    """Where a correlator mode puts the module element (vertex.module_position):
+    a mixed correlator holds it at operator module_at of a bimodule."""
+    return module_position(inst, n_ops, BI if mode == MIXED else None, module_at,
+                           "mixed correlators")
 
 
 def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
@@ -172,7 +160,8 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         names = [f"{a}-{b}" for a, b in zip(names, names[1:])] + [names[-1]]
     if len(set(names)) != len(names):
         raise ValueError("operator variables must be distinct")
-    chain = _resolve_chain(inst, ops, mode, module_at)
+    position = _module_position(inst, len(ops), mode, module_at)
+    chain = chain_maps(inst, position, len(ops), nested=mode == ITERATE)
     op_weights = [u.weight() or Fraction(0) for u, _ in ops]
     zero_input = (bra.is_zero() or ket.is_zero() or any(u.is_zero() for u, _ in ops))
     if not zero_input and (bra.weight() is None or ket.weight() is None):
@@ -185,7 +174,7 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
                                  [Fraction(0)] * len(ops),
                                  trivially_zero=True)
     bw, kw = bra.weight(), ket.weight()
-    if bra.space != chain[0].out_space:
+    if bra.space != inst.space:
         raise ValueError("bra lives in the wrong space")
 
     # A step (vmap, fixed) applies every mode n in the output window of vmap
@@ -195,11 +184,8 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # later operator, and finally the ket, is the fixed second argument and
     # -n-1 is appended.
     if mode == ITERATE:
-        outer = chain[0]
-        inner = inst.Y if isinstance(inst, AlgebraInstance) else (
-            inst.algebra.Y if outer is inst.YL else inst.YR)
         start, prepend = ops[0][0], False
-        steps = [(inner, u) for u, _ in ops[1:]] + [(outer, ket)]
+        steps = list(zip(chain, [u for u, _ in ops[1:]] + [ket]))
     else:
         start, prepend = ket, True
         steps = [(vmap, u) for vmap, (u, _) in zip(chain, ops)][::-1]
@@ -356,31 +342,19 @@ def truncation_pole_orders(inst, ops, ket, mode=PRODUCT,
                            module_at: int | None = None):
     """Pole orders readable from lower truncation: every diagonal order and
     the axis order of the innermost variable."""
-    chain = _resolve_chain(inst, ops, mode, module_at)
-    alg = inst if isinstance(inst, AlgebraInstance) else inst.algebra
-    vs = [v for _, v in ops]
     n = len(ops)
-    module_pos = None
-    if not isinstance(inst, AlgebraInstance):
-        if mode == MIXED:
-            module_pos = module_at
-        elif inst.side == RIGHT:
-            module_pos = 0
+    position = _module_position(inst, n, mode, module_at)
+    vs = [v for _, v in ops]
     p_diag = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if module_pos is not None and i == module_pos:
-                vmap = inst.YR
-                bound = _pair_pole_bound(vmap, ops[i][0], ops[j][0])
-            elif module_pos is not None and j == module_pos:
-                vmap = inst.YL
-                bound = _pair_pole_bound(vmap, ops[i][0], ops[j][0])
-            else:
-                bound = _pair_pole_bound(alg.Y, ops[i][0], ops[j][0])
+            vmap = joining_map(inst, i == position, j == position)
+            bound = _pair_pole_bound(vmap, ops[i][0], ops[j][0])
             if bound:
                 p_diag[(vs[i], vs[j])] = bound
     p_axis = {}
-    bound = _pair_pole_bound(chain[-1], ops[-1][0], ket)
+    innermost = joining_map(inst, position == n - 1, position == n)
+    bound = _pair_pole_bound(innermost, ops[-1][0], ket)
     if bound:
         p_axis[vs[-1]] = bound
     return p_axis, p_diag

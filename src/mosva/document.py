@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import SchemaError
 from .graded import GradedOp, GradedSpace, Vec
 from .scalars import format_scalar, parse_scalar
-from .vertex import (ALGEBRA, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
+from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap)
 
 FORMAT_VERSION = 1
@@ -226,7 +226,7 @@ def _parse_module(doc, path="$") -> ModuleInstance:
             f"unsupported format_version {doc.get('format_version')!r}",
             f"{path}.format_version")
     side = doc.get("side")
-    _expect(side in (LEFT, RIGHT, "bi"), f"unknown side {side!r}", f"{path}.side")
+    _expect(side in (LEFT, RIGHT, BI), f"unknown side {side!r}", f"{path}.side")
     algebra = _parse_algebra(doc.get("algebra"), f"{path}.algebra")
     cutoff = _parse_scalar_at(doc.get("cutoff"), f"{path}.cutoff")
     complete = doc.get("complete", False)

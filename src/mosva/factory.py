@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graded import GradedOp, GradedSpace, Vec
 from .scalars import binomial
-from .vertex import (ALGEBRA, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
+from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap)
 
 # -- matrix algebra ----------------------------------------------------------
@@ -247,9 +247,9 @@ def self_module(alg: AlgebraInstance, side: str) -> ModuleInstance:
     Both reuse the algebra's mode table; only the keying role changes.
     """
     YL = YR = None
-    if side in (LEFT, "bi"):
+    if side in (LEFT, BI):
         YL = VertexMap(LEFT, alg.space, alg.space, alg.space, alg.Y.entries)
-    if side in (RIGHT, "bi"):
+    if side in (RIGHT, BI):
         YR = VertexMap(RIGHT, alg.space, alg.space, alg.space, alg.Y.entries)
     return ModuleInstance(side, alg.space, alg, YL=YL, YR=YR,
                           D=alg.D, L1=alg.L1,

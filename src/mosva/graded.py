@@ -234,6 +234,7 @@ class GradedOp:
         act = {}
         for lbl, out in action.items():
             w = space.weight_of(lbl)
+            _same_space(out.space, space)
             got = out.weight()
             if got is not None and got != w + shift:
                 raise ValueError(
@@ -265,7 +266,6 @@ class GradedOp:
             if hit is None:
                 exact = False
                 continue
-            _same_space(hit.space, space)
             _accumulate(acc, c, hit.entries)
         return Vec._wrap(space, acc), exact
 

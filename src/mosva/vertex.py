@@ -12,13 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .graded import (GradedOp, GradedSpace, Vec, _accumulate, _same_space,
-                     weight_diagonal_op)
+from .graded import GradedOp, GradedSpace, Vec, _accumulate, weight_diagonal_op
 from .report import Report
 
 ALGEBRA = "algebra"
 LEFT = "left"
 RIGHT = "right"
+BI = "bi"
+
+# The role table: per vertex map kind, whether its (first, second) arguments
+# are module elements.  Its output is a module element when either one is.
+ROLES = {ALGEBRA: (False, False), LEFT: (False, True), RIGHT: (True, False)}
 
 
 class VertexMap:
@@ -35,7 +39,7 @@ class VertexMap:
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
                  absent=()):
-        if kind not in (ALGEBRA, LEFT, RIGHT):
+        if kind not in ROLES:
             raise ValueError(f"unknown vertex map kind {kind!r}")
         table: dict[tuple[str, int, str], Vec] = {}
         for (f, n, s), out in (entries or {}).items():
@@ -43,6 +47,8 @@ class VertexMap:
             second_space.weight_of(s)
             if not isinstance(out, Vec):
                 raise TypeError("entries must map to Vec")
+            if out.space is not out_space and out.space != out_space:
+                raise ValueError(f"entry ({f}, {n}, {s}) lives outside the output space")
             table[(f, int(n), s)] = out
         gaps = frozenset((f, int(n), s) for f, n, s in absent)
         if gaps & table.keys():
@@ -111,7 +117,7 @@ class VertexMap:
             return NotImplemented
         a = {k: v for k, v in self.entries.items() if not v.is_zero()}
         b = {k: v for k, v in other.entries.items() if not v.is_zero()}
-        return self.kind == other.kind and a == b
+        return self.kind == other.kind and a == b and self.absent == other.absent
 
 
 def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, bool]:
@@ -132,7 +138,6 @@ def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, b
                 if exact and not vmap._miss_is_exact(f, n, s):
                     exact = False
             elif hit.entries:
-                _same_space(hit.space, out_space)
                 _accumulate(acc, cf * cs, hit.entries)
     return Vec._wrap(out_space, acc), exact
 
@@ -174,6 +179,7 @@ class AlgebraInstance:
     """A vertex algebra bundle truncated at a weight cutoff."""
 
     __slots__ = ("space", "Y", "vacuum", "D", "L1", "cutoff", "d", "meta")
+    N0 = None  # an algebra's L(0) is its grading alone
 
     def __init__(self, space: GradedSpace, Y: VertexMap, vacuum: Vec,
                  D: GradedOp, L1: GradedOp | None = None, meta: dict | None = None):
@@ -187,13 +193,18 @@ class AlgebraInstance:
         object.__setattr__(self, "cutoff", space.cutoff)
         object.__setattr__(self, "d", weight_diagonal_op(space))
         object.__setattr__(self, "meta", dict(meta or {}))
+        _check_spaces(self, {"vacuum": vacuum})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraInstance is immutable")
 
     @property
-    def kind(self):
-        return "algebra"
+    def algebra(self) -> "AlgebraInstance":
+        """The algebra the instance lives over: an algebra is its own."""
+        return self
+
+    def vertex_maps(self) -> dict:
+        return {"Y": self.Y}
 
     def basis_vec(self, label: str) -> Vec:
         return Vec(self.space, {label: 1})
@@ -209,11 +220,11 @@ class ModuleInstance:
                  YL: VertexMap | None = None, YR: VertexMap | None = None,
                  D: GradedOp | None = None, L1: GradedOp | None = None,
                  N0: GradedOp | None = None, meta: dict | None = None):
-        if side not in (LEFT, RIGHT, "bi"):
+        if side not in (LEFT, RIGHT, BI):
             raise ValueError(f"unknown module side {side!r}")
-        if side in (LEFT, "bi") and (YL is None or YL.kind != LEFT):
+        if side != RIGHT and (YL is None or YL.kind != LEFT):
             raise ValueError("left or bi module needs a left vertex map")
-        if side in (RIGHT, "bi") and (YR is None or YR.kind != RIGHT):
+        if side != LEFT and (YR is None or YR.kind != RIGHT):
             raise ValueError("right or bi module needs a right vertex map")
         if D is None:
             raise ValueError("module needs the weight-one shift operator")
@@ -228,16 +239,79 @@ class ModuleInstance:
         object.__setattr__(self, "cutoff", space.cutoff)
         object.__setattr__(self, "d", weight_diagonal_op(space))
         object.__setattr__(self, "meta", dict(meta or {}))
+        _check_spaces(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleInstance is immutable")
 
-    @property
-    def kind(self):
-        return "module"
+    def vertex_maps(self) -> dict:
+        return {name: vmap for name, vmap in (("Y_left", self.YL), ("Y_right", self.YR))
+                if vmap is not None}
 
     def basis_vec(self, label: str) -> Vec:
         return Vec(self.space, {label: 1})
+
+
+def _check_spaces(inst, vectors=None):
+    """Each vertex map's (first, second, output) spaces are the ones the role
+    table gives its kind; the operators (and vectors) live in inst.space."""
+    space, alg_space = inst.space, inst.algebra.space
+    for name, vmap in inst.vertex_maps().items():
+        want = [space if module else alg_space for module in ROLES[vmap.kind]] + [space]
+        if [vmap.first_space, vmap.second_space, vmap.out_space] != want:
+            raise ValueError(f"{name}: its (first, second, output) spaces do not "
+                             f"match the roles of a {vmap.kind} map")
+    parts = {"D": inst.D, "L1": inst.L1, "N0": inst.N0, **(vectors or {})}
+    for name, part in parts.items():
+        if part is not None and part.space != space:
+            raise ValueError(f"{name} lives outside the instance space")
+
+
+def joining_map(inst, first_is_module: bool, second_is_module: bool) -> VertexMap:
+    """The vertex map that takes a first and a second argument, each a module
+    or an algebra element as flagged: the algebra's Y, Y_left (the module
+    element second) or Y_right (the module element first).  ValueError when
+    the instance has no such map; no map joins two module elements."""
+    roles = (first_is_module, second_is_module)
+    owner = inst if any(roles) else inst.algebra
+    for vmap in owner.vertex_maps().values():
+        if ROLES[vmap.kind] == roles:
+            return vmap
+    first, second = ("module" if m else "algebra" for m in roles)
+    raise ValueError(f"this instance has no vertex map of {first}-{second} role")
+
+
+def module_position(inst, n_ops: int, side: str | None = None, at: int | None = None,
+                    form: str = "this form") -> int | None:
+    """Where the module element sits among n_ops operators followed by the
+    ket: an operator index, n_ops for the ket, or None for an algebra.
+
+    side LEFT puts it at the ket and RIGHT at the first operator; None takes
+    the module's own side, the left one for a bimodule.  side BI puts it at
+    operator number at, which needs a bimodule and an index in range;
+    otherwise ValueError says what the named form needs."""
+    if side == BI:
+        if inst.algebra is inst or inst.side != BI:
+            raise ValueError(f"{form} need a bimodule")
+        if at is None or not 0 <= at < n_ops:
+            raise ValueError(f"{form} need the module element's position")
+        return at
+    if inst.algebra is inst:
+        return None
+    return 0 if (side or inst.side) == RIGHT else n_ops
+
+
+def chain_maps(inst, position: int | None, n_ops: int, nested: bool = False) -> list:
+    """The vertex maps composing operators a_0..a_{n-1} with a ket a_n, the
+    module element at position (see module_position).  In the product
+    Y(a_0, z_0) ... Y(a_{n-1}, z_{n-1}) a_n map j joins a_j to all right of
+    it, outermost first; nested, Y(...Y(Y(a_0, .) a_1, .)..., .) a_n, map k
+    joins the nest of a_0..a_{k-1} to a_k, innermost first."""
+    module = [i == position for i in range(n_ops + 1)]
+    if nested:
+        return [joining_map(inst, any(module[:k]), module[k])
+                for k in range(1, n_ops + 1)]
+    return [joining_map(inst, module[j], any(module[j + 1:])) for j in range(n_ops)]
 
 
 def _validate_map(vmap: VertexMap, name: str, rep: Report):
@@ -276,7 +350,7 @@ def validate_instance(inst) -> Report:
         rep.fail("weights bounded below")  # unreachable by construction
     else:
         rep.ok("weights bounded below", inputs=f"min weight {space.min_weight}")
-    if inst.kind == "algebra":
+    if inst.algebra is inst:
         if any(w != int(w) for w in space.components):
             rep.fail("integer grading", witness="algebra weights must be integers")
         else:
@@ -286,16 +360,11 @@ def validate_instance(inst) -> Report:
             rep.fail("vacuum weight", witness=f"weight {wt}")
         else:
             rep.ok("vacuum weight")
-        _validate_map(inst.Y, "Y", rep)
-        ops = [("D", inst.D, 1), ("L1", inst.L1, -1)]
     else:
-        alg = inst.algebra
         rep.ok(f"module side {inst.side}")
-        if inst.side in (LEFT, "bi"):
-            _validate_map(inst.YL, "Y_left", rep)
-        if inst.side in (RIGHT, "bi"):
-            _validate_map(inst.YR, "Y_right", rep)
-        ops = [("D", inst.D, 1), ("L1", inst.L1, -1), ("N0", inst.N0, 0)]
+    for name, vmap in inst.vertex_maps().items():
+        _validate_map(vmap, name, rep)
+    ops = [("D", inst.D, 1), ("L1", inst.L1, -1), ("N0", inst.N0, 0)]
     for name, op, shift in ops:
         if op is None:
             continue

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,9 @@ def test_contragredient_obligations_smoke():
     alg, fock = build_heisenberg(level=1, cutoff=4)
     rep = check_contragredient(fock, max_weight=2, order=4)
     assert rep.passed
+    # the machine report as the four-level loop over (u1, u2, bra, ket) gave it
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "9096e59d1d9b7c184a4ac78289e5305f3d7d7e6ec9519f07b158e0d377cd07e6"
     assert any("transposition" in r.check for r in rep.records)
     assert any("double contragredient" in r.check for r in rep.records)
 

@@ -47,3 +47,28 @@ def test_no_add_of_a_scaled_copy(path):
              if method_call(node, "add")
              and any(method_call(arg, "scale") for arg in node.args)]
     assert not lines, f"{path.name}: add of a scaled copy on lines {lines}"
+
+
+ROLE_LITERALS = {"left", "right", "bi", "compat"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_roles_are_compared_through_constants(path):
+    # a role spelled out as a string drifts from the one table in vertex.py;
+    # compare against LEFT, RIGHT, BI and COMPAT (argparse choices are no
+    # comparison and stay free)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def literals(node):
+        if isinstance(node, ast.Constant):
+            return [node.value]
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return [e.value for e in node.elts if isinstance(e, ast.Constant)]
+        return []
+
+    ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and any(isinstance(op, ops) for op in node.ops)
+             and any(v in ROLE_LITERALS for operand in [node.left, *node.comparators]
+                     for v in literals(operand) if isinstance(v, str))]
+    assert not lines, f"{path.name}: role literal compared on lines {lines}"

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from mosva.constructions import opposite_mosva
 from mosva.factory import build_heisenberg, matrix_units_mosva
 from mosva.graded import DualVec, GradedOp, Vec, dual_space, transpose_op
-from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap, mode_apply, vertex_series
+from mosva.vertex import (ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap,
+                          mode_apply, vertex_series)
 
 import oracle_linear
 
@@ -259,10 +259,10 @@ def test_op_apply_rejects_a_vector_of_another_space(heis4):
 
 
 def test_op_apply_rejects_a_stored_image_of_another_space():
+    # the operator cannot be built, so apply never meets the image
     space = matrix_units_mosva(2).space
-    op = GradedOp(space, 0, {"E11": Vec(dual_space(space), {"E11'": 1})})
     with pytest.raises(ValueError):
-        op.apply(Vec(space, {"E11": 1}))
+        GradedOp(space, 0, {"E11": Vec(dual_space(space), {"E11'": 1})})
 
 
 def _matrix_with_foreign_entry():
@@ -274,11 +274,43 @@ def _matrix_with_foreign_entry():
 
 
 def test_a_stored_vector_of_another_space_still_raises():
-    m = _matrix_with_foreign_entry()
-    e11 = Vec(m.space, {"E11": 1})
+    # the map cannot be built, so no kernel and no construction meets the
+    # entry; mode_apply still rejects an argument of another space
     with pytest.raises(ValueError):
-        mode_apply(m.Y, e11, -1, e11)
+        _matrix_with_foreign_entry()
+    m = matrix_units_mosva(2)
+    foreign = Vec(dual_space(m.space), {"E11'": 1})
     with pytest.raises(ValueError):
-        oracle_linear.mode_apply(m.Y, e11, -1, e11)
+        mode_apply(m.Y, foreign, -1, m.basis_vec("E11"))
     with pytest.raises(ValueError):
-        opposite_mosva(m)
+        oracle_linear.mode_apply(m.Y, m.basis_vec("E11"), -1, foreign)
+
+
+def test_a_stored_zero_of_another_space_is_rejected():
+    # mode_apply skips a zero entry, so only the constructor can catch it
+    m = matrix_units_mosva(2)
+    with pytest.raises(ValueError):
+        VertexMap(ALGEBRA, m.space, m.space, m.space,
+                  {("E11", -1, "E12"): Vec(dual_space(m.space))})
+    VertexMap(ALGEBRA, m.space, m.space, m.space, {("E11", -1, "E12"): Vec(m.space)})
+
+
+def _primed(v, dual):
+    return Vec(dual, {l + "'": c for l, c in v.entries.items()})
+
+
+def test_a_module_map_keyed_over_the_wrong_space_is_rejected():
+    # the regular left module on primed labels: Y_left takes the algebra's
+    # elements first, so keying its first slot by module labels is wrong
+    m = matrix_units_mosva(2)
+    dual = dual_space(m.space)
+    D = GradedOp.zero(dual, 1)
+    good = {(f, n, s + "'"): _primed(out, dual) for (f, n, s), out in m.Y.entries.items()}
+    ModuleInstance(LEFT, dual, m, YL=VertexMap(LEFT, m.space, dual, dual, good), D=D)
+    wrong = {(f + "'", n, s + "'"): _primed(out, dual)
+             for (f, n, s), out in m.Y.entries.items()}
+    with pytest.raises(ValueError, match="spaces do not match"):
+        ModuleInstance(LEFT, dual, m, YL=VertexMap(LEFT, dual, dual, dual, wrong), D=D)
+    with pytest.raises(ValueError, match="D lives outside"):
+        ModuleInstance(LEFT, dual, m, YL=VertexMap(LEFT, m.space, dual, dual, good),
+                       D=GradedOp.zero(m.space, 1))

@@ -93,3 +93,13 @@ def test_module_side_requirements():
         ModuleInstance(LEFT, alg.space, alg, YL=None, D=alg.D)
     with pytest.raises(ValueError, match="right"):
         ModuleInstance("right", alg.space, alg, YL=fock.YL, D=alg.D)
+
+
+def test_map_equality_sees_absent_entries():
+    m = matrix_units_mosva(2)
+    key = ("E12", -1, "E12")  # in the window, unstored: an exact zero
+    assert key not in m.Y.entries and key[1] in m.Y.mode_range("E12", "E12")
+    hole = VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries, absent=[key])
+    assert hole != m.Y and m.Y != hole
+    assert hole == VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries,
+                             absent=[key])
