@@ -19,7 +19,7 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import Vec, _accumulate, basis_dual, pair
+from .graded import DUAL_SUFFIX, Vec, _accumulate, basis_dual, pair
 from .laurent import LaurentPoly, taylor_shift
 from .report import Report
 from .scalars import binomial, format_scalar
@@ -358,9 +358,6 @@ class WeakAssocResult:
     window_note: str = ""
     first_difference: str = ""
 
-    def __iter__(self):
-        return iter((self.passed, self.witness))
-
 
 # Where each associativity flavor puts the module element among (first,
 # second, ket), as a module_position side: left = ket, right = first, and
@@ -656,13 +653,13 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
         if key not in op_memo:
             op_memo[key] = opposite_vertex_components(W, u, n)[0]
         op = op_memo[key]
-        beta = bl[: -1]
+        beta = bl[: -len(DUAL_SUFFIX)]
         for gamma in W.space.labels():
             img = op.action.get(gamma)
             if img is None:
                 continue
             checked += 1
-            if out.coefficient(gamma + "'") != img.coefficient(beta):
+            if out.coefficient(gamma + DUAL_SUFFIX) != img.coefficient(beta):
                 bad = bad or f"({u_lbl}, {n}, {bl}) against {gamma}"
     rep.record("transposition pairing identity", "fail" if bad else "pass",
                witness=bad or "", inputs=f"{checked} pairings")
@@ -690,11 +687,12 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
 
     cg2 = contragredient_module(cg)
     bad = None
-    stripped = {(u, n, w[: -2]): out for (u, n, w), out in cg2.YL.entries.items()}
+    unprime = slice(-2 * len(DUAL_SUFFIX))
+    stripped = {(u, n, w[unprime]): out for (u, n, w), out in cg2.YL.entries.items()}
     for key, out in stripped.items():
         want, exact = mode_apply(W.YL, Vec(W.algebra.space, {key[0]: 1}), key[1],
                                  Vec(W.space, {key[2]: 1}))
-        unprimed = Vec(W.space, {l[: -2]: c for l, c in out.entries.items()})
+        unprimed = Vec(W.space, {l[unprime]: c for l, c in out.entries.items()})
         if exact and unprimed != want:
             bad = bad or f"{key}"
     for (u, n, w), out in W.YL.entries.items():

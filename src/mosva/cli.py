@@ -9,15 +9,14 @@ set, receives a copy of each report.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .checks import check_region_consistency, run_suite
 from .constructions import contragredient_module, opposite_mosva, transport_module
 from .correlators import (PRODUCT, WINDOW_LIMITED, CorrelationSeries,
-                          PoleOrderWitness, _module_position, correlate,
-                          estimate_pole_orders, reconstruct_rational)
+                          _module_position, correlate, estimate_pole_orders,
+                          reconstruct_rational)
 from .document import load, save
 from .errors import SchemaError, WindowError
 from .factory import build_heisenberg, matrix_units_mosva, self_module
@@ -76,8 +75,6 @@ def _build_parser() -> _Parser:
     cg = sub.add_parser("contragredient", help="write the contragredient module")
     cg.add_argument("file")
     cg.add_argument("-o", "--output", required=True)
-    cg.add_argument("--allow-unrestricted-with-certificate", default=None,
-                    metavar="CERTFILE")
 
     def add_correlator_args(q):
         q.add_argument("file")
@@ -155,9 +152,12 @@ def _series_report(series: CorrelationSeries, command: str) -> Report:
         body = " ".join(f"{v}^{e}" for v, e in zip(series.variables, mono))
         rep.ok(f"coefficient {format_scalar(series.coefficients[mono])}",
                inputs=body)
+    # the box of exponents of the stored nonzero coefficients ({0} when none)
+    monos = series.coefficients or [(0,) * len(series.variables)]
+    box = {v: (min(m[i] for m in monos), max(m[i] for m in monos))
+           for i, v in enumerate(series.variables)}
     rep.note(f"certified window: "
-             + ", ".join(f"{v} in [{lo}, {hi}]"
-                         for v, (lo, hi) in sorted(series.certified_window.items())))
+             + ", ".join(f"{v} in [{lo}, {hi}]" for v, (lo, hi) in sorted(box.items())))
     return rep
 
 
@@ -199,19 +199,7 @@ def _run(args) -> int:
     if args.command == "contragredient":
         if isinstance(inst, AlgebraInstance):
             raise _UsageError("contragredient takes a module file")
-        cert = None
-        restricted = True
-        if args.allow_unrestricted_with_certificate:
-            with open(args.allow_unrestricted_with_certificate,
-                      encoding="utf-8") as fh:
-                data = json.load(fh)
-            cert = PoleOrderWitness(
-                data.get("p_axis", {}), {},
-                constant_C=parse_scalar(data["constant_C"]),
-                note=data.get("note", ""))
-            restricted = False
-        save(contragredient_module(inst, require_grading_restricted=restricted,
-                                   certificate=cert), args.output)
+        save(contragredient_module(inst), args.output)
         print(f"wrote {args.output}")
         return EXIT_PASS
 

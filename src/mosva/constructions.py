@@ -69,10 +69,6 @@ class OppositeWitness:
     source: AlgebraInstance
     result: AlgebraInstance
 
-    @property
-    def fully_exact(self) -> bool:
-        return not self.result.Y.absent
-
 
 def opposite_mosva(V: AlgebraInstance) -> OppositeWitness:
     """The algebra with reversed multiplication, Y^s(u,x)v = exp(xD) Y(v,-x)u.
@@ -172,26 +168,20 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     return GradedOp(W.space, shift, action), exact
 
 
-def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = True,
-                          certificate=None, suffix: str = "'") -> ModuleInstance:
+def contragredient_module(W: ModuleInstance) -> ModuleInstance:
     """The graded dual of a left module as a left module over the opposite
     algebra, with <Y'(u,x)w', w> = <w', Y^o(u,x)w> and L'(j) the transpose
     of L(-j).
 
-    Grading restriction holds structurally for every representable instance;
-    waiving the flag instead requires a strong pole-order certificate (an
-    object carrying a finite constant_C).
+    Every representable instance has finite-dimensional weight spaces, so
+    the grading restriction the construction needs always holds.
     """
     if W.side not in (LEFT, BI):
         raise ValueError("contragredient is defined for left modules")
     if W.L1 is None or W.algebra.L1 is None:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")
-    if not require_grading_restricted:
-        if certificate is None or getattr(certificate, "constant_C", None) is None:
-            raise ValueError("waiving grading restriction requires a strong "
-                             "pole-order certificate with a finite constant")
     algebra_op = opposite_mosva(W.algebra).result
-    dual = dual_space(W.space, suffix)
+    dual = dual_space(W.space)
     entries: dict[tuple, Vec] = {}
     absent = set()
     minw, top = W.space.min_weight, W.space.cutoff
@@ -201,29 +191,19 @@ def contragredient_module(W: ModuleInstance, require_grading_restricted: bool = 
         # the union over module weights wt w of the windows of hu + wt w
         for n in range(W.space.mode_window(hu + minw).start,
                        W.space.mode_window(hu + top).stop):
-            op, _ = opposite_vertex_components(W, u, n)
-            for beta in W.space.labels():
-                src_weight = W.space.weight_of(beta) + hu - n - 1
-                if src_weight > top or src_weight < minw:
+            rows = transpose_op(opposite_vertex_components(W, u, n)[0], dual).action
+            for b in dual.labels():
+                # a row whose source weight overflows is outside the window
+                if dual.weight_of(b) + hu - n - 1 > top:
                     continue
-                row: dict[str, Fraction] = {}
-                ok = True
-                for gamma in W.space.labels_at(src_weight):
-                    img = op.action.get(gamma)
-                    if img is None:
-                        ok = False
-                        break
-                    c = img.coefficient(beta)
-                    if c:
-                        row[gamma + suffix] = c
-                key = (u_lbl, n, beta + suffix)
-                if not ok:
-                    absent.add(key)
-                elif row:
-                    entries[key] = Vec._wrap(dual, row)
+                row = rows.get(b)
+                if row is None:
+                    absent.add((u_lbl, n, b))
+                elif not row.is_zero():
+                    entries[(u_lbl, n, b)] = row
     Yp = VertexMap(LEFT, W.algebra.space, dual, dual, entries, absent)
-    D_p = transpose_op(W.L1, dual, suffix)
-    L1_p = transpose_op(W.D, dual, suffix)
-    N0_p = transpose_op(W.N0, dual, suffix) if W.N0 is not None else None
+    D_p = transpose_op(W.L1, dual)
+    L1_p = transpose_op(W.D, dual)
+    N0_p = transpose_op(W.N0, dual) if W.N0 is not None else None
     return ModuleInstance(LEFT, dual, algebra_op, YL=Yp, D=D_p, L1=L1_p,
                           N0=N0_p, meta={**W.meta, "contragredient": True})

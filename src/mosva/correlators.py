@@ -44,7 +44,7 @@ class PoleOrderWitness:
 class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
-    __slots__ = ("variables", "coefficients", "certified_window", "mode",
+    __slots__ = ("variables", "coefficients", "mode",
                  "degree_sum", "_op_weights", "_ket_weight", "_chain_cutoffs",
                  "_chain_minw", "_holes", "_trivial", "_certified")
 
@@ -66,7 +66,6 @@ class CorrelationSeries:
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
         object.__setattr__(self, "_certified", {})  # monomial -> is_certified
-        object.__setattr__(self, "certified_window", self._window_box())
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationSeries is immutable")
@@ -116,15 +115,6 @@ class CorrelationSeries:
             if w > self._chain_cutoffs[j - 1]:
                 return False
         return True
-
-    def _window_box(self):
-        if not self.coefficients:
-            return {v: (0, 0) for v in self.variables}
-        box = {}
-        for i, v in enumerate(self.variables):
-            exps = [m[i] for m in self.coefficients]
-            box[v] = (min(exps), max(exps))
-        return box
 
     def __repr__(self):
         return (f"CorrelationSeries({self.variables}, {len(self.coefficients)} "
@@ -242,9 +232,6 @@ class ReconstructionResult:
     degree: int | None
     reason: str
     detail: str = ""
-
-    def __iter__(self):
-        return iter((self.fn, self.certified))
 
 
 def _normalize_witness(witness: PoleOrderWitness, variables):

@@ -126,7 +126,6 @@ class RationalFn:
                  pole_diag: Mapping[tuple[str, str], int] | None = None):
         vs = tuple(variables)
         numerator = numerator.extended(vs)
-        rng = numerator.total_degree_range()
         for v in vs:
             r = numerator.exponent_range(v)
             if r is not None and r[0] < 0:
@@ -174,9 +173,6 @@ class RationalFn:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def denominator_poly(self) -> LaurentPoly:
-        return divisor_poly(self.variables, self.pole_axis, self.pole_diag)
 
     def scale(self, c) -> "RationalFn":
         return RationalFn(self.variables, self.numerator.scale(c), self.pole_axis, self.pole_diag)

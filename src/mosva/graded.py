@@ -309,48 +309,42 @@ def exp_op_series(op: GradedOp, v: Vec, var: str):
     return coeffs, exact
 
 
-def dual_space(space: GradedSpace, suffix: str = "'") -> GradedSpace:
+# The prime that turns a basis label into its dual label.
+DUAL_SUFFIX = "'"
+
+
+def dual_space(space: GradedSpace) -> GradedSpace:
     """The graded dual: same weights and dimensions, primed labels."""
-    comps = {w: tuple(l + suffix for l in labels)
+    comps = {w: tuple(l + DUAL_SUFFIX for l in labels)
              for w, labels in space.components.items()}
     return GradedSpace(comps, space.cutoff, complete=space.complete)
 
 
-def transpose_op(op: GradedOp, dual: GradedSpace, suffix: str = "'") -> GradedOp:
+def transpose_op(op: GradedOp, dual: GradedSpace) -> GradedOp:
     """The adjoint on the graded dual: <T' a', b> = <a', T b>.
 
     Weight shift flips sign.  A dual row is absent when some source hitting
     it is unstored, or when its own image weight overflows the cutoff of an
     incomplete space (the true dual has components up there)."""
     space = op.space
-    action: dict[str, dict[str, Fraction]] = {l + suffix: {} for l in space.labels()}
-    complete = {l + suffix for l in space.labels()}
+    action: dict[str, dict[str, Fraction]] = {l + DUAL_SUFFIX: {} for l in space.labels()}
+    complete = {l + DUAL_SUFFIX for l in space.labels()}
     for src, out in op.action.items():
         for dst, c in out.entries.items():
-            action[dst + suffix][src + suffix] = c
+            action[dst + DUAL_SUFFIX][src + DUAL_SUFFIX] = c
     for w, labels in space.components.items():
         img_weight = w - op.weight_shift
         if img_weight > space.cutoff and not space.complete:
             for dst in labels:
-                complete.discard(dst + suffix)
+                complete.discard(dst + DUAL_SUFFIX)
             continue
         for src in space.labels_at(img_weight):
             if not op.knows(src):
                 for dst in labels:
-                    complete.discard(dst + suffix)
+                    complete.discard(dst + DUAL_SUFFIX)
     return GradedOp(dual, -op.weight_shift,
                     {lbl: Vec(dual, row) for lbl, row in action.items()
                      if lbl in complete})
-
-
-def as_dual(vec_in_dual_space: Vec, base: GradedSpace, suffix: str = "'") -> DualVec:
-    """View a vector of the primed space as a functional on the base space."""
-    entries = {}
-    for lbl, c in vec_in_dual_space.entries.items():
-        if not lbl.endswith(suffix):
-            raise ValueError(f"label {lbl!r} does not carry the dual suffix")
-        entries[lbl[: -len(suffix)]] = c
-    return DualVec(base, entries)
 
 
 def basis_vec(space: GradedSpace, label: str) -> Vec:

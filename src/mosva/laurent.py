@@ -132,18 +132,6 @@ class LaurentPoly:
                 terms[e] = c
         return LaurentPoly(self.variables, terms)
 
-    def substitute_zero(self, var: str) -> "LaurentPoly":
-        """Set ``var`` to 0.  Raises if any kept term has a negative power of it."""
-        i = self.variables.index(var)
-        if any(e[i] < 0 for e in self.terms):
-            raise ZeroDivisionError(f"negative power of {var} at 0")
-        rest = tuple(v for v in self.variables if v != var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                terms[tuple(x for j, x in enumerate(e) if j != i)] = c
-        return LaurentPoly(rest, terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod

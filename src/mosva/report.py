@@ -48,9 +48,6 @@ class Report:
     def fail(self, check, inputs="", window="", witness=""):
         self.record(check, FAIL, inputs, window, witness)
 
-    def skip(self, check, inputs="", window="", witness=""):
-        self.record(check, SKIP, inputs, window, witness)
-
     def note(self, text):
         self.notes.append(text)
 

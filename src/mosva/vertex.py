@@ -226,6 +226,10 @@ class ModuleInstance:
             raise ValueError("left or bi module needs a left vertex map")
         if side != LEFT and (YR is None or YR.kind != RIGHT):
             raise ValueError("right or bi module needs a right vertex map")
+        if side == LEFT and YR is not None:
+            raise ValueError("a left module has no right vertex map")
+        if side == RIGHT and YL is not None:
+            raise ValueError("a right module has no left vertex map")
         if D is None:
             raise ValueError("module needs the weight-one shift operator")
         object.__setattr__(self, "side", side)

@@ -170,10 +170,10 @@ def test_criterion_7_rationality_and_degree(heis6):
     ops = [(a, "z1"), (a, "z2")]
     series = correlate(alg, bra, ops, alg.vacuum)
     witness = estimate_pole_orders(alg, bra, ops, alg.vacuum, series)
-    fn, certified = reconstruct_rational(series, witness)
-    assert certified
-    assert fn.pole_diag == {("z1", "z2"): 2} and fn.pole_axis == {}
-    assert fn.numerator.coefficient({}) == 1  # level / (z1 - z2)^2 at level 1
+    res = reconstruct_rational(series, witness)
+    assert res.certified
+    assert res.fn.pole_diag == {("z1", "z2"): 2} and res.fn.pole_axis == {}
+    assert res.fn.numerator.coefficient({}) == 1  # level / (z1 - z2)^2 at level 1
 
     checked = uncertified = 0
     for n_ops in (2, 3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,21 @@ def test_correlate_text_output(heis_file, capsys):
                  "--ops", "a1@z1,a1@z2", "--ket", "vac"]) == 0
     out = capsys.readouterr().out
     assert "z1^-2 z2^0" in out and "certified window" in out
+
+
+@pytest.mark.parametrize("bra, ket, note, digest", [
+    ("a1", "a1", "z1 in [-4, 0], z2 in [-2, 2]",
+     "079d3ac09c4e18023227a11063608d848bf53cce39ae4e961bd45e41597ce8f2"),
+    # an all-zero correlator still prints a box, [0, 0] in every variable
+    ("vac", "a2", "z1 in [0, 0], z2 in [0, 0]",
+     "7abf300511e4b9c827c20b1164a43883e5db6a41d7c0d28112448b6be2cce2ee"),
+], ids=["nonzero", "all-zero"])
+def test_correlate_machine_report_bytes(heis_file, capsys, bra, ket, note, digest):
+    assert main(["correlate", heis_file, "--bra", bra, "--ops", "a1@z1,a1@z2",
+                 "--ket", ket, "--report", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["notes"] == [f"certified window: {note}"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_correlate_order_window_exit(heis_file, capsys):
@@ -124,19 +140,6 @@ def test_unknown_label_usage_error(heis_file, capsys):
 
 def test_usage_error_exits_three(capsys):
     assert main(["frobnicate"]) == 3
-
-
-def test_contragredient_certificate_path(heis_file, tmp_path):
-    from mosva.factory import self_module
-    fock = self_module(load(heis_file), "left")
-    fock_path = str(tmp_path / "fock.mosva")
-    save(fock, fock_path)
-    cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps({"constant_C": "0", "note": "audited"}))
-    out = str(tmp_path / "cg.mosva")
-    assert main(["contragredient", fock_path, "-o", out,
-                 "--allow-unrestricted-with-certificate", str(cert)]) == 0
-    assert main(["check", out, "--suite", "vacuum"]) == 0
 
 
 def test_correlate_mixed_mode_via_cli(heis_file, tmp_path, capsys):

@@ -105,12 +105,12 @@ def test_reconstruct_two_point_closed_form(heis):
     bra = basis_dual(alg.space, "vac")
     s = correlate(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum)
     w = estimate_pole_orders(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum, s)
-    fn, certified = reconstruct_rational(s, w)
-    assert certified
-    assert fn.pole_diag == {("z1", "z2"): 2} and fn.pole_axis == {}
-    assert fn.numerator.coefficient({}) == 1  # level 1
+    res = reconstruct_rational(s, w)
+    assert res.certified
+    assert res.fn.pole_diag == {("z1", "z2"): 2} and res.fn.pole_axis == {}
+    assert res.fn.numerator.coefficient({}) == 1  # level 1
     # degree formula: p1+p2+p12 + wt(bra) - wt(u1) - wt(u2) - wt(ket) = 0
-    assert reconstruct_rational(s, w).degree == 0
+    assert res.degree == 0
 
 
 def test_reconstruct_scales_with_level():
@@ -119,8 +119,8 @@ def test_reconstruct_scales_with_level():
     bra = basis_dual(alg.space, "vac")
     s = correlate(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum)
     w = estimate_pole_orders(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum, s)
-    fn, certified = reconstruct_rational(s, w)
-    assert certified and fn.numerator.coefficient({}) == Fraction(5, 3)
+    res = reconstruct_rational(s, w)
+    assert res.certified and res.fn.numerator.coefficient({}) == Fraction(5, 3)
 
 
 def test_reconstruct_reports_window_shortfall():
@@ -154,10 +154,10 @@ def test_matrix_reconstruction_has_empty_divisor():
     ops = [(m.basis_vec("E12"), "z1"), (m.basis_vec("E21"), "z2")]
     s = correlate(m, bra, ops, m.basis_vec("E11"))
     w = estimate_pole_orders(m, bra, ops, m.basis_vec("E11"), s)
-    fn, certified = reconstruct_rational(s, w)
-    assert certified
-    assert fn.pole_axis == {} and fn.pole_diag == {}
-    assert fn.numerator.coefficient({}) == 1
+    res = reconstruct_rational(s, w)
+    assert res.certified
+    assert res.fn.pole_axis == {} and res.fn.pole_diag == {}
+    assert res.fn.numerator.coefficient({}) == 1
 
 
 def test_operators_must_be_homogeneous(heis):

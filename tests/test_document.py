@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mosva.constructions import contragredient_module, opposite_mosva
@@ -120,3 +122,13 @@ def test_roundtrip_preserves_absent_entries_and_n0():
     _, exact = mode_apply(again.YL, alg.basis_vec("a1"), -1,
                           again.basis_vec("a1"))
     assert not exact
+
+
+@pytest.mark.parametrize("side, extra", [("left", "vertex_right"),
+                                         ("right", "vertex_left")])
+def test_one_sided_document_rejects_the_other_map(side, extra):
+    # a map the side does not have would be checked as if it belonged there
+    doc = to_document(self_module(matrix_units_mosva(2), side))
+    doc[extra] = to_document(self_module(matrix_units_mosva(2), "bi"))[extra]
+    with pytest.raises(SchemaError, match=f"{side} module has no"):
+        deserialize(json.dumps(doc))

@@ -72,3 +72,17 @@ def test_roles_are_compared_through_constants(path):
              and any(v in ROLE_LITERALS for operand in [node.left, *node.comparators]
                      for v in literals(operand) if isinstance(v, str))]
     assert not lines, f"{path.name}: role literal compared on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dual_prime_is_spelled_once(path):
+    # dual labels are primed through graded.DUAL_SUFFIX alone, so priming and
+    # stripping cannot drift apart
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["DUAL_SUFFIX"]}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "'"
+             and id(node) not in allowed]
+    assert not lines, f"{path.name}: a bare prime on lines {lines}; use DUAL_SUFFIX"

@@ -60,14 +60,6 @@ def test_restricted_window():
     assert q == P({(-1, 0): 1, (-2, 1): 1})
 
 
-def test_substitute_zero():
-    p = P({(0, 2): 3, (1, 0): 2})
-    q = p.substitute_zero("z2")
-    assert q == LaurentPoly(("z1",), {(1,): 2})
-    with pytest.raises(ZeroDivisionError):
-        P({(-1, 0): 1}).substitute_zero("z1")
-
-
 def test_canonical_string_is_lexicographic():
     p = P({(1, 0): 1, (-1, 2): Fraction(1, 2), (0, 0): -3})
     assert str(p) == "1/2*z1^-1*z2^2 - 3 + z1"
@@ -130,7 +122,10 @@ def test_shift_then_zero_recovers_substitution(p):
     # provided no negative powers of z1 occurred (those need the full tail)
     if any(e[0] < 0 for e in p.terms):
         return
-    out = taylor_shift(p, "z1", "z2", "x0", "x0", 0).substitute_zero("x0")
+    shifted = taylor_shift(p, "z1", "z2", "x0", "x0", 0)
+    assert shifted.variables == ("z2", "x0")
+    out = LaurentPoly(("z2",), {(e2,): cf for (e2, x0), cf in shifted.terms.items()
+                                if x0 == 0})
     merged = LaurentPoly(("z2",), {})
     for (e1, e2), cf in p.terms.items():
         merged = merged + LaurentPoly(("z2",), {(e1 + e2,): cf})

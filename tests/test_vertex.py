@@ -1,6 +1,6 @@
 import pytest
 
-from mosva.factory import build_heisenberg, matrix_units_mosva
+from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
 from mosva.graded import GradedSpace, Vec
 from mosva.vertex import (ALGEBRA, LEFT, ModuleInstance, VertexMap, mode_apply,
                           validate_instance, vertex_series)
@@ -93,6 +93,16 @@ def test_module_side_requirements():
         ModuleInstance(LEFT, alg.space, alg, YL=None, D=alg.D)
     with pytest.raises(ValueError, match="right"):
         ModuleInstance("right", alg.space, alg, YL=fock.YL, D=alg.D)
+
+
+def test_one_sided_module_rejects_the_other_map():
+    alg = matrix_units_mosva(2)
+    YL = self_module(alg, "left").YL
+    YR = self_module(alg, "right").YR
+    with pytest.raises(ValueError, match="left module has no right"):
+        ModuleInstance(LEFT, alg.space, alg, YL=YL, YR=YR, D=alg.D)
+    with pytest.raises(ValueError, match="right module has no left"):
+        ModuleInstance("right", alg.space, alg, YL=YL, YR=YR, D=alg.D)
 
 
 def test_map_equality_sees_absent_entries():
