@@ -8,7 +8,16 @@ truncated at a weight cutoff.  Basis states are oscillator monomials
 a(-n1)...a(-nk)|0> keyed by partitions; structure constants come from the
 normal-ordered product of the generating field's derivative fields, evaluated
 by a slot-by-slot dynamic program over the oscillator algebra
-[a(m), a(n)] = m * level * delta(m+n).
+[a(m), a(n)] = m * level * delta(m+n).  The DP works on integers: a state that
+has annihilated k parts carries level**k, applied once at readout.  A state
+with sum(gamma) + sum(sigma[r:]) > cutoff, r bounding the slots left, is
+pruned: each slot removes at most one part of sigma and gamma only grows, so
+every descendant overflows the cutoff.  States after a prefix of mu are
+memoized per (prefix, nu) within one build and shared by every mu extending
+the prefix.
+
+Inputs must be exact: a float or bool level, coefficient or cutoff raises
+TypeError (see ``scalars.exact_scalar``).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import GradedOp, GradedSpace, Vec
-from .scalars import binomial
+from .scalars import binomial, exact_scalar
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap)
 
@@ -37,9 +46,8 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
     if len(labels) != dim or any(len(row) != dim for row in table):
         raise ValueError("table must be dim x dim x dim with matching labels")
     space = GradedSpace({0: labels}, cutoff=0, complete=True)
-
-    def mult(i, j):
-        return [Fraction(c) for c in table[i][j]]
+    table = [[[exact_scalar(c, "table coefficient") for c in cell] for cell in row]
+             for row in table]
 
     def mult_vec(a, b):
         out = [Fraction(0)] * dim
@@ -49,7 +57,7 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
             for j, cb in enumerate(b):
                 if cb == 0:
                     continue
-                for c, coeff in enumerate(mult(i, j)):
+                for c, coeff in enumerate(table[i][j]):
                     out[c] += ca * cb * coeff
         return out
 
@@ -66,8 +74,8 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
     if isinstance(unit, int):
         unit_vec = basis[unit]
     else:
-        unit_vec = [Fraction(unit.get(lbl, 0)) for lbl in labels] \
-            if isinstance(unit, dict) else [Fraction(c) for c in unit]
+        unit_vec = [exact_scalar(unit.get(lbl, 0), "unit coefficient") for lbl in labels] \
+            if isinstance(unit, dict) else [exact_scalar(c, "unit coefficient") for c in unit]
     for i in range(dim):
         if mult_vec(unit_vec, basis[i]) != basis[i] or mult_vec(basis[i], unit_vec) != basis[i]:
             raise ValueError(f"unit fails on basis {labels[i]}")
@@ -75,7 +83,7 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
     entries = {}
     for i in range(dim):
         for j in range(dim):
-            out = {labels[c]: coeff for c, coeff in enumerate(mult(i, j)) if coeff}
+            out = {labels[c]: coeff for c, coeff in enumerate(table[i][j]) if coeff}
             if out:
                 entries[(labels[i], -1, labels[j])] = Vec(space, out)
     Y = VertexMap(ALGEBRA, space, space, space, entries)
@@ -148,77 +156,117 @@ def _field_coeff(n: int, j: int) -> int:
     return (-1) ** (n - 1) * binomial(j + n - 1, n - 1)
 
 
-def _mode_table_for_pair(mu, nu, level: Fraction, cutoff: int):
-    """All modes of Y(state mu, x)(state nu) with output weight <= cutoff.
+def _slot(states: dict, field: list, n: int, r: int, cutoff: int) -> dict:
+    """Advance the slot DP by one field slot of part ``n``.
 
-    Slot-by-slot dynamic program over the parts of mu: each slot either
-    annihilates a part of the descendant of nu or contributes a creation
-    operator, kept aside until the end.  States are (descendant, creations).
+    Each state ``(sigma, gamma) -> int`` either annihilates a part ``p`` of
+    ``sigma`` (coefficient ``field[p] * p * multiplicity``; the factor
+    ``level`` is left to readout) or adds a creation ``a_{-b}``, ``b >= n``,
+    with coefficient ``field[-b]``, to ``gamma``.  Children that fail the
+    prune rule for ``r`` slots still to come are not made.
     """
-    states = {(nu, ()): Fraction(1)}
-    for n_i in mu:
-        nxt: dict[tuple, Fraction] = {}
-        for (sigma, gamma), coeff in states.items():
-            # annihilate: a_p on sigma for each distinct part p
-            for p in set(sigma):
-                c = _field_coeff(n_i, p)
-                if c == 0:
-                    continue
-                val = coeff * c * p * level * sigma.count(p)
-                key = (_remove_part(sigma, p), gamma)
-                nxt[key] = nxt.get(key, Fraction(0)) + val
-            # create: a_{-b} with b >= n_i (smaller b have zero coefficient)
-            room = cutoff - sum(gamma)
-            for b in range(n_i, room + 1):
-                c = _field_coeff(n_i, -b)
-                if c == 0:
-                    continue
-                key = (sigma, _add_part(gamma, b))
-                nxt[key] = nxt.get(key, Fraction(0)) + coeff * c
-        states = {k: v for k, v in nxt.items() if v != 0}
-    total_in = sum(mu) + sum(nu)
-    table: dict[int, dict[tuple, Fraction]] = {}
+    nxt: dict[tuple, int] = {}
+    get = nxt.get
     for (sigma, gamma), coeff in states.items():
-        final = tuple(sorted(sigma + gamma, reverse=True))
-        h = sum(final)
-        if h > cutoff:
-            continue
-        mode = total_in - h - 1
-        table.setdefault(mode, {})
-        table[mode][final] = table[mode].get(final, Fraction(0)) + coeff
-    return {m: {p: c for p, c in v.items() if c != 0} for m, v in table.items()}
+        wg = sum(gamma)
+        for p in set(sigma):
+            lst = list(sigma)
+            lst.remove(p)
+            child = tuple(lst)
+            if wg + sum(child[r:]) > cutoff:
+                continue
+            key = (child, gamma)
+            nxt[key] = get(key, 0) + coeff * field[p] * p * sigma.count(p)
+        for b in range(n, cutoff - wg - sum(sigma[r:]) + 1):
+            key = (sigma, tuple(sorted(gamma + (b,), reverse=True)))
+            nxt[key] = get(key, 0) + coeff * field[-b]
+    return {k: v for k, v in nxt.items() if v}
+
+
+def _heisenberg_modes(parts, level: Fraction, cutoff: int):
+    """Yield ``(mu, nu, mode, {final: c})`` for every nonzero mode of the
+    free boson with output weight <= cutoff; ``c`` is a nonzero Fraction.
+    Pairs come ``nu`` by ``nu``; within a pair, modes and partitions come in
+    the order of the states that produce them.
+
+    The slot DP over the parts of ``mu`` (a normal-ordered product of
+    derivative fields acting on ``nu``) keeps ``int`` coefficients: a state
+    whose ``sigma`` has lost ``k`` parts of ``nu`` carries ``level**k``,
+    applied once when the state is read out (over the common denominator
+    ``level.denominator**len(nu)``).  States after a prefix of ``mu`` do not
+    depend on the rest of ``mu``, so one memo per ``nu`` maps each prefix to
+    its states; it lives for this call only.
+
+    A state with ``sum(gamma) + sum(sigma[r:]) > cutoff`` is pruned, ``r``
+    bounding the slots still to come: each slot removes at most one part of
+    ``sigma`` and ``gamma`` only grows, so every descendant overflows the
+    cutoff too.  With shared prefixes ``r = cutoff - sum(prefix)``, which
+    holds for every ``mu`` extending the prefix.  A pruned state only feeds
+    output weights above the cutoff, so surviving states keep their order.
+    """
+    a, b = level.numerator, level.denominator
+    # field[n][j]: coefficient of a_j in the n-th derivative field, j = -cutoff..cutoff
+    field = [None] + [[_field_coeff(n, j) for j in range(cutoff + 1)]
+                      + [_field_coeff(n, j) for j in range(-cutoff, 0)]
+                      for n in range(1, cutoff + 1)]
+    for nu in parts:
+        k_max = len(nu)
+        scale = [a ** k * b ** (k_max - k) for k in range(k_max + 1)]
+        denom = b ** k_max
+        memo = {(): {(nu, ()): 1}}
+        yield (), nu, -1, {nu: Fraction(1)}
+        for mu in parts[1:]:
+            weight = sum(mu)
+            states = _slot(memo[mu[:-1]], field[mu[-1]], mu[-1], cutoff - weight, cutoff)
+            if weight < cutoff:
+                memo[mu] = states
+            total_in = weight + sum(nu)
+            acc: dict[int, dict[tuple, int]] = {}
+            for (sigma, gamma), coeff in states.items():
+                h = sum(sigma) + sum(gamma)
+                if h > cutoff:
+                    continue
+                final = tuple(sorted(sigma + gamma, reverse=True))
+                out = acc.setdefault(total_in - h - 1, {})
+                out[final] = out.get(final, 0) + coeff * scale[k_max - len(sigma)]
+            for mode, out in acc.items():
+                out = {p: Fraction(c, denom) for p, c in out.items() if c}
+                if out:
+                    yield mu, nu, mode, out
 
 
 def build_heisenberg(level=1, cutoff=6):
     """The rank-1 free boson algebra and its Fock space as a left module."""
-    level = Fraction(level)
+    level = exact_scalar(level, "level")
     if level == 0:
         raise ValueError("level must be nonzero")
+    if exact_scalar(cutoff, "cutoff").denominator != 1:
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     cutoff = int(cutoff)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     parts = partitions_up_to(cutoff)
+    labels = {p: partition_label(p) for p in parts}
     comps: dict[int, list[str]] = {}
     for p in parts:
-        comps.setdefault(sum(p), []).append(partition_label(p))
+        comps.setdefault(sum(p), []).append(labels[p])
     space = GradedSpace(comps, cutoff)
 
     def vec(d):
-        return Vec(space, {partition_label(p): c for p, c in d.items()})
+        return Vec(space, {labels[p]: c for p, c in d.items()})
 
-    entries = {}
-    for mu in parts:
-        for nu in parts:
-            table = _mode_table_for_pair(mu, nu, level, cutoff)
-            for mode, out in table.items():
-                if out:
-                    entries[(partition_label(mu), mode, partition_label(nu))] = vec(out)
-    Y = VertexMap(ALGEBRA, space, space, space, entries)
+    # the DP runs nu by nu; entries are keyed and ordered mu by mu
+    rows: dict[tuple, list] = {mu: [] for mu in parts}
+    for mu, nu, mode, out in _heisenberg_modes(parts, level, cutoff):
+        rows[mu].append(((labels[mu], mode, labels[nu]),
+                         Vec._wrap(space, {labels[p]: c for p, c in out.items()})))
+    Y = VertexMap(ALGEBRA, space, space, space,
+                  dict(item for mu in parts for item in rows[mu]))
 
     d_action = {}
     l1_action = {}
     for p in parts:
-        lbl = partition_label(p)
+        lbl = labels[p]
         if sum(p) < cutoff:
             img: dict[tuple, Fraction] = {}
             for q in set(p):

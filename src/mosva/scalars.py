@@ -32,6 +32,14 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def exact_scalar(x, what: str) -> Fraction:
+    """``x`` as a Fraction.  A float or bool raises TypeError instead of
+    entering a computation as a binary approximation or a truth value."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{what} must be exact (int, Fraction or 'p/q'), got {x!r}")
+    return Fraction(x)
+
+
 def format_scalar(x) -> str:
     """Canonical decimal-free rendering: ``p`` or ``p/q`` with q > 1."""
     f = Fraction(x)

@@ -132,12 +132,11 @@ def test_heisenberg_creation_series_is_translation_exponential():
             assert e >= 0
 
 
-def test_heisenberg_structure_constants_match_oracle():
-    """Every stored entry at cutoff 5 equals the independent recursion, and
-    every nonzero oracle mode within the window is stored."""
-    cutoff = 5
-    alg, _ = build_heisenberg(level=1, cutoff=cutoff)
-    oracle = Oracle(1)
+def assert_matches_oracle(level, cutoff):
+    """Every stored entry equals the independent recursion, and every
+    nonzero oracle mode within the window is stored."""
+    alg, _ = build_heisenberg(level=level, cutoff=cutoff)
+    oracle = Oracle(level)
     parts = partitions_up_to(cutoff)
     for mu in parts:
         for nu in parts:
@@ -148,6 +147,16 @@ def test_heisenberg_structure_constants_match_oracle():
                 assert exact
                 assert got == Vec(alg.space, {partition_label(p): c
                                               for p, c in want.items()}), (mu, n, nu)
+
+
+def test_heisenberg_structure_constants_match_oracle():
+    assert_matches_oracle(1, cutoff=5)
+
+
+@pytest.mark.parametrize("level", [Fraction(3, 2), Fraction(-2)], ids=str)
+def test_heisenberg_structure_constants_match_oracle_off_unit_level(level):
+    # at level 1 a wrong power of the level in any entry cannot be seen
+    assert_matches_oracle(level, cutoff=5)
 
 
 def test_heisenberg_oracle_at_level_two():
@@ -170,6 +179,38 @@ def test_heisenberg_guards():
         build_heisenberg(level=0, cutoff=4)
     with pytest.raises(ValueError):
         build_heisenberg(level=1, cutoff=1)
+
+
+@pytest.mark.parametrize("level,cutoff,error", [
+    (0.1, 4, TypeError),               # would be 3602879701896397/36028797018963968
+    (1.5, 4, TypeError),
+    (True, 4, TypeError),
+    (1, 4.7, TypeError),               # would silently build cutoff 4
+    (1, 4.0, TypeError),
+    (1, False, TypeError),
+    (1, Fraction(9, 2), ValueError),
+])
+def test_heisenberg_rejects_inexact_inputs(level, cutoff, error):
+    with pytest.raises(error):
+        build_heisenberg(level=level, cutoff=cutoff)
+
+
+def test_heisenberg_accepts_exact_inputs():
+    alg, _ = build_heisenberg(level="3/2", cutoff=Fraction(3))
+    assert alg.meta["level"] == Fraction(3, 2) and alg.meta["cutoff"] == 3
+    assert type(alg.meta["cutoff"]) is int
+
+
+def test_matrix_rejects_float_coefficients():
+    one = [[[1]]]
+    field = build_matrix_mosva(one, {"e0": Fraction(1)})
+    assert field.Y.entries[("e0", -1, "e0")] == field.basis_vec("e0")
+    with pytest.raises(TypeError):
+        build_matrix_mosva([[[1.0]]], 0)
+    with pytest.raises(TypeError):
+        build_matrix_mosva(one, [1.0])
+    with pytest.raises(TypeError):
+        build_matrix_mosva(one, {"e0": 1.0})
 
 
 def test_self_module_sides():
