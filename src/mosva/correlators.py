@@ -14,8 +14,10 @@ were never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .expansion import RationalFn, divisor_terms
 from .graded import DualVec, Vec, pair
@@ -44,9 +46,8 @@ class PoleOrderWitness:
 class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
-    __slots__ = ("variables", "coefficients", "mode",
-                 "degree_sum", "_op_weights", "_ket_weight", "_chain_cutoffs",
-                 "_chain_minw", "_holes", "_trivial", "_certified")
+    __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_lower",
+                 "_upper", "_holes", "_trivial", "_certified", "_reconstructed")
 
     def __init__(self, variables, coefficients, mode, op_weights, ket_weight,
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
@@ -56,16 +57,28 @@ class CorrelationSeries:
                            {tuple(k): Fraction(v) for k, v in coefficients.items()
                             if v != 0})
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_op_weights", tuple(op_weights))
-        object.__setattr__(self, "_ket_weight", ket_weight)
+        op_weights = tuple(op_weights)
         # the grading hyperplane: sum of exponents of any nonzero monomial
         object.__setattr__(self, "degree_sum",
-                           bra_weight - sum(self._op_weights, Fraction(0)) - ket_weight)
-        object.__setattr__(self, "_chain_cutoffs", tuple(chain_cutoffs))
-        object.__setattr__(self, "_chain_minw", tuple(chain_minw))
+                           bra_weight - sum(op_weights, Fraction(0)) - ket_weight)
+        # Chain position j holds the weight B_j + S_j, where B_j sums the
+        # weights of the operators (and the ket) applied so far and S_j the
+        # exponents of the monomial that go with them.  S_j is an integer,
+        # so B_j + S_j < minw_j iff S_j < ceil(minw_j - B_j), and
+        # B_j + S_j > cutoff_j iff S_j > floor(cutoff_j - B_j).
+        if mode == ITERATE:  # B_j = op_0 + ... + op_{j+1}
+            weights = list(accumulate(op_weights))[1:]
+        else:  # B_j = ket + op_j + ... + op_{n-1}
+            weights = list(accumulate(reversed(op_weights), initial=ket_weight))[:0:-1]
+        object.__setattr__(self, "_lower", tuple(
+            math.ceil(m - b) for m, b in zip(chain_minw, weights)))
+        object.__setattr__(self, "_upper", tuple(
+            math.floor(c - b) for c, b in zip(chain_cutoffs, weights)))
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
         object.__setattr__(self, "_certified", {})  # monomial -> is_certified
+        # normalized pole orders -> ReconstructionResult
+        object.__setattr__(self, "_reconstructed", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationSeries is immutable")
@@ -98,21 +111,21 @@ class CorrelationSeries:
                 return False
         if sum(mono) != self.degree_sum:
             return True  # off the grading hyperplane: exactly zero
+        lower, upper = self._lower, self._upper
+        total = 0
         if self.mode in (PRODUCT, MIXED):
-            w = self._ket_weight
             for j in range(n - 1, -1, -1):
-                w = w + self._op_weights[j] + mono[j]
-                if w < self._chain_minw[j]:
+                total += mono[j]
+                if total < lower[j]:
                     return True  # the chain dies below the lower bound
-                if w > self._chain_cutoffs[j]:
+                if total > upper[j]:
                     return False
             return True
-        w = self._op_weights[0]
-        for j in range(1, n):
-            w = w + self._op_weights[j] + mono[j - 1]
-            if w < self._chain_minw[j - 1]:
+        for j in range(n - 1):
+            total += mono[j]
+            if total < lower[j]:
                 return True
-            if w > self._chain_cutoffs[j - 1]:
+            if total > upper[j]:
                 return False
         return True
 
@@ -263,10 +276,24 @@ def reconstruct_rational(series: CorrelationSeries,
     order: its values there are the numerator, and at every other exact
     monomial it reaches it must vanish.  The first nonzero remainder in
     convolution order is reported.
+
+    The result depends only on the series and the normalized pole orders,
+    so it is kept on the series under them: asking again with an equivalent
+    witness returns the same result object.
     """
+    p_axis, p_diag = _normalize_witness(witness, series.variables)
+    key = (tuple(p_axis.items()), tuple(p_diag.items()))
+    memo = series._reconstructed
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _reconstruct(series, p_axis, p_diag)
+    return hit
+
+
+def _reconstruct(series: CorrelationSeries, p_axis: dict,
+                 p_diag: dict) -> ReconstructionResult:
     vs = series.variables
     n = len(vs)
-    p_axis, p_diag = _normalize_witness(witness, vs)
     divisor = divisor_terms(vs, p_axis, p_diag)
     deg_f = sum(p_axis.values()) + sum(p_diag.values()) + series.degree_sum
     if deg_f != int(deg_f):

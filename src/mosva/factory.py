@@ -307,7 +307,7 @@ def self_module(alg: AlgebraInstance, side: str) -> ModuleInstance:
 def with_scaled_entry(inst, key, factor=2):
     """A copy of the instance with one stored vertex entry scaled; the
     standard fault injection for sensitivity tests."""
-    factor = Fraction(factor)
+    factor = exact_scalar(factor, "fault factor")
 
     def scaled(vmap: VertexMap | None) -> VertexMap:
         if vmap is None or key not in vmap.entries:

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
+from .scalars import exact_scalar, format_scalar
+
 Weight = Fraction
 
 
@@ -22,14 +24,15 @@ class GradedSpace:
     listed: weights above the cutoff read as exactly zero rather than absent.
     """
 
-    __slots__ = ("components", "cutoff", "label_weights", "complete")
+    __slots__ = ("components", "cutoff", "label_weights", "complete", "min_weight",
+                 "_window_lo", "_window_hi")
 
     def __init__(self, components: Mapping, cutoff, complete: bool = False):
-        cut = Fraction(cutoff)
+        cut = exact_scalar(cutoff, "cutoff")
         comp: dict[Fraction, tuple[str, ...]] = {}
         label_weights: dict[str, Fraction] = {}
         for w, labels in components.items():
-            wt = Fraction(w)
+            wt = exact_scalar(w, "component weight")
             labels = tuple(labels)
             if not labels:
                 continue
@@ -44,13 +47,16 @@ class GradedSpace:
         object.__setattr__(self, "cutoff", cut)
         object.__setattr__(self, "label_weights", label_weights)
         object.__setattr__(self, "complete", bool(complete))
+        minw = min(comp) if comp else Fraction(0)
+        object.__setattr__(self, "min_weight", minw)
+        # mode_window for an integral weight sum k is the range
+        # [k + ceil(-1 - cutoff), k + floor(-min_weight)): exact integer
+        # bounds, so the lookup does no Fraction arithmetic
+        object.__setattr__(self, "_window_lo", math.ceil(-1 - cut))
+        object.__setattr__(self, "_window_hi", math.floor(-minw))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSpace is immutable")
-
-    @property
-    def min_weight(self) -> Fraction:
-        return min(self.components) if self.components else Fraction(0)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(l for labels in self.components.values() for l in labels)
@@ -70,6 +76,9 @@ class GradedSpace:
     def mode_window(self, weight_sum) -> range:
         """The modes n whose output weight weight_sum - n - 1 lies in
         [min_weight, cutoff]: all a truncated space can represent."""
+        if weight_sum.denominator == 1:
+            k = weight_sum.numerator
+            return range(k + self._window_lo, k + self._window_hi)
         return range(math.ceil(weight_sum - 1 - self.cutoff),
                      math.floor(weight_sum - 1 - self.min_weight) + 1)
 
@@ -120,7 +129,7 @@ class _Entries:
         clean: dict[str, Fraction] = {}
         if entries:
             for lbl, c in entries.items():
-                c = Fraction(c)
+                c = exact_scalar(c, "coefficient")
                 if c == 0:
                     continue
                 space.weight_of(lbl)
@@ -150,13 +159,13 @@ class _Entries:
         """self + c * other."""
         _same_space(other.space, self.space)
         acc = dict(self.entries)
-        c = Fraction(c)
+        c = exact_scalar(c, "coefficient")
         if c:
             _accumulate(acc, c, other.entries)
         return self._wrap(self.space, acc)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c, "coefficient")
         if not c:
             return self._wrap(self.space, {})
         return self._wrap(self.space, {l: v * c for l, v in self.entries.items()})
@@ -192,7 +201,6 @@ class _Entries:
         return ws.pop() if len(ws) == 1 else None
 
     def __repr__(self):
-        from .scalars import format_scalar
         if not self.entries:
             return "0"
         bits = []
@@ -230,7 +238,7 @@ class GradedOp:
     __slots__ = ("space", "weight_shift", "action")
 
     def __init__(self, space: GradedSpace, weight_shift, action: Mapping[str, Vec]):
-        shift = Fraction(weight_shift)
+        shift = exact_scalar(weight_shift, "weight shift")
         act = {}
         for lbl, out in action.items():
             w = space.weight_of(lbl)

@@ -11,7 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import binomial, format_scalar
+from .scalars import binomial, exact_scalar, format_scalar
+
+
+def _nonzero(terms: dict) -> dict:
+    """The terms whose accumulated coefficient did not cancel to zero."""
+    return {e: c for e, c in terms.items() if c}
 
 
 class LaurentPoly:
@@ -27,7 +32,7 @@ class LaurentPoly:
         if terms:
             n = len(vs)
             for expo, coeff in terms.items():
-                c = Fraction(coeff)
+                c = exact_scalar(coeff, "coefficient")
                 if c == 0:
                     continue
                 e = tuple(int(x) for x in expo)
@@ -45,6 +50,17 @@ class LaurentPoly:
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _wrap(cls, variables: tuple, terms: dict) -> "LaurentPoly":
+        """Take ownership of a dict that already maps int tuples of the right
+        arity to nonzero Fractions, without checking it again.  The
+        arithmetic below builds its results through here after pruning
+        zeros itself; the public constructor keeps full validation."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -57,7 +73,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "LaurentPoly":
         vs = tuple(variables)
-        return cls(vs, {tuple([0] * len(vs)): Fraction(value)})
+        return cls(vs, {tuple([0] * len(vs)): value})
 
     @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Mapping[str, int], coeff=1) -> "LaurentPoly":
@@ -66,7 +82,7 @@ class LaurentPoly:
         unknown = set(exponents) - set(vs)
         if unknown:
             raise ValueError(f"unknown variables in monomial: {sorted(unknown)}")
-        return cls(vs, {expo: Fraction(coeff)})
+        return cls(vs, {expo: coeff})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> "LaurentPoly":
@@ -102,6 +118,8 @@ class LaurentPoly:
     def extended(self, variables: Iterable[str]) -> "LaurentPoly":
         """Reindex onto a superset of variables, padding exponents with zero."""
         vs = tuple(variables)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variables: {vs}")
         missing = [v for v in self.variables if v not in vs]
         if missing:
             raise ValueError(f"cannot drop variables {missing}")
@@ -112,7 +130,7 @@ class LaurentPoly:
             for p, x in zip(pos, e):
                 new[p] = x
             terms[tuple(new)] = c
-        return LaurentPoly(vs, terms)
+        return LaurentPoly._wrap(vs, terms)
 
     def restricted(self, window: Mapping[str, tuple]) -> "LaurentPoly":
         """Keep only monomials inside the per-variable window (None = unbounded)."""
@@ -130,7 +148,7 @@ class LaurentPoly:
                     break
             if keep:
                 terms[e] = c
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._wrap(self.variables, terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -149,10 +167,10 @@ class LaurentPoly:
         for e, c in b.terms.items():
             acc = terms.get(e)
             terms[e] = c if acc is None else acc + c
-        return LaurentPoly(a.variables, terms)
+        return LaurentPoly._wrap(a.variables, _nonzero(terms))
 
     def __neg__(self):
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -172,7 +190,7 @@ class LaurentPoly:
                 acc = terms.get(e)
                 prod = c1 * c2
                 terms[e] = prod if acc is None else acc + prod
-        return LaurentPoly(a.variables, terms)
+        return LaurentPoly._wrap(a.variables, _nonzero(terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,10 +198,10 @@ class LaurentPoly:
         return NotImplemented
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = exact_scalar(c, "scale factor")
         if c == 0:
-            return LaurentPoly(self.variables)
-        return LaurentPoly(self.variables, {e: c * v for e, v in self.terms.items()})
+            return LaurentPoly._wrap(self.variables, {})
+        return LaurentPoly._wrap(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -284,4 +302,4 @@ def taylor_shift(p: LaurentPoly, var: str, first: str, second: str,
             acc = terms.get(key)
             add = c * b
             terms[key] = add if acc is None else acc + add
-    return LaurentPoly(out_vars, terms)
+    return LaurentPoly._wrap(out_vars, _nonzero(terms))

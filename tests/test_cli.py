@@ -59,6 +59,19 @@ def test_correlate_machine_report_bytes(heis_file, capsys, bra, ket, note, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("bra, ket, digest", [
+    ("vac", "vac", "b77824dde9786a0158a92d9fcada9789be91851902bd8186510173efbb648f88"),
+    ("a1", "a1", "a2e31f09f31941f7e0f254bec8a39771ca12277c5bdada92d8dbefa0080097e5"),
+    ("a2", "vac", "a9bf38e741e966d0e82c3277a8dba3a50ca00c0c4480e6cfc504e7fc6091a803"),
+], ids=["two-point", "four-point", "zero-function"])
+def test_reconstruct_machine_report_bytes(heis_file, capsys, bra, ket, digest):
+    # pinned before reconstruct_rational kept its results on the series
+    assert main(["reconstruct", heis_file, "--bra", bra, "--ops", "a1@z1,a1@z2",
+                 "--ket", ket, "--report", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_correlate_order_window_exit(heis_file, capsys):
     code = main(["correlate", heis_file, "--bra", "vac",
                  "--ops", "a1@z1,a1@z2", "--ket", "vac", "--order", "9"])

@@ -259,3 +259,13 @@ def test_fault_injection_rejects_keys_of_missing_maps():
         with_scaled_entry(self_module(alg, "right"), ("vac", 5, "vac"), 2)
     bad = with_scaled_entry(fock, ("a1", 1, "a1"), 2)
     assert bad.YL.entries[("a1", 1, "a1")] == fock.basis_vec("vac").scale(2)
+
+
+@pytest.mark.parametrize("factor", [0.1, 2.0, True])
+def test_scaled_entry_rejects_inexact_factor(factor):
+    alg, _ = build_heisenberg(level=1, cutoff=3)
+    with pytest.raises(TypeError):
+        with_scaled_entry(alg, ("a1", 1, "a1"), factor)
+    fault = with_scaled_entry(alg, ("a1", 1, "a1"), "1/10")
+    assert fault.Y.entries[("a1", 1, "a1")] == alg.Y.entries[("a1", 1, "a1")].scale(
+        Fraction(1, 10))

@@ -182,3 +182,44 @@ def test_exp_series_heisenberg_generator_hits_cutoff():
     assert coeffs[1] == basis_vec(alg.space, "a2")
     assert coeffs[2] == basis_vec(alg.space, "a3")
     assert max(coeffs) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GradedSpace({0: ["vac"]}, 4.7),                 # would get a binary cutoff
+    lambda: GradedSpace({0: ["vac"]}, True),
+    lambda: GradedSpace({0.5: ["h"]}, 4),
+    lambda: GradedSpace({False: ["vac"]}, 4),
+], ids=["float-cutoff", "bool-cutoff", "float-weight", "bool-weight"])
+def test_space_rejects_inexact_weights(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_space_accepts_exact_weights():
+    s = GradedSpace({"1/2": ["h"], Fraction(3, 2): ["g"]}, "5/2")
+    assert (s.min_weight, s.cutoff) == (Fraction(1, 2), Fraction(5, 2))
+    assert all(type(w) is Fraction for w in s.components)
+
+
+def test_min_weight_is_read_only(space):
+    with pytest.raises(AttributeError):
+        space.min_weight = Fraction(-1)
+    assert space.min_weight == 0
+
+
+@pytest.mark.parametrize("cls", [Vec, DualVec])
+@pytest.mark.parametrize("value", [0.1, 1.0, True])
+def test_entries_reject_inexact_scalars(space, cls, value):
+    # Vec(space, {"e0": 0.1}) would store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        cls(space, {"e0": value})
+    v = cls(space, {"e0": 1})
+    with pytest.raises(TypeError):
+        v.scale(value)
+    with pytest.raises(TypeError):
+        v.add(v, value)
+
+
+def test_op_rejects_inexact_weight_shift(space):
+    with pytest.raises(TypeError):
+        GradedOp(space, 0.5, {})

@@ -86,3 +86,21 @@ def test_dual_prime_is_spelled_once(path):
              if isinstance(node, ast.Constant) and node.value == "'"
              and id(node) not in allowed]
     assert not lines, f"{path.name}: a bare prime on lines {lines}; use DUAL_SUFFIX"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTSIDE_SOURCES = sorted(
+    p for p in [*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]
+    if not p.name.startswith("oracle_"))
+
+
+@pytest.mark.parametrize("path", OUTSIDE_SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_unchecked_constructors_stay_internal(path):
+    # Vec._wrap and LaurentPoly._wrap trust their caller to hand over data
+    # that is already valid; only src/mosva and the verbatim oracles
+    # (tests/oracle_*.py) may call them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_wrap"]
+    assert not lines, f"{path.name}: unchecked _wrap constructor on lines {lines}"

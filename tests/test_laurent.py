@@ -130,3 +130,68 @@ def test_shift_then_zero_recovers_substitution(p):
     for (e1, e2), cf in p.terms.items():
         merged = merged + LaurentPoly(("z2",), {(e1 + e2,): cf})
     assert out == merged
+
+
+# Every operation builds its result without re-validation (LaurentPoly._wrap);
+# each result must be exactly what the validating constructor would store.
+
+NAMES = ("z1", "z2", "z3", "x0")
+
+
+@st.composite
+def any_poly(draw):
+    vs = tuple(draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                             unique=True)))
+    expo = st.tuples(*[st.integers(-3, 3)] * len(vs))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return LaurentPoly(vs, draw(st.dictionaries(expo, coeff, max_size=5)))
+
+
+def _stored_canonically(p):
+    n = len(p.variables)
+    assert type(p.variables) is tuple and len(set(p.variables)) == n
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == n
+        assert all(type(x) is int for x in e), e
+        assert type(c) is Fraction and c != 0, (e, c)
+    rebuilt = LaurentPoly(p.variables, p.terms)
+    assert (rebuilt.variables, rebuilt.terms) == (p.variables, p.terms)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(any_poly(), any_poly(), st.data())
+def test_every_operation_stores_what_the_constructor_would(a, b, data):
+    window = {v: (data.draw(st.none() | st.integers(-3, 3)),
+                  data.draw(st.none() | st.integers(-3, 3))) for v in a.variables}
+    extra = [v for v in NAMES if v not in a.variables]
+    wider = data.draw(st.permutations(list(a.variables) + extra[:1]))
+    var = data.draw(st.sampled_from(a.variables))
+    first, second = data.draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=2,
+                                       unique=True))
+    results = [
+        a + b, a - b, a * b, -a, a * a, a - a, a ** data.draw(st.integers(0, 3)),
+        a.scale(data.draw(st.sampled_from([0, 1, -2, Fraction(3, 2)]))), 3 * a,
+        a.restricted(window), a.extended(wider),
+        taylor_shift(a, var, first, second, data.draw(st.sampled_from([first, second])),
+                     data.draw(st.integers(0, 3))),
+    ]
+    for r in results:
+        _stored_canonically(r)
+
+
+def test_extended_rejects_duplicate_variables():
+    with pytest.raises(ValueError):
+        P({(1, 0): 1}).extended(("z1", "z2", "z1"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: P({(1, 0): 0.5}),
+    lambda: LaurentPoly.constant(Z, 0.25),
+    lambda: LaurentPoly.monomial(Z, {"z1": 1}, 0.1),
+    lambda: P({(1, 0): True}),
+    lambda: P({(1, 0): 1}).scale(0.5),
+    lambda: P({(1, 0): 1}) * 1.5,
+])
+def test_float_and_bool_coefficients_raise(make):
+    with pytest.raises(TypeError):
+        make()

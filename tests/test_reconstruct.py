@@ -222,3 +222,43 @@ def test_bump_search_still_tries_every_total(monkeypatch):
     # every trial is window-limited; z1 is the only interior variable, so
     # there is one trial per bump total 0..3
     assert [t.p_axis.get("z1", 0) for t in trials] == [0, 1, 2, 3]
+
+
+def test_equivalent_witnesses_share_one_result(heis4):
+    a1 = heis4.basis_vec("a1")
+    bra = basis_dual(heis4.space, "a1")
+    ops = [(a1, "z1"), (a1, "z2")]
+    series = correlate(heis4, bra, ops, a1)
+    by_name = PoleOrderWitness({"z1": 2, "z2": 2}, {("z1", "z2"): 2})
+    first = reconstruct_rational(series, by_name)
+    assert first.certified
+    # keyed by index, by a mix of both, with zero orders and with a note:
+    # the normalized pole orders are the same, and so is the result object
+    for same in (PoleOrderWitness({1: 2, 2: 2}, {(1, 2): 2}),
+                 PoleOrderWitness({"z1": 2, 2: 2, "z3": 0}, {(1, 2): 2, (2, 3): 0},
+                                  note="same orders")):
+        assert reconstruct_rational(series, same) is first
+    other = reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): 2}))
+    assert other is not first and not other.certified
+    assert reconstruct_rational(series, PoleOrderWitness({}, {(1, 2): 2})) is other
+    # a fresh series of the same correlator computes an equal result anew
+    fresh = reconstruct_rational(correlate(heis4, bra, ops, a1), by_name)
+    assert fresh == first and fresh is not first
+
+
+def test_reconstruct_after_search_reuses_the_certifying_trial(heis4, monkeypatch):
+    a1 = heis4.basis_vec("a1")
+    bra = basis_dual(heis4.space, "a1")
+    ops = [(a1, "z1"), (a1, "z2")]
+    series = correlate(heis4, bra, ops, a1)
+    results = []
+    real = correlators.reconstruct_rational
+
+    def recorded(series, witness):
+        results.append(real(series, witness))
+        return results[-1]
+
+    monkeypatch.setattr(correlators, "reconstruct_rational", recorded)
+    witness = estimate_pole_orders(heis4, bra, ops, a1, series)
+    assert len(results) > 1 and results[-1].certified
+    assert real(series, witness) is results[-1]
