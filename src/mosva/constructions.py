@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedOp, Vec, _accumulate, dual_space, op_power_apply, transpose_op
+from .graded import GradedOp, Vec, _accumulate, dual_space, transpose_op
 from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
@@ -29,33 +29,51 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     """Apply the skew transport to a whole mode table.
 
     The result's first/second roles are swapped relative to the source.
+    Each (first, second) pair keeps one D-chain per inner mode m,
+    [(D^j S_m(second) first, exact so far), ...], grown on demand: the same
+    vectors and flags as applying D^k from scratch for every term, with
+    the same stop at a zero vector, so no lift is computed twice.
     """
     first_space = source.second_space
     second_space = source.first_space
     out_space = source.out_space
     minw = out_space.min_weight
+    # signed[p][k] = (-1)^p / k!, for every k a window can reach
+    inverse = [factorial_fraction(k)
+               for k in range(math.floor(out_space.cutoff - minw) + 1)]
+    signed = (inverse, [-c for c in inverse])
     entries: dict[tuple, Vec] = {}
     absent = set()
     for f in first_space.labels():
         for s in second_space.labels():
+            chains: dict[int, list] = {}
+
+            def lift(m: int, k: int):
+                chain = chains.get(m)
+                if chain is None:
+                    chain = chains[m] = [source.basis_entry(s, m, f)]
+                while len(chain) <= k:
+                    out, exact = chain[-1]
+                    if not out.entries:
+                        return out, exact
+                    nxt, ok = D.apply(out)
+                    chain.append((nxt, exact and ok))
+                return chain[k]
+
             w = first_space.weight_of(f) + second_space.weight_of(s)
+            # k runs while the output weight w - n - 1 - k stays >= minw
+            top = math.floor(w - minw) - 1
             for n in out_space.mode_window(w):
-                wtout = w - n - 1
                 total: dict = {}
                 ok = True
-                for k in range(math.floor(wtout - minw) + 1):
-                    base, stored = source.basis_entry(s, n + k, f)
-                    if not stored:
+                for k in range(top - n + 1):
+                    # an unstored base is a zero with exact=False
+                    lifted, exact = lift(n + k, k)
+                    if not exact:
                         ok = False
                         break
-                    if base.is_zero():
-                        continue
-                    lifted, lifted_ok = op_power_apply(D, base, k)
-                    if not lifted_ok:
-                        ok = False
-                        break
-                    sign = -1 if (n + k + 1) % 2 else 1
-                    _accumulate(total, sign * factorial_fraction(k), lifted.entries)
+                    if lifted.entries:
+                        _accumulate(total, signed[(n + k + 1) % 2][k], lifted.entries)
                 key = (f, n, s)
                 if not ok:
                     absent.add(key)
@@ -144,6 +162,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         powers.append(current)
         current, ok = algebra.L1.apply(current)
         exact_powers = exact_powers and ok
+    coefficients = [sign * factorial_fraction(m) for m in range(len(powers))]
     action: dict[str, Vec] = {}
     exact = exact_powers
     for lbl in W.space.labels():
@@ -151,7 +170,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         if wv + shift > W.space.cutoff and not W.space.complete:
             exact = False
             continue
-        w = Vec(W.space, {lbl: 1})
+        w = Vec._wrap(W.space, {lbl: Fraction(1)})
         out: dict = {}
         ok_all = True
         for m, um in enumerate(powers):
@@ -160,7 +179,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
             if not ok:
                 ok_all = False
                 break
-            _accumulate(out, sign * factorial_fraction(m), contrib.entries)
+            _accumulate(out, coefficients[m], contrib.entries)
         if ok_all:
             action[lbl] = Vec._wrap(W.space, out)
         else:

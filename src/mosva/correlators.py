@@ -22,6 +22,7 @@ from itertools import accumulate
 from .expansion import RationalFn, divisor_terms
 from .graded import DualVec, Vec, pair
 from .laurent import LaurentPoly
+from .scalars import exact_scalar
 from .vertex import BI, chain_maps, joining_map, mode_apply, module_position
 
 PRODUCT = "product"
@@ -53,9 +54,12 @@ class CorrelationSeries:
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
                  trivially_zero=False):
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "coefficients",
-                           {tuple(k): Fraction(v) for k, v in coefficients.items()
-                            if v != 0})
+        exact = {}
+        for k, v in coefficients.items():
+            v = exact_scalar(v, "coefficient")
+            if v:
+                exact[tuple(k)] = v
+        object.__setattr__(self, "coefficients", exact)
         object.__setattr__(self, "mode", mode)
         op_weights = tuple(op_weights)
         # the grading hyperplane: sum of exponents of any nonzero monomial
@@ -247,20 +251,32 @@ class ReconstructionResult:
     detail: str = ""
 
 
+def _pole_order(p) -> int:
+    """A pole order as an int.  A float or bool raises TypeError and a
+    non-integral rational ValueError, instead of being rounded."""
+    if type(p) is int:
+        return p
+    q = exact_scalar(p, "pole order")
+    if q.denominator != 1:
+        raise ValueError(f"pole order must be an integer, got {p!r}")
+    return int(q)
+
+
 def _normalize_witness(witness: PoleOrderWitness, variables):
     p_axis = {}
     for i, v in enumerate(variables):
-        p = witness.p_axis.get(v, witness.p_axis.get(i + 1, 0))
+        p = _pole_order(witness.p_axis.get(v, witness.p_axis.get(i + 1, 0)))
         if p:
-            p_axis[v] = int(p)
+            p_axis[v] = p
     p_diag = {}
     n = len(variables)
     for i in range(n):
         for j in range(i + 1, n):
             a, b = variables[i], variables[j]
-            p = witness.p_diag.get((a, b), witness.p_diag.get((i + 1, j + 1), 0))
+            p = _pole_order(witness.p_diag.get((a, b),
+                                               witness.p_diag.get((i + 1, j + 1), 0)))
             if p:
-                p_diag[(a, b)] = int(p)
+                p_diag[(a, b)] = p
     return p_axis, p_diag
 
 

@@ -117,7 +117,12 @@ def _parse_scalar_at(text, path) -> Fraction:
         raise SchemaError(str(e), path) from None
 
 
-def _parse_vec(doc, space, path) -> Vec:
+def _parse_vec(doc, space, path, scalars: dict) -> Vec:
+    """Every label is checked against the space and every scalar parsed, so
+    the Vec is built without a second check; zero coefficients are dropped
+    as the Vec constructor drops them.  ``scalars`` maps each scalar text
+    already parsed in this document to its Fraction; a malformed text is
+    never stored, so each occurrence raises at its own path."""
     _expect(isinstance(doc, list), "expected a list of [label, scalar] pairs", path)
     entries = {}
     for i, item in enumerate(doc):
@@ -126,8 +131,12 @@ def _parse_vec(doc, space, path) -> Vec:
         lbl, sc = item
         _expect(isinstance(lbl, str), "label must be a string", f"{path}[{i}]")
         _expect(lbl in space.label_weights, f"unknown label {lbl!r}", f"{path}[{i}]")
-        entries[lbl] = _parse_scalar_at(sc, f"{path}[{i}]")
-    return Vec(space, entries)
+        c = scalars.get(sc) if type(sc) is str else None
+        if c is None:
+            # a malformed or non-string text raises before it is stored
+            c = scalars[sc] = _parse_scalar_at(sc, f"{path}[{i}]")
+        entries[lbl] = c
+    return Vec._wrap(space, {l: c for l, c in entries.items() if c})
 
 
 def _parse_space(doc, cutoff, complete, path) -> GradedSpace:
@@ -148,21 +157,22 @@ def _parse_space(doc, cutoff, complete, path) -> GradedSpace:
         raise SchemaError(str(e), path) from None
 
 
-def _parse_op(doc, space, shift, path) -> GradedOp | None:
+def _parse_op(doc, space, shift, path, scalars) -> GradedOp | None:
     if doc is None:
         return None
     _expect(isinstance(doc, dict), "expected a label -> vector table", path)
     action = {}
     for lbl, vec_doc in doc.items():
         _expect(lbl in space.label_weights, f"unknown label {lbl!r}", f"{path}.{lbl}")
-        action[lbl] = _parse_vec(vec_doc, space, f"{path}.{lbl}")
+        action[lbl] = _parse_vec(vec_doc, space, f"{path}.{lbl}", scalars)
     try:
         return GradedOp(space, shift, action)
     except ValueError as e:
         raise SchemaError(str(e), path) from None
 
 
-def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, path):
+def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, path,
+                  scalars):
     if doc is None:
         return None
     _expect(isinstance(doc, list), "expected a list of entries", path)
@@ -177,7 +187,7 @@ def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, p
         _expect(isinstance(s, str) and s in second_space.label_weights,
                 f"unknown second label {s!r}", f"{path}[{i}]")
         _expect((f, n, s) not in entries, "duplicate entry", f"{path}[{i}]")
-        entries[(f, n, s)] = _parse_vec(out, out_space, f"{path}[{i}]")
+        entries[(f, n, s)] = _parse_vec(out, out_space, f"{path}[{i}]", scalars)
     absent = []
     for i, item in enumerate(absent_doc or []):
         _expect(isinstance(item, list) and len(item) == 3,
@@ -195,7 +205,7 @@ def _check_keys(doc, allowed, path):
         _expect(key in allowed, f"unknown field {key!r}", path)
 
 
-def _parse_algebra(doc, path="$") -> AlgebraInstance:
+def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
     _check_keys(doc, _ALGEBRA_KEYS, path)
     _expect(doc.get("format_version") == FORMAT_VERSION,
             f"unsupported format_version {doc.get('format_version')!r}",
@@ -206,28 +216,28 @@ def _parse_algebra(doc, path="$") -> AlgebraInstance:
     _expect(isinstance(complete, bool), "complete must be a boolean",
             f"{path}.complete")
     space = _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
-    vacuum = _parse_vec(doc.get("vacuum"), space, f"{path}.vacuum")
+    vacuum = _parse_vec(doc.get("vacuum"), space, f"{path}.vacuum", scalars)
     ops = doc.get("operators")
     _check_keys(ops, _OPERATOR_KEYS, f"{path}.operators")
-    D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D")
+    D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D", scalars)
     _expect(D is not None, "algebra needs the shift operator D", f"{path}.operators.D")
-    L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1")
+    L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1", scalars)
     Y = _parse_vertex(doc.get("vertex"), ALGEBRA, space, space, space,
-                      doc.get("absent"), f"{path}.vertex")
+                      doc.get("absent"), f"{path}.vertex", scalars)
     _expect(Y is not None, "algebra needs a vertex table", f"{path}.vertex")
     meta = doc.get("metadata") or {}
     _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
     return AlgebraInstance(space, Y, vacuum, D, L1, meta=meta)
 
 
-def _parse_module(doc, path="$") -> ModuleInstance:
+def _parse_module(doc, path, scalars) -> ModuleInstance:
     _check_keys(doc, _MODULE_KEYS, path)
     _expect(doc.get("format_version") == FORMAT_VERSION,
             f"unsupported format_version {doc.get('format_version')!r}",
             f"{path}.format_version")
     side = doc.get("side")
     _expect(side in (LEFT, RIGHT, BI), f"unknown side {side!r}", f"{path}.side")
-    algebra = _parse_algebra(doc.get("algebra"), f"{path}.algebra")
+    algebra = _parse_algebra(doc.get("algebra"), f"{path}.algebra", scalars)
     cutoff = _parse_scalar_at(doc.get("cutoff"), f"{path}.cutoff")
     complete = doc.get("complete", False)
     _expect(isinstance(complete, bool), "complete must be a boolean",
@@ -235,14 +245,14 @@ def _parse_module(doc, path="$") -> ModuleInstance:
     space = _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
     ops = doc.get("operators")
     _check_keys(ops, _OPERATOR_KEYS, f"{path}.operators")
-    D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D")
+    D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D", scalars)
     _expect(D is not None, "module needs the shift operator D", f"{path}.operators.D")
-    L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1")
-    N0 = _parse_op(ops.get("N0"), space, 0, f"{path}.operators.N0")
+    L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1", scalars)
+    N0 = _parse_op(ops.get("N0"), space, 0, f"{path}.operators.N0", scalars)
     YL = _parse_vertex(doc.get("vertex_left"), LEFT, algebra.space, space, space,
-                       doc.get("absent_left"), f"{path}.vertex_left")
+                       doc.get("absent_left"), f"{path}.vertex_left", scalars)
     YR = _parse_vertex(doc.get("vertex_right"), RIGHT, space, algebra.space, space,
-                       doc.get("absent_right"), f"{path}.vertex_right")
+                       doc.get("absent_right"), f"{path}.vertex_right", scalars)
     meta = doc.get("metadata") or {}
     _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
     try:
@@ -256,10 +266,12 @@ def from_document(doc: dict):
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", "$")
     kind = doc.get("kind")
+    # scalar text -> Fraction, shared by this document's vectors only
+    scalars: dict[str, Fraction] = {}
     if kind == "algebra":
-        return _parse_algebra(doc)
+        return _parse_algebra(doc, "$", scalars)
     if kind == "module":
-        return _parse_module(doc)
+        return _parse_module(doc, "$", scalars)
     raise SchemaError(f"unknown kind {kind!r}", "$.kind")
 
 

@@ -292,13 +292,11 @@ def build_heisenberg(level=1, cutoff=6):
 def self_module(alg: AlgebraInstance, side: str) -> ModuleInstance:
     """The algebra acting on itself: left by Y(u,x)w, right by Y(w,x)u.
 
-    Both reuse the algebra's mode table; only the keying role changes.
+    Both reuse the algebra's mode table and its absences; only the keying
+    role changes.
     """
-    YL = YR = None
-    if side in (LEFT, BI):
-        YL = VertexMap(LEFT, alg.space, alg.space, alg.space, alg.Y.entries)
-    if side in (RIGHT, BI):
-        YR = VertexMap(RIGHT, alg.space, alg.space, alg.space, alg.Y.entries)
+    YL = alg.Y.with_kind(LEFT) if side in (LEFT, BI) else None
+    YR = alg.Y.with_kind(RIGHT) if side in (RIGHT, BI) else None
     return ModuleInstance(side, alg.space, alg, YL=YL, YR=YR,
                           D=alg.D, L1=alg.L1,
                           meta={"example": alg.meta.get("example", "?") + "-self"})

@@ -350,8 +350,9 @@ def transpose_op(op: GradedOp, dual: GradedSpace) -> GradedOp:
             if not op.knows(src):
                 for dst in labels:
                     complete.discard(dst + DUAL_SUFFIX)
+    # each row holds nonzero Fractions of validated vectors under dual labels
     return GradedOp(dual, -op.weight_shift,
-                    {lbl: Vec(dual, row) for lbl, row in action.items()
+                    {lbl: Vec._wrap(dual, row) for lbl, row in action.items()
                      if lbl in complete})
 
 

@@ -53,6 +53,9 @@ class VertexMap:
         gaps = frozenset((f, int(n), s) for f, n, s in absent)
         if gaps & table.keys():
             raise ValueError("a key cannot be both stored and absent")
+        self._fill(kind, first_space, second_space, out_space, table, gaps)
+
+    def _fill(self, kind, first_space, second_space, out_space, table, gaps):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "first_space", first_space)
         object.__setattr__(self, "second_space", second_space)
@@ -61,6 +64,17 @@ class VertexMap:
         object.__setattr__(self, "absent", gaps)
         object.__setattr__(self, "_pair_tops", None)
         object.__setattr__(self, "_mode_starts", {})
+
+    def with_kind(self, kind: str) -> "VertexMap":
+        """The same table, absences included, under another kind.  The
+        validated entries are shared, not checked again; the role check of
+        the instance that takes the map still applies."""
+        if kind not in ROLES:
+            raise ValueError(f"unknown vertex map kind {kind!r}")
+        other = object.__new__(VertexMap)
+        other._fill(kind, self.first_space, self.second_space, self.out_space,
+                    self.entries, self.absent)
+        return other
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from mosva.document import serialize
 from mosva.factory import (build_heisenberg, build_matrix_mosva, label_partition,
                            matrix_units_mosva, partition_label, partitions_up_to,
                            self_module, with_scaled_entry)
@@ -269,3 +271,32 @@ def test_scaled_entry_rejects_inexact_factor(factor):
     fault = with_scaled_entry(alg, ("a1", 1, "a1"), "1/10")
     assert fault.Y.entries[("a1", 1, "a1")] == alg.Y.entries[("a1", 1, "a1")].scale(
         Fraction(1, 10))
+
+
+@pytest.mark.parametrize("side", ["left", "right", "bi"])
+def test_self_module_keeps_absences(side):
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    gap = ("a1", 1, "a1")
+    entries = {k: v for k, v in alg.Y.entries.items() if k != gap}
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries, absent=[gap])
+    inst = AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1, meta=alg.meta)
+    a1 = alg.basis_vec("a1")
+    assert mode_apply(inst.Y, a1, 1, a1) == (Vec(alg.space), False)
+    mod = self_module(inst, side)
+    maps = [m for m in (mod.YL, mod.YR) if m is not None]
+    assert len(maps) == (2 if side == "bi" else 1)
+    for vmap in maps:
+        assert vmap.absent == frozenset([gap])
+        # the absent entry does not read as an exact zero
+        assert mode_apply(vmap, a1, 1, a1) == (Vec(alg.space), False)
+        assert vmap.entries == inst.Y.entries
+    doc = json.loads(serialize(mod))
+    assert doc["absent_left"] == ([list(gap)] if mod.YL is not None else [])
+    assert doc["absent_right"] == ([list(gap)] if mod.YR is not None else [])
+
+
+def test_vertex_map_with_kind_rejects_unknown_kinds():
+    m = matrix_units_mosva(2)
+    assert m.Y.with_kind("left").kind == "left"
+    with pytest.raises(ValueError, match="unknown vertex map kind"):
+        m.Y.with_kind("middle")

@@ -262,3 +262,31 @@ def test_reconstruct_after_search_reuses_the_certifying_trial(heis4, monkeypatch
     witness = estimate_pole_orders(heis4, bra, ops, a1, series)
     assert len(results) > 1 and results[-1].certified
     assert real(series, witness) is results[-1]
+
+
+def test_pole_orders_must_be_integers(heis4):
+    a1 = heis4.basis_vec("a1")
+    series = correlate(heis4, basis_dual(heis4.space, "vac"),
+                       [(a1, "z1"), (a1, "z2")], heis4.vacuum)
+    # an order the caller did not give is never rounded into a verdict
+    for order in (2.9, 2.0, True):
+        with pytest.raises(TypeError, match="pole order must be exact"):
+            reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): order}))
+    with pytest.raises(TypeError, match="pole order must be exact"):
+        reconstruct_rational(series, PoleOrderWitness({"z1": 0.0}, {}))
+    for order in (Fraction(5, 2), "5/2"):
+        with pytest.raises(ValueError, match="pole order must be an integer"):
+            reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): order}))
+    for order in (Fraction(2), 2, "2"):
+        res = reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): order}))
+        assert res.certified and res.fn.pole_diag == {("z1", "z2"): 2}
+        assert str(res.fn) == "(1) / ((z1-z2)^2)"
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, True])
+def test_series_coefficients_must_be_exact(value):
+    with pytest.raises(TypeError, match="coefficient must be exact"):
+        CorrelationSeries(("z1",), {(0,): value}, PRODUCT, [0], 0, 0, [4], [0])
+    series = CorrelationSeries(("z1",), {(0,): "1/10", (1,): 0}, PRODUCT, [0], 0, 0,
+                               [4], [0])
+    assert series.coefficients == {(0,): Fraction(1, 10)}

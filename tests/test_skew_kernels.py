@@ -1,0 +1,160 @@
+"""The skew transport's per-pair D-chains against the map they replaced.
+
+``oracle_skew._skew_map`` lifts every term by ``op_power_apply`` from
+scratch.  ``constructions._skew_map`` must give the same entries in the same
+entry and label order and the same absences: for Heisenberg at four levels
+and cutoffs 2-5 (and 6 at one level, to keep the sweep near 3 s), for the
+matrix algebra, and for one hand-made instance whose ``D`` has a gap below
+the cutoff and whose ``Y`` has explicit absences, so that inexact lifts are
+exercised.  The serialized opposite and transports are compared byte for
+byte at cutoff 3 and on the other two instances; at cutoff 5 their sha256
+pins, and that of the contragredient, were recorded before the D-chains
+landed.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from mosva import constructions
+from mosva.constructions import contragredient_module, opposite_mosva, transport_module
+from mosva.document import serialize
+from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
+from mosva.graded import GradedOp, Vec
+from mosva.vertex import ALGEBRA, LEFT, RIGHT, AlgebraInstance, VertexMap
+
+import oracle_skew
+
+LEVELS = [Fraction(1), Fraction(3, 2), Fraction(-2), Fraction(1, 3)]
+
+
+def skew_inputs(alg):
+    """(source map, D, result kind) of every skew map the constructions make
+    from one algebra: the opposite, and the transports of the left and the
+    right self-module."""
+    left, right = self_module(alg, LEFT), self_module(alg, RIGHT)
+    return [(alg.Y, alg.D, ALGEBRA), (left.YL, left.D, RIGHT), (right.YR, right.D, LEFT)]
+
+
+def assert_same_map(got: VertexMap, want: VertexMap):
+    assert list(got.entries) == list(want.entries)
+    for key, vec in want.entries.items():
+        assert list(got.entries[key].entries.items()) == list(vec.entries.items()), key
+    assert got.absent == want.absent
+
+
+def constructed(alg):
+    """serialize() of the opposite and of every transport of the self-modules."""
+    left, right = self_module(alg, LEFT), self_module(alg, RIGHT)
+    return [serialize(opposite_mosva(alg).result),
+            serialize(transport_module(left, "left_to_right_op")),
+            serialize(transport_module(left, "left_op_to_right")),
+            serialize(transport_module(right, "right_to_left_op")),
+            serialize(transport_module(right, "right_op_to_left"))]
+
+
+def assert_bytes_match_oracle(alg, monkeypatch):
+    got = constructed(alg)
+    monkeypatch.setattr(constructions, "_skew_map", oracle_skew._skew_map)
+    assert got == constructed(alg)
+
+
+@pytest.mark.parametrize("cutoff,level",
+                         [(c, l) for c in range(2, 6) for l in LEVELS]
+                         + [(6, Fraction(3, 2))],
+                         ids=str)
+def test_heisenberg_skew_maps_match_oracle(cutoff, level):
+    alg, _ = build_heisenberg(level=level, cutoff=cutoff)
+    # the self-modules share the algebra's table, so the oracle runs once
+    want = oracle_skew._skew_map(alg.Y, alg.D, ALGEBRA)
+    for source, D, kind in skew_inputs(alg):
+        assert source.entries == alg.Y.entries and source.absent == alg.Y.absent
+        got = constructions._skew_map(source, D, kind)
+        assert got.kind == kind
+        assert_same_map(got, want)
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+def test_heisenberg_construction_bytes_match_oracle(level, monkeypatch):
+    alg, _ = build_heisenberg(level=level, cutoff=3)
+    assert_bytes_match_oracle(alg, monkeypatch)
+
+
+def test_matrix_skew_maps_match_oracle(monkeypatch):
+    alg = matrix_units_mosva(2)
+    for source, D, kind in skew_inputs(alg):
+        assert_same_map(constructions._skew_map(source, D, kind),
+                        oracle_skew._skew_map(source, D, kind))
+    assert_bytes_match_oracle(alg, monkeypatch)
+
+
+def gapped_heisenberg():
+    """Heisenberg at level 3/2, cutoff 4, with three stored Y entries made
+    explicitly absent and D unknown on a1.a1 (weight 2).  D also sends a1
+    to a2 + 3 a1.a1, so it is no derivation: a chain can pass through the
+    gap and then meet only known labels, and its flag must stay false."""
+    alg, _ = build_heisenberg(level=Fraction(3, 2), cutoff=4)
+    gaps = [("a1", 1, "a1"), ("a1.a1", -1, "a1"), ("a2", -1, "a1")]
+    entries = {k: v for k, v in alg.Y.entries.items() if k not in gaps}
+    assert len(entries) == len(alg.Y.entries) - len(gaps)
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries, gaps)
+    action = {l: v for l, v in alg.D.action.items() if l != "a1.a1"}
+    action["a1"] = Vec(alg.space, {"a2": 1, "a1.a1": 3})
+    D = GradedOp(alg.space, 1, action)
+    return AlgebraInstance(alg.space, Y, alg.vacuum, D, alg.L1, meta=alg.meta)
+
+
+def test_gapped_instance_matches_oracle(monkeypatch):
+    alg = gapped_heisenberg()
+    full, _ = build_heisenberg(level=Fraction(3, 2), cutoff=4)
+    for (source, D, kind), (_, full_D, _) in zip(skew_inputs(alg), skew_inputs(full)):
+        want = oracle_skew._skew_map(source, D, kind)
+        # the flags are exercised: some entries stay stored, and the gap in D
+        # makes entries absent that the full D would have computed
+        assert want.entries and want.absent
+        assert want.absent > oracle_skew._skew_map(source, full_D, kind).absent
+        assert_same_map(constructions._skew_map(source, D, kind), want)
+    assert_bytes_match_oracle(alg, monkeypatch)
+
+
+# sha256 of serialize() at cutoff 5, recorded before the D-chains landed:
+# opposite, transport of the Fock module left_to_right_op, that transport
+# back by right_op_to_left, and the contragredient of the Fock module
+PINS = {
+    "1": ("e3fbb69381290f09802ffa96db7f43872a5ff5d5ed77a7e4eec2d3c9306e75cb",
+          "3cc6a603e1dbf3961384d89b79d51c95cb5543cbd6b55bdc34268ba1c7d305b5",
+          "7de46a895ee9c097e55b0a5efcb1f78e69010a566fbee7ffbfa6c0c28f69e124",
+          "6725271f43959ca3569d25e3aef33aa9cf83d854e3312b3e0abb48ba8d65fed8"),
+    "3/2": ("264fbfae668edc8aed0913a3bb7b973357f6e1550e044763c86199c7bef38bf6",
+            "2ca7fa7628f3cccc2adc4b8bb40f350e6aeb52416b86b118b2abf51414106ca2",
+            "b3935de489fd7125be8ceb47b34e548c676629353bda2e6eef1c1c9f5078408b",
+            "afa2da4b5e92a4693197ff4f1a180ba54f5fec2028c0f1cefd877b80713112ff"),
+    "-2": ("564bae4d37f219f57c0034ffe9b05e6444f69fecfb1103dab2805c312592b086",
+           "8dab0c41f9b2d4e3001a6d7ebc52dfa087784daf3cd7642f00b47c8e7cbcc5ef",
+           "45eb6461b4fd4bea08fcf579010f8fc6022cdf60b1e8f83fa1e16516c0c6394d",
+           "8877d793ff5a09c460eaf06abb55a43e99e8cfc9c1b25bd5e92ad54e0b4e323c"),
+    "1/3": ("71ab136c75edd2361db9abddd91901ed62f080ce4a8fd9c6de55c409fd90de77",
+            "6bf964e09f6009e5707fa9d93586dff9e5ddfba116bf36baf20acf9c0340d36f",
+            "6e91b0c766ab1225fa7d8f210220465c6e4a61dd54d933b639e54fa741080e62",
+            "938a01cfea5430ec78857e6222bd5ae25c277e7a45c1f57d664de2e19fe7b5e2"),
+}
+MATRIX_OPPOSITE_PIN = "88d8129c791bb0ea07d234ab66c0114a71009eda5c164e78c9a0c30667b2cfc4"
+
+
+def sha(inst) -> str:
+    return hashlib.sha256(serialize(inst).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+def test_construction_bytes_are_pinned(level):
+    alg, fock = build_heisenberg(level=level, cutoff=5)
+    there = transport_module(fock, "left_to_right_op")
+    back = transport_module(there, "right_op_to_left")
+    got = (sha(opposite_mosva(alg).result), sha(there), sha(back),
+           sha(contragredient_module(fock)))
+    assert got == PINS[str(level)]
+
+
+def test_matrix_opposite_bytes_are_pinned():
+    assert sha(opposite_mosva(matrix_units_mosva(2)).result) == MATRIX_OPPOSITE_PIN
