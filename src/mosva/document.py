@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaError
 from .graded import GradedOp, GradedSpace, Vec
@@ -33,7 +34,8 @@ def _fmt_weight(w) -> str:
 
 
 def _vec_doc(v: Vec):
-    return [[lbl, format_scalar(c)] for lbl, c in sorted(v.entries.items())]
+    # entries are nonzero Fractions or ints, whose str is already ``p`` or ``p/q``
+    return [[lbl, str(c)] for lbl, c in sorted(v.entries.items())]
 
 
 def _op_doc(op: GradedOp | None):
@@ -98,8 +100,47 @@ def to_document(inst) -> dict:
     raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
+def _emit(node, newline_indent) -> str:
+    """``json.dumps(node, indent=1)`` for a node whose lines are indented by
+    ``newline_indent`` (a line break and the node's depth in spaces).
+    Strings, ints, bools, None and lists and str-keyed dicts of them are
+    written here, each container joined from its children's texts rather
+    than kept as one chunk per token until the end.  Any other node is
+    handed to json.dumps, whose output shifts to any depth because a JSON
+    text has line breaks only between its tokens."""
+    kind = type(node)
+    if kind is str:
+        return _quote(node)
+    if kind is int:
+        return int.__repr__(node)
+    if kind is list:
+        if not node:
+            return "[]"
+        inner = newline_indent + " "
+        if len(node) == 2 and type(node[0]) is str and type(node[1]) is str:
+            # the [label, scalar] pair of a vector
+            return f"[{inner}{_quote(node[0])},{inner}{_quote(node[1])}{newline_indent}]"
+        items = [_emit(item, inner) for item in node]
+        return f"[{inner}{(',' + inner).join(items)}{newline_indent}]"
+    if kind is dict and all(type(key) is str for key in node):
+        if not node:
+            return "{}"
+        inner = newline_indent + " "
+        items = [f"{_quote(key)}: {_emit(value, inner)}" for key, value in node.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline_indent}}}"
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    return json.dumps(node, indent=1).replace("\n", newline_indent)
+
+
 def serialize(inst) -> str:
-    return json.dumps(to_document(inst), indent=1) + "\n"
+    """``json.dumps(to_document(inst), indent=1)`` and a final newline, byte
+    for byte, without the pure-Python encoder that ``indent`` selects."""
+    return _emit(to_document(inst), "\n") + "\n"
 
 
 # -- parsing -----------------------------------------------------------------
@@ -123,14 +164,18 @@ def _parse_vec(doc, space, path, scalars: dict) -> Vec:
     as the Vec constructor drops them.  ``scalars`` maps each scalar text
     already parsed in this document to its Fraction; a malformed text is
     never stored, so each occurrence raises at its own path."""
-    _expect(isinstance(doc, list), "expected a list of [label, scalar] pairs", path)
+    if not isinstance(doc, list):
+        raise SchemaError("expected a list of [label, scalar] pairs", path)
+    known = space.label_weights
     entries = {}
     for i, item in enumerate(doc):
-        _expect(isinstance(item, list) and len(item) == 2,
-                "expected [label, scalar]", f"{path}[{i}]")
+        if not (isinstance(item, list) and len(item) == 2):
+            raise SchemaError("expected [label, scalar]", f"{path}[{i}]")
         lbl, sc = item
-        _expect(isinstance(lbl, str), "label must be a string", f"{path}[{i}]")
-        _expect(lbl in space.label_weights, f"unknown label {lbl!r}", f"{path}[{i}]")
+        if not isinstance(lbl, str):
+            raise SchemaError("label must be a string", f"{path}[{i}]")
+        if lbl not in known:
+            raise SchemaError(f"unknown label {lbl!r}", f"{path}[{i}]")
         c = scalars.get(sc) if type(sc) is str else None
         if c is None:
             # a malformed or non-string text raises before it is stored
@@ -171,32 +216,57 @@ def _parse_op(doc, space, shift, path, scalars) -> GradedOp | None:
         raise SchemaError(str(e), path) from None
 
 
+def _key_problem(f, n, s, first_labels, second_labels):
+    """Why (f, n, s) is not a vertex key over these labels, or None.  A bool
+    is not a mode: it would be stored as 1 and written back as true."""
+    if not (isinstance(f, str) and f in first_labels):
+        return f"unknown first label {f!r}"
+    if type(n) is not int:
+        return "mode must be an integer"
+    if not (isinstance(s, str) and s in second_labels):
+        return f"unknown second label {s!r}"
+    return None
+
+
 def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, path,
                   scalars):
+    """Each entry and each absent key is checked once here, so the map is
+    built without a second check."""
     if doc is None:
+        if absent_doc:
+            raise SchemaError("absent keys without a vertex table", f"{path}-absent")
         return None
-    _expect(isinstance(doc, list), "expected a list of entries", path)
+    if not isinstance(doc, list):
+        raise SchemaError("expected a list of entries", path)
+    firsts, seconds = first_space.label_weights, second_space.label_weights
     entries = {}
     for i, item in enumerate(doc):
-        _expect(isinstance(item, list) and len(item) == 4,
-                "expected [first, mode, second, vector]", f"{path}[{i}]")
+        if not (isinstance(item, list) and len(item) == 4):
+            raise SchemaError("expected [first, mode, second, vector]", f"{path}[{i}]")
         f, n, s, out = item
-        _expect(isinstance(f, str) and f in first_space.label_weights,
-                f"unknown first label {f!r}", f"{path}[{i}]")
-        _expect(isinstance(n, int), "mode must be an integer", f"{path}[{i}]")
-        _expect(isinstance(s, str) and s in second_space.label_weights,
-                f"unknown second label {s!r}", f"{path}[{i}]")
-        _expect((f, n, s) not in entries, "duplicate entry", f"{path}[{i}]")
+        problem = _key_problem(f, n, s, firsts, seconds)
+        if problem is None and (f, n, s) in entries:
+            problem = "duplicate entry"
+        if problem is not None:
+            raise SchemaError(problem, f"{path}[{i}]")
         entries[(f, n, s)] = _parse_vec(out, out_space, f"{path}[{i}]", scalars)
-    absent = []
-    for i, item in enumerate(absent_doc or []):
-        _expect(isinstance(item, list) and len(item) == 3,
-                "expected [first, mode, second]", f"{path}-absent[{i}]")
-        absent.append(tuple(item))
-    try:
-        return VertexMap(kind, first_space, second_space, out_space, entries, absent)
-    except ValueError as e:
-        raise SchemaError(str(e), path) from None
+    if absent_doc is None:
+        absent_doc = []
+    if not isinstance(absent_doc, list):
+        raise SchemaError("expected a list of [first, mode, second] keys", f"{path}-absent")
+    absent = set()
+    for i, item in enumerate(absent_doc):
+        if not (isinstance(item, list) and len(item) == 3):
+            problem = "expected [first, mode, second]"
+        else:
+            problem = _key_problem(*item, firsts, seconds)
+        if problem is not None:
+            raise SchemaError(problem, f"{path}-absent[{i}]")
+        absent.add(tuple(item))
+    if not absent.isdisjoint(entries):
+        raise SchemaError("a key cannot be both stored and absent", path)
+    return VertexMap._wrap(kind, first_space, second_space, out_space, entries,
+                           frozenset(absent))
 
 
 def _check_keys(doc, allowed, path):

@@ -55,6 +55,16 @@ class VertexMap:
             raise ValueError("a key cannot be both stored and absent")
         self._fill(kind, first_space, second_space, out_space, table, gaps)
 
+    @classmethod
+    def _wrap(cls, kind, first_space, second_space, out_space, table, gaps):
+        """Take ownership of a table keyed (first, int mode, second) over
+        labels of the first and second spaces, with Vec values in
+        ``out_space``, and of a frozenset of absent keys disjoint from it,
+        without checking them again."""
+        self = object.__new__(cls)
+        self._fill(kind, first_space, second_space, out_space, table, gaps)
+        return self
+
     def _fill(self, kind, first_space, second_space, out_space, table, gaps):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "first_space", first_space)
@@ -71,10 +81,8 @@ class VertexMap:
         the instance that takes the map still applies."""
         if kind not in ROLES:
             raise ValueError(f"unknown vertex map kind {kind!r}")
-        other = object.__new__(VertexMap)
-        other._fill(kind, self.first_space, self.second_space, self.out_space,
-                    self.entries, self.absent)
-        return other
+        return VertexMap._wrap(kind, self.first_space, self.second_space,
+                               self.out_space, self.entries, self.absent)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosva.constructions import contragredient_module, opposite_mosva
 from mosva.document import deserialize, from_document, serialize, to_document
@@ -237,3 +238,229 @@ def test_documents_share_no_scalar_memo(monkeypatch):
                    + [w for d in spaces for w, _ in d["weights"]])
     want.update(set(vector_scalars(doc)))
     assert runs == [want, want]
+
+
+def _module_doc():
+    return to_document(self_module(matrix_units_mosva(2), "bi"))
+
+
+def _set(*keys_and_value):
+    """A mutation that sets doc[k0][k1]...[kn] = value."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+    return mutate
+
+
+def _append_copy(key, i):
+    return lambda doc: doc[key].append(json.loads(json.dumps(doc[key][i])))
+
+
+def _absent_of(key, i):
+    return lambda doc: doc.__setitem__("absent", [doc[key][i][:3]])
+
+
+# One row per check of _parse_vec and _parse_vertex: the mutation, the exact
+# message and the exact path.  Recorded before the loader raised inline, so
+# the inline checks must say and locate every failure as the _expect calls did.
+LOADER_ROWS = [
+    ("vertex not a list", _set("vertex", {}), "expected a list of entries", "$.vertex"),
+    ("entry arity", _set("vertex", 1, ["E11", -1, "E12"]),
+     "expected [first, mode, second, vector]", "$.vertex[1]"),
+    ("entry not a list", _set("vertex", 1, "E11"),
+     "expected [first, mode, second, vector]", "$.vertex[1]"),
+    ("first label not a string", _set("vertex", 1, 0, 7),
+     "unknown first label 7", "$.vertex[1]"),
+    ("unknown first label", _set("vertex", 1, 0, "E99"),
+     "unknown first label 'E99'", "$.vertex[1]"),
+    ("string mode", _set("vertex", 1, 1, "-1"), "mode must be an integer", "$.vertex[1]"),
+    ("float mode", _set("vertex", 1, 1, -1.0), "mode must be an integer", "$.vertex[1]"),
+    ("second label not a string", _set("vertex", 1, 2, None),
+     "unknown second label None", "$.vertex[1]"),
+    ("unknown second label", _set("vertex", 1, 2, "E99"),
+     "unknown second label 'E99'", "$.vertex[1]"),
+    ("duplicate entry", _append_copy("vertex", 0), "duplicate entry", "$.vertex[8]"),
+    ("vector not a list", _set("vertex", 1, 3, "E12"),
+     "expected a list of [label, scalar] pairs", "$.vertex[1]"),
+    ("pair arity", _set("vertex", 1, 3, [["E12"]]),
+     "expected [label, scalar]", "$.vertex[1][0]"),
+    ("pair not a list", _set("vertex", 1, 3, ["E12", "1"]),
+     "expected [label, scalar]", "$.vertex[1][0]"),
+    ("vector label not a string", _set("vertex", 1, 3, [["E12", "1"], [3, "1"]]),
+     "label must be a string", "$.vertex[1][1]"),
+    ("unknown vector label", _set("vertex", 1, 3, [["E99", "1"]]),
+     "unknown label 'E99'", "$.vertex[1][0]"),
+    ("malformed scalar", _set("vertex", 1, 3, [["E12", "1/x"]]),
+     "not a rational scalar: '1/x'", "$.vertex[1][0]"),
+    ("zero denominator", _set("vertex", 1, 3, [["E12", "1/0"]]),
+     "zero denominator in scalar: '1/0'", "$.vertex[1][0]"),
+    ("scalar not a string", _set("vertex", 1, 3, [["E12", 1]]),
+     "scalar must be a string, got int", "$.vertex[1][0]"),
+    ("vacuum not a list", _set("vacuum", None),
+     "expected a list of [label, scalar] pairs", "$.vacuum"),
+    ("unknown vacuum label", _set("vacuum", 1, ["E99", "1"]),
+     "unknown label 'E99'", "$.vacuum[1]"),
+    ("operator vector label", _set("operators", "D", "E12", [["E11", "1"], ["E12", "x"]]),
+     "not a rational scalar: 'x'", "$.operators.D.E12[1]"),
+    ("absent arity", _set("absent", [["E11", 0, "E12"], ["E11", 0]]),
+     "expected [first, mode, second]", "$.vertex-absent[1]"),
+    ("absent not a list", _set("absent", ["E11"]),
+     "expected [first, mode, second]", "$.vertex-absent[0]"),
+    ("stored and absent", _absent_of("vertex", 5),
+     "a key cannot be both stored and absent", "$.vertex"),
+]
+
+MODULE_ROWS = [
+    ("left first label is an algebra label", _set("vertex_left", 0, 0, "E99"),
+     "unknown first label 'E99'", "$.vertex_left[0]"),
+    ("right second label", _set("vertex_right", 2, 2, "E99"),
+     "unknown second label 'E99'", "$.vertex_right[2]"),
+    ("right vector label", _set("vertex_right", 2, 3, [["E99", "1"]]),
+     "unknown label 'E99'", "$.vertex_right[2][0]"),
+    ("left absent arity", _set("absent_left", [[]]),
+     "expected [first, mode, second]", "$.vertex_left-absent[0]"),
+    ("nested algebra entry", _set("algebra", "vertex", 0, 1, "0"),
+     "mode must be an integer", "$.algebra.vertex[0]"),
+]
+
+
+def _raised(doc):
+    with pytest.raises(SchemaError) as err:
+        from_document(doc)
+    return str(err.value), err.value.path
+
+
+@pytest.mark.parametrize("name, mutate, message, path", LOADER_ROWS,
+                         ids=[r[0] for r in LOADER_ROWS])
+def test_loader_rejects_with_message_and_path(name, mutate, message, path):
+    doc = to_document(matrix_units_mosva(2))
+    mutate(doc)
+    assert _raised(doc) == (f"{path}: {message}", path)
+
+
+@pytest.mark.parametrize("name, mutate, message, path", MODULE_ROWS,
+                         ids=[r[0] for r in MODULE_ROWS])
+def test_module_loader_rejects_with_message_and_path(name, mutate, message, path):
+    doc = _module_doc()
+    mutate(doc)
+    assert _raised(doc) == (f"{path}: {message}", path)
+
+
+# -- absent lists and modes are checked like stored entries --------------------
+
+
+@pytest.mark.parametrize("absent, message", [
+    ([["E11", 1.5, "E12"]], "mode must be an integer"),
+    ([["E11", "7", "E12"]], "mode must be an integer"),
+    ([["E11", True, "E12"]], "mode must be an integer"),
+    ([["bogus", 7, "E12"]], "unknown first label 'bogus'"),
+    ([["E11", 7, "E99"]], "unknown second label 'E99'"),
+    ([["E11", 7, 12]], "unknown second label 12"),
+    ([["E11", 7, "E12"], ["E11", 7, "E12", "E21"]], "expected [first, mode, second]"),
+])
+def test_absent_keys_are_checked_like_stored_keys(absent, message):
+    doc = to_document(matrix_units_mosva(2))
+    doc["absent"] = absent
+    path = f"$.vertex-absent[{len(absent) - 1}]"
+    assert _raised(doc) == (f"{path}: {message}", path)
+
+
+def test_well_formed_absent_keys_load_as_given():
+    doc = to_document(matrix_units_mosva(2))
+    doc["absent"] = [["E11", 7, "E12"], ["E22", -3, "E21"], ["E11", 7, "E12"]]
+    inst = from_document(doc)
+    assert inst.Y.absent == frozenset({("E11", 7, "E12"), ("E22", -3, "E21")})
+    assert all(type(n) is int for _, n, _ in inst.Y.absent)
+
+
+def test_absent_list_must_be_a_list_and_needs_a_table():
+    doc = to_document(matrix_units_mosva(2))
+    doc["absent"] = {"E11": 1}
+    assert _raised(doc) == ("$.vertex-absent: expected a list of [first, mode, "
+                            "second] keys", "$.vertex-absent")
+    doc = to_document(self_module(matrix_units_mosva(2), "left"))
+    doc["absent_right"] = [["E11", 0, "E12"]]
+    assert _raised(doc) == ("$.vertex_right-absent: absent keys without a vertex "
+                            "table", "$.vertex_right-absent")
+
+
+def test_stored_and_absent_key_is_rejected_in_a_module():
+    doc = _module_doc()
+    doc["absent_right"] = [doc["vertex_right"][3][:3]]
+    assert _raised(doc) == ("$.vertex_right: a key cannot be both stored and absent",
+                            "$.vertex_right")
+
+
+def test_boolean_mode_is_not_an_integer():
+    # True == 1 and isinstance(True, int); stored, it would be written back
+    # as true
+    alg, _ = build_heisenberg(level=1, cutoff=3)
+    doc = to_document(alg)
+    i = next(i for i, rec in enumerate(doc["vertex"]) if rec[1] == 1)
+    doc["vertex"][i][1] = True
+    assert _raised(doc) == (f"$.vertex[{i}]: mode must be an integer", f"$.vertex[{i}]")
+    doc = _module_doc()
+    doc["vertex_left"][0][1] = False
+    assert _raised(doc) == ("$.vertex_left[0]: mode must be an integer",
+                            "$.vertex_left[0]")
+
+
+# -- the writer is json.dumps(indent=1) byte for byte ---------------------------
+
+
+_json_leaves = (st.text(alphabet=st.characters(codec="utf-8"), max_size=8)
+                | st.sampled_from(["", "\"", "\\", "\n\t\r\x00\x1f", "é 😀", "a/b"])
+                | st.integers(min_value=-10**40, max_value=10**40)
+                | st.booleans() | st.none()
+                | st.floats(allow_nan=True, allow_infinity=True))
+_json_keys = (st.text(max_size=6) | st.integers(-5, 5) | st.booleans() | st.none()
+              | st.floats(allow_nan=False, width=16))
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=3).map(tuple)
+                      | st.tuples(st.text(max_size=4), st.text(max_size=4)).map(list)
+                      | st.dictionaries(st.text(max_size=6), kids, max_size=4)
+                      | st.dictionaries(_json_keys, kids, max_size=3)),
+        max_leaves=20)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_json_trees(_json_leaves))
+def test_emit_writes_what_json_dumps_writes(tree):
+    from mosva.document import _emit
+
+    assert _emit(tree, "\n") == json.dumps(tree, indent=1)
+
+
+def test_emit_nests_foreign_nodes_at_their_depth():
+    from mosva.document import _emit
+
+    tree = {"a": [[1.5, (2, [3.25])], {"b": {1: [None, 0.5]}, "c": []}], "d": {}}
+    assert _emit(tree, "\n") == json.dumps(tree, indent=1)
+
+
+@pytest.mark.parametrize("level", [None, "1", "3/2", "-2", "1/3"])
+def test_serialize_is_json_dumps_indent_one(level):
+    # None: the round-trip instances above; a level: the Fock module at
+    # cutoff 5, its algebra, the opposite, both transports and the
+    # contragredient, for each of the benchmark's boson levels
+    from mosva.constructions import transport_module
+
+    if level is None:
+        instances = constructed_instances()
+    else:
+        alg, fock = build_heisenberg(level=level, cutoff=5)
+        there = transport_module(fock, "left_to_right_op")
+        instances = [alg, fock, opposite_mosva(alg).result, there,
+                     transport_module(there, "right_op_to_left", target_algebra=alg),
+                     contragredient_module(fock)]
+    for inst in instances:
+        assert serialize(inst) == json.dumps(to_document(inst), indent=1) + "\n"

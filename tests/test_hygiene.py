@@ -96,9 +96,9 @@ OUTSIDE_SOURCES = sorted(
 
 @pytest.mark.parametrize("path", OUTSIDE_SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_unchecked_constructors_stay_internal(path):
-    # Vec._wrap and LaurentPoly._wrap trust their caller to hand over data
-    # that is already valid; only src/mosva and the verbatim oracles
-    # (tests/oracle_*.py) may call them
+    # Vec._wrap, LaurentPoly._wrap and VertexMap._wrap trust their caller to
+    # hand over data that is already valid; only src/mosva and the verbatim
+    # oracles (tests/oracle_*.py) may call them
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
