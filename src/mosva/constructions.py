@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedOp, Vec, _accumulate, dual_space, transpose_op
+from .graded import (GradedOp, Vec, _accumulate, dual_space, exp_op_series, op_powers,
+                     transpose_op)
 from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
@@ -30,9 +31,7 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
 
     The result's first/second roles are swapped relative to the source.
     Each (first, second) pair keeps one D-chain per inner mode m,
-    [(D^j S_m(second) first, exact so far), ...], grown on demand: the same
-    vectors and flags as applying D^k from scratch for every term, with
-    the same stop at a zero vector, so no lift is computed twice.
+    op_powers(D, S_m(second) first), so no lift is computed twice.
     """
     first_space = source.second_space
     second_space = source.first_space
@@ -46,20 +45,7 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     absent = set()
     for f in first_space.labels():
         for s in second_space.labels():
-            chains: dict[int, list] = {}
-
-            def lift(m: int, k: int):
-                chain = chains.get(m)
-                if chain is None:
-                    chain = chains[m] = [source.basis_entry(s, m, f)]
-                while len(chain) <= k:
-                    out, exact = chain[-1]
-                    if not out.entries:
-                        return out, exact
-                    nxt, ok = D.apply(out)
-                    chain.append((nxt, exact and ok))
-                return chain[k]
-
+            chains: dict = {}
             w = first_space.weight_of(f) + second_space.weight_of(s)
             # k runs while the output weight w - n - 1 - k stays >= minw
             top = math.floor(w - minw) - 1
@@ -67,8 +53,11 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                 total: dict = {}
                 ok = True
                 for k in range(top - n + 1):
+                    lift = chains.get(n + k)
+                    if lift is None:
+                        lift = chains[n + k] = op_powers(D, source.basis_entry(s, n + k, f))
                     # an unstored base is a zero with exact=False
-                    lifted, exact = lift(n + k, k)
+                    lifted, exact = lift(k)
                     if not exact:
                         ok = False
                         break
@@ -139,7 +128,7 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     (-1)^h sum_m (1/m!) (Y^L)_{-n-m-2+2h}(L(1)^m u); the sum is finite since
     L(1) lowers weight on a bounded-below space.  Returns (GradedOp of
     weight shift n+1-h, exact); basis actions that would overflow the cutoff
-    are left absent.
+    are left absent, and so is every action when some L(1)^m u is unknown.
     """
     if W.side not in (LEFT, BI):
         raise ValueError("opposite vertex operator needs a left module structure")
@@ -154,17 +143,11 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     h = int(h)
     sign = -1 if h % 2 else 1
     shift = Fraction(n + 1 - h)
-    # L(1)^m u, exactly, until it vanishes
-    powers = []
-    current = u
-    exact_powers = True
-    while not current.is_zero():
-        powers.append(current)
-        current, ok = algebra.L1.apply(current)
-        exact_powers = exact_powers and ok
-    coefficients = [sign * factorial_fraction(m) for m in range(len(powers))]
+    # (1/m!) L(1)^m u until it vanishes; an unknown power leaves every action absent
+    powers, exact = exp_op_series(algebra.L1, u)
+    if not exact:
+        return GradedOp(W.space, shift, {}), False
     action: dict[str, Vec] = {}
-    exact = exact_powers
     for lbl in W.space.labels():
         wv = W.space.weight_of(lbl)
         if wv + shift > W.space.cutoff and not W.space.complete:
@@ -173,13 +156,13 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         w = Vec._wrap(W.space, {lbl: Fraction(1)})
         out: dict = {}
         ok_all = True
-        for m, um in enumerate(powers):
+        for m, um in powers.items():
             mode = -n - m - 2 + 2 * h
             contrib, ok = mode_apply(W.YL, um, mode, w)
             if not ok:
                 ok_all = False
                 break
-            _accumulate(out, coefficients[m], contrib.entries)
+            _accumulate(out, sign, contrib.entries)
         if ok_all:
             action[lbl] = Vec._wrap(W.space, out)
         else:
@@ -210,7 +193,10 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         # the union over module weights wt w of the windows of hu + wt w
         for n in range(W.space.mode_window(hu + minw).start,
                        W.space.mode_window(hu + top).stop):
-            rows = transpose_op(opposite_vertex_components(W, u, n)[0], dual).action
+            # an inexact operator lacks some actions, and transposing turns
+            # each gap into absent rows, so the flag is carried by the op
+            op, exact = opposite_vertex_components(W, u, n)
+            rows = transpose_op(op, dual).action
             for b in dual.labels():
                 # a row whose source weight overflows is outside the window
                 if dual.weight_of(b) + hu - n - 1 > top:

@@ -107,28 +107,20 @@ class CorrelationSeries:
             raise ValueError("monomial arity mismatch")
         if self._trivial:
             return True
+        # a product chain starts at the ket, the last variable; an iterate
+        # chain at the first variable, and the ket follows its last step
+        product = self.mode in (PRODUCT, MIXED)
         for h in self._holes:
-            if self.mode in (PRODUCT, MIXED):
-                if mono[n - len(h):] == h:
-                    return False
-            elif mono[: len(h)] == h:
+            if (mono[n - len(h):] if product else mono[: len(h)]) == h:
                 return False
         if sum(mono) != self.degree_sum:
             return True  # off the grading hyperplane: exactly zero
         lower, upper = self._lower, self._upper
         total = 0
-        if self.mode in (PRODUCT, MIXED):
-            for j in range(n - 1, -1, -1):
-                total += mono[j]
-                if total < lower[j]:
-                    return True  # the chain dies below the lower bound
-                if total > upper[j]:
-                    return False
-            return True
-        for j in range(n - 1):
+        for j in (range(n - 1, -1, -1) if product else range(n - 1)):
             total += mono[j]
             if total < lower[j]:
-                return True
+                return True  # the chain dies below the lower bound
             if total > upper[j]:
                 return False
         return True

@@ -17,7 +17,7 @@ from .errors import SchemaError
 from .graded import GradedOp, GradedSpace, Vec
 from .scalars import format_scalar, parse_scalar
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
-                     VertexMap)
+                     VertexMap, _key_problem)
 
 FORMAT_VERSION = 1
 
@@ -168,6 +168,7 @@ def _parse_vec(doc, space, path, scalars: dict) -> Vec:
         raise SchemaError("expected a list of [label, scalar] pairs", path)
     known = space.label_weights
     entries = {}
+    zeros = False
     for i, item in enumerate(doc):
         if not (isinstance(item, list) and len(item) == 2):
             raise SchemaError("expected [label, scalar]", f"{path}[{i}]")
@@ -181,7 +182,11 @@ def _parse_vec(doc, space, path, scalars: dict) -> Vec:
             # a malformed or non-string text raises before it is stored
             c = scalars[sc] = _parse_scalar_at(sc, f"{path}[{i}]")
         entries[lbl] = c
-    return Vec._wrap(space, {l: c for l, c in entries.items() if c})
+        zeros = zeros or not c
+    if zeros:
+        # dropping zeros, a repeated label keeps its first place and last value
+        entries = {l: c for l, c in entries.items() if c}
+    return Vec._wrap(space, entries)
 
 
 def _parse_space(doc, cutoff, complete, path) -> GradedSpace:
@@ -214,18 +219,6 @@ def _parse_op(doc, space, shift, path, scalars) -> GradedOp | None:
         return GradedOp(space, shift, action)
     except ValueError as e:
         raise SchemaError(str(e), path) from None
-
-
-def _key_problem(f, n, s, first_labels, second_labels):
-    """Why (f, n, s) is not a vertex key over these labels, or None.  A bool
-    is not a mode: it would be stored as 1 and written back as true."""
-    if not (isinstance(f, str) and f in first_labels):
-        return f"unknown first label {f!r}"
-    if type(n) is not int:
-        return "mode must be an integer"
-    if not (isinstance(s, str) and s in second_labels):
-        return f"unknown second label {s!r}"
-    return None
 
 
 def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, path,

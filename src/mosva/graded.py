@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import exact_scalar, format_scalar
+from .scalars import exact_scalar, factorial_fraction, format_scalar
 
 Weight = Fraction
 
@@ -290,31 +290,54 @@ def weight_diagonal_op(space: GradedSpace) -> GradedOp:
         l: Vec(space, {l: space.weight_of(l)}) for l in space.labels()})
 
 
-def exp_op_series(op: GradedOp, v: Vec, var: str):
+def op_powers(op: GradedOp, start: tuple[Vec, bool]):
+    """The chain k -> (T^k v, exact so far) from start = (v, exact), the pair
+    ``basis_entry`` and ``apply`` return.
+
+    Each power is computed once, on demand, by one ``apply`` to the previous
+    power.  A power after an inexact application is inexact, and past a zero
+    vector every power is that zero.
+    """
+    chain = [start]
+
+    def power(k: int) -> tuple[Vec, bool]:
+        while len(chain) <= k:
+            out, exact = chain[-1]
+            if not out.entries:
+                return out, exact
+            nxt, ok = op.apply(out)
+            chain.append((nxt, exact and ok))
+        return chain[k]
+
+    return power
+
+
+def op_power_apply(op: GradedOp, v: Vec, k: int) -> tuple[Vec, bool]:
+    """T^k v with exactness tracking."""
+    return op_powers(op, (v, True))(k)
+
+
+def exp_op_series(op: GradedOp, v: Vec):
     """exp(x*T) applied to v: sum_k (1/k!) T^k v x^k.
 
-    Returns (coefficients {k: Vec}, exact).  For negative weight shift the
-    series terminates by the lower bound and is exact whenever the stored
-    action covers it; for positive shift it may hit the cutoff, flagged
-    exact=False.  A zero-shift operator must be nilpotent.
+    Returns (coefficients {k: Vec}, exact).  The series stops at its first
+    zero power, exact, or at its first unknown power, exact=False; the
+    coefficients are the powers before it.  A negative weight shift always
+    reaches zero on a bounded-below space; a positive one may hit the
+    cutoff.  A zero-shift operator must be nilpotent.
     """
-    coeffs: dict[int, Vec] = {}
-    current = v
-    exact = True
-    k = 0
+    power = op_powers(op, (v, True))
     max_dim = max((len(ls) for ls in op.space.components.values()), default=0)
-    while not current.is_zero():
-        coeffs[k] = current
-        nxt, ok = op.apply(current)
-        if not ok:
-            exact = False
-            if op.weight_shift > 0:
-                break
-        current = nxt.scale(Fraction(1, k + 1))
+    coeffs: dict[int, Vec] = {}
+    k = 0
+    while True:
+        out, exact = power(k)
+        if not (exact and out.entries):
+            return coeffs, exact
+        coeffs[k] = out.scale(factorial_fraction(k))
         k += 1
         if op.weight_shift == 0 and k > max_dim + 1:
             raise ValueError("zero-shift operator is not nilpotent; series does not terminate")
-    return coeffs, exact
 
 
 # The prime that turns a basis label into its dual label.
@@ -363,13 +386,3 @@ def basis_vec(space: GradedSpace, label: str) -> Vec:
 def basis_dual(space: GradedSpace, label: str) -> DualVec:
     return DualVec(space, {label: 1})
 
-
-def op_power_apply(op: GradedOp, v: Vec, k: int) -> tuple[Vec, bool]:
-    """T^k v with exactness tracking."""
-    out, exact = v, True
-    for _ in range(k):
-        out, ok = op.apply(out)
-        exact = exact and ok
-        if out.is_zero():
-            break
-    return out, exact

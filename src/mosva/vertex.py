@@ -25,6 +25,18 @@ BI = "bi"
 ROLES = {ALGEBRA: (False, False), LEFT: (False, True), RIGHT: (True, False)}
 
 
+def _key_problem(f, n, s, first_labels, second_labels):
+    """Why (f, n, s) is not a vertex key over these labels, or None.  A bool
+    is not a mode: it would be stored as 1 and written back as true."""
+    if not (isinstance(f, str) and f in first_labels):
+        return f"unknown first label {f!r}"
+    if type(n) is not int:
+        return "mode must be an integer"
+    if not (isinstance(s, str) and s in second_labels):
+        return f"unknown second label {s!r}"
+    return None
+
+
 class VertexMap:
     """Sparse mode table for one vertex operator map.
 
@@ -41,16 +53,18 @@ class VertexMap:
                  absent=()):
         if kind not in ROLES:
             raise ValueError(f"unknown vertex map kind {kind!r}")
-        table: dict[tuple[str, int, str], Vec] = {}
-        for (f, n, s), out in (entries or {}).items():
-            first_space.weight_of(f)
-            second_space.weight_of(s)
+        table: dict[tuple[str, int, str], Vec] = dict(entries or {})
+        gaps = frozenset(map(tuple, absent))
+        firsts, seconds = first_space.label_weights, second_space.label_weights
+        for f, n, s in [*table, *gaps]:
+            problem = _key_problem(f, n, s, firsts, seconds)
+            if problem is not None:
+                raise ValueError(f"vertex key ({f!r}, {n!r}, {s!r}): {problem}")
+        for (f, n, s), out in table.items():
             if not isinstance(out, Vec):
                 raise TypeError("entries must map to Vec")
             if out.space is not out_space and out.space != out_space:
                 raise ValueError(f"entry ({f}, {n}, {s}) lives outside the output space")
-            table[(f, int(n), s)] = out
-        gaps = frozenset((f, int(n), s) for f, n, s in absent)
         if gaps & table.keys():
             raise ValueError("a key cannot be both stored and absent")
         self._fill(kind, first_space, second_space, out_space, table, gaps)
@@ -164,7 +178,7 @@ def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, b
     return Vec._wrap(out_space, acc), exact
 
 
-def vertex_series(vmap: VertexMap, first: Vec, second: Vec, var: str = "x"):
+def vertex_series(vmap: VertexMap, first: Vec, second: Vec):
     """The whole series sum_n (mode n) x^{-n-1} on the certified mode range.
 
     Returns (coefficients {exponent: Vec}, (lo, hi) certified exponent
@@ -401,8 +415,8 @@ def validate_instance(inst) -> Report:
     # d acts by weight on every basis label (by construction, asserted anyway)
     bad = None
     for lbl in space.labels():
-        out, _ = inst.d.apply(inst.basis_vec(lbl))
-        if out != inst.basis_vec(lbl).scale(space.weight_of(lbl)):
+        out, exact = inst.d.apply(inst.basis_vec(lbl))
+        if not exact or out != inst.basis_vec(lbl).scale(space.weight_of(lbl)):
             bad = lbl
             break
     if bad:

@@ -11,7 +11,8 @@ from mosva.errors import WindowError
 from mosva.factory import (build_heisenberg, matrix_units_mosva, self_module,
                            with_scaled_entry)
 from mosva.graded import GradedOp, Vec, basis_dual
-from mosva.vertex import AlgebraInstance
+from mosva.report import SKIP
+from mosva.vertex import ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap
 
 from oracle_oscillator import Oracle
 
@@ -33,6 +34,21 @@ def test_vacuum_passes_on_examples(heis4):
     assert check_vacuum(matrix_units_mosva(2)).passed
     right = self_module(alg, "right")
     assert check_vacuum(right).passed
+
+
+def _with_absent(alg, key):
+    entries = {k: v for k, v in alg.Y.entries.items() if k != key}
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries, alg.Y.absent | {key})
+    return AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1)
+
+
+@pytest.mark.parametrize("key", [("a1", -2, "vac"), ("a2", -1, "vac")])
+def test_exponential_checks_never_read_an_absent_entry(heis4, key):
+    # an unknown mode of Y(u, x)vac is no evidence against exp(xD)u, nor
+    # against the shift conjugation that compares Y(D^k u, x) with it
+    alg, _ = heis4
+    reps = [check_vacuum(_with_absent(alg, key)), check_derivative(_with_absent(alg, key))]
+    assert all(rep.passed for rep in reps), [r.line() for rep in reps for r in rep.failures()]
 
 
 def test_vacuum_detects_identity_fault(heis4):
@@ -299,6 +315,18 @@ def test_n0_nilpotency_record(heis4):
     rep = check_mobius(with_bad)
     assert any(r.check == "N0 nilpotent" and r.verdict == "fail"
                for r in rep.records)
+
+
+def test_n0_nilpotency_skips_an_unknown_power(heis4):
+    # N0: a2 -> a1.a1 and unknown on a1.a1, so the square of N0 on a2 is
+    # unknown: no verdict, and the record names the label
+    alg, fock = heis4
+    n_action = {l: Vec(fock.space) for l in fock.space.labels() if l != "a1.a1"}
+    n_action["a2"] = Vec(fock.space, {"a1.a1": 1})
+    partial = ModuleInstance(LEFT, fock.space, alg, YL=fock.YL, D=fock.D,
+                             L1=fock.L1, N0=GradedOp(fock.space, 0, n_action))
+    [record] = [r for r in check_mobius(partial).records if r.check == "N0 nilpotent"]
+    assert record.verdict == SKIP and record.witness.startswith("a2:")
 
 
 def test_rational_weight_module_over_matrix_algebra():

@@ -7,9 +7,10 @@ from mosva.constructions import (contragredient_module, opposite_mosva,
 from mosva.document import serialize
 from mosva.factory import (build_heisenberg, label_partition, matrix_units_mosva,
                            partition_label, self_module)
-from mosva.graded import Vec, basis_dual, pair
+from mosva.graded import GradedOp, Vec, basis_dual, pair
 from mosva.scalars import factorial_fraction
-from mosva.vertex import BI, LEFT, ModuleInstance, VertexMap, mode_apply, validate_instance
+from mosva.vertex import (BI, LEFT, AlgebraInstance, ModuleInstance, VertexMap, mode_apply,
+                          validate_instance)
 
 import oracle_contragredient
 from oracle_oscillator import Oracle, deriv
@@ -153,6 +154,22 @@ def test_opposite_vertex_top_weight_is_absent():
     op, exact = opposite_vertex_components(fock, a, 2)
     assert not exact
     assert "a2" not in op.action and "a1.a1" not in op.action
+
+
+def test_contragredient_of_an_unknown_l1_power_is_absent():
+    # without L(1) on a2 the sum over L(1)^m a2 is unknown, so no dual row of
+    # (Y^o)_n(a2) may be stored, not even one built from the known terms
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    L1 = GradedOp(alg.space, -1, {l: out for l, out in alg.L1.action.items() if l != "a2"})
+    partial = AlgebraInstance(alg.space, alg.Y, alg.vacuum, alg.D, L1)
+    op, exact = opposite_vertex_components(self_module(partial, LEFT), alg.basis_vec("a2"), 0)
+    assert not exact and not op.action
+    cg = contragredient_module(self_module(partial, LEFT))
+    assert not [k for k in cg.YL.entries if k[0] == "a2"]
+    assert len([k for k in cg.YL.absent if k[0] == "a2"]) == 60
+    # what is stored agrees with the full L(1)
+    full = contragredient_module(self_module(alg, LEFT))
+    assert cg.YL.entries and all(full.YL.entries[k] == v for k, v in cg.YL.entries.items())
 
 
 def test_contragredient_matrix_transposes_left_multiplication():

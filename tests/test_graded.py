@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mosva.graded import (DualVec, GradedOp, GradedSpace, Vec, basis_dual,
-                          basis_vec, dual_space, exp_op_series, pair, transpose_op,
-                          weight_diagonal_op)
+                          basis_vec, dual_space, exp_op_series, op_powers, pair,
+                          transpose_op, weight_diagonal_op)
 
 
 @pytest.fixture
@@ -85,7 +85,7 @@ def test_apply_absent_poisons_exactness(space):
 
 def test_exp_series_zero_operator(space):
     zero = GradedOp.zero(space, weight_shift=1)
-    coeffs, exact = exp_op_series(zero, basis_vec(space, "e1"), "x")
+    coeffs, exact = exp_op_series(zero, basis_vec(space, "e1"))
     assert exact
     assert list(coeffs) == [0]
     assert coeffs[0] == basis_vec(space, "e1")
@@ -95,7 +95,7 @@ def test_exp_series_raising_hits_cutoff(space):
     action = {"e0": Vec(space, {"e1": 1}), "e1": Vec(space, {"e2a": 1}),
               "e2a": Vec(space, {"e3a": 1}), "e2b": Vec(space, {"e3b": 1})}
     up = GradedOp(space, 1, action)
-    coeffs, exact = exp_op_series(up, basis_vec(space, "e0"), "x")
+    coeffs, exact = exp_op_series(up, basis_vec(space, "e0"))
     assert not exact  # e3a's image is absent, the tail is unknown
     assert coeffs[1] == Vec(space, {"e1": 1})
     assert coeffs[2] == Vec(space, {"e2a": Fraction(1, 2)})
@@ -107,20 +107,59 @@ def test_exp_series_lowering_terminates_exactly(space):
               "e2a": Vec(space, {"e1": 1}), "e2b": Vec(space),
               "e3a": Vec(space, {"e2a": 1}), "e3b": Vec(space), "e3c": Vec(space)}
     down = GradedOp(space, -1, action)
-    coeffs, exact = exp_op_series(down, basis_vec(space, "e3a"), "x")
+    coeffs, exact = exp_op_series(down, basis_vec(space, "e3a"))
     assert exact
     assert coeffs[3] == Vec(space, {"e0": Fraction(1, 6)})
     assert max(coeffs) == 3
 
 
+def test_exp_series_lowering_stops_at_an_unknown_power(space):
+    # e2b's image is unknown, so the square of the lowering operator on e3a
+    # is unknown and the series keeps only the powers before it
+    action = {"e0": Vec(space), "e1": Vec(space, {"e0": 1}),
+              "e2a": Vec(space, {"e1": 1}),
+              "e3a": Vec(space, {"e2a": 1, "e2b": 1})}
+    down = GradedOp(space, -1, action)
+    coeffs, exact = exp_op_series(down, basis_vec(space, "e3a"))
+    assert not exact
+    assert coeffs == {0: basis_vec(space, "e3a"), 1: Vec(space, {"e2a": 1, "e2b": 1})}
+
+
+def test_op_powers_applies_each_power_once(space):
+    applied = []
+
+    class Counting(GradedOp):
+        __slots__ = ()
+
+        def apply(self, v):
+            applied.append(v)
+            return super().apply(v)
+
+    up = Counting(space, 1, {"e0": Vec(space, {"e1": 1}), "e1": Vec(space, {"e2a": 1})})
+    power = op_powers(up, (basis_vec(space, "e0"), True))
+    assert power(2) == (basis_vec(space, "e2a"), True)
+    assert power(1) == (basis_vec(space, "e1"), True) and len(applied) == 2
+    # e2a's image is absent: every later power is inexact
+    assert power(3) == (Vec(space), False) and power(5) == (Vec(space), False)
+    # past a zero vector every power is that zero, and nothing is applied
+    down = Counting(space, -1, {"e1": Vec(space, {"e0": 1}), "e0": Vec(space)})
+    power = op_powers(down, (basis_vec(space, "e1"), True))
+    assert power(9) == (Vec(space), True)
+    del applied[:]
+    assert power(40) == (Vec(space), True) and not applied
+    # an inexact start stays inexact
+    assert op_powers(down, (basis_vec(space, "e1"), False))(1) == (basis_vec(space, "e0"),
+                                                                    False)
+
+
 def test_exp_series_zero_shift_requires_nilpotent(space):
     nil = GradedOp(space, 0, {"e2a": Vec(space, {"e2b": 1}), "e2b": Vec(space),
                               **{l: Vec(space) for l in ["e0", "e1", "e3a", "e3b", "e3c"]}})
-    coeffs, exact = exp_op_series(nil, basis_vec(space, "e2a"), "x")
+    coeffs, exact = exp_op_series(nil, basis_vec(space, "e2a"))
     assert exact and max(coeffs) == 1
     bad = GradedOp(space, 0, {l: Vec(space, {l: 1}) for l in space.labels()})
     with pytest.raises(ValueError):
-        exp_op_series(bad, basis_vec(space, "e1"), "x")
+        exp_op_series(bad, basis_vec(space, "e1"))
 
 
 def test_transpose_pairing_identity(space):
@@ -163,12 +202,12 @@ def test_dual_side_exponential_terminates_exactly():
     from mosva.graded import exp_op_series as exps
 
     alg, _ = build_heisenberg(level=1, cutoff=4)
-    _, exact = exps(alg.D, basis_vec(alg.space, "a1"), "x")
+    _, exact = exps(alg.D, basis_vec(alg.space, "a1"))
     assert not exact  # primal: the tail leaves the cutoff
     dual = dual_space(alg.space)
     d_t = transpose_op(alg.D, dual)
     for lbl in alg.space.labels():
-        coeffs, exact = exps(d_t, basis_vec(dual, lbl + "'"), "x")
+        coeffs, exact = exps(d_t, basis_vec(dual, lbl + "'"))
         assert exact
 
 
@@ -176,7 +215,7 @@ def test_exp_series_heisenberg_generator_hits_cutoff():
     from mosva.factory import build_heisenberg
 
     alg, _ = build_heisenberg(level=1, cutoff=3)
-    coeffs, exact = exp_op_series(alg.D, basis_vec(alg.space, "a1"), "x")
+    coeffs, exact = exp_op_series(alg.D, basis_vec(alg.space, "a1"))
     assert not exact  # the tail beyond weight 3 is unknown
     assert coeffs[0] == basis_vec(alg.space, "a1")
     assert coeffs[1] == basis_vec(alg.space, "a2")

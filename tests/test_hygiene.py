@@ -88,6 +88,31 @@ def test_dual_prime_is_spelled_once(path):
     assert not lines, f"{path.name}: a bare prime on lines {lines}; use DUAL_SUFFIX"
 
 
+# calls whose result is (value, exact), the exactness flag last
+FLAGGED_CALLS = {"apply", "mode_apply", "vertex_series", "basis_entry",
+                 "opposite_vertex_components", "exp_op_series"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exactness_flags_are_never_dropped(path):
+    # reading only the value of a (value, exact) result takes absent data
+    # for zero; bind the flag to a name and use it
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def flagged(node):
+        func = getattr(node, "func", None)
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return isinstance(node, ast.Call) and name in FLAGGED_CALLS
+
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Assign) and flagged(node.value)
+                 and any(isinstance(t, ast.Tuple) and isinstance(t.elts[-1], ast.Name)
+                         and t.elts[-1].id == "_" for t in node.targets))
+             or (isinstance(node, ast.Subscript) and flagged(node.value)
+                 and isinstance(node.slice, ast.Constant) and node.slice.value == 0)]
+    assert not lines, f"{path.name}: exactness flag dropped on lines {lines}"
+
+
 ROOT = Path(__file__).resolve().parent.parent
 OUTSIDE_SOURCES = sorted(
     p for p in [*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]

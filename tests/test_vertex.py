@@ -113,3 +113,20 @@ def test_map_equality_sees_absent_entries():
     assert hole != m.Y and m.Y != hole
     assert hole == VertexMap(ALGEBRA, m.space, m.space, m.space, m.Y.entries,
                              absent=[key])
+
+
+@pytest.mark.parametrize("entries, absent, problem", [
+    ({("E11", 1.5, "E12"): "E12"}, (), "mode must be an integer"),
+    ({("E11", True, "E11"): "E11"}, (), "mode must be an integer"),
+    ({("E99", 0, "E11"): "E11"}, (), "unknown first label 'E99'"),
+    ({}, [("E22", -0.5, "E21")], "mode must be an integer"),
+    ({}, [("E22", False, "E21")], "mode must be an integer"),
+    ({}, [("E22", -1, "E99")], "unknown second label 'E99'"),
+    ({}, [(7, -1, "E21")], "unknown first label 7"),
+])
+def test_map_rejects_keys_the_loader_rejects(entries, absent, problem):
+    # a float mode would be rounded and a bool read as a mode
+    m = matrix_units_mosva(2)
+    table = {key: m.basis_vec(out) for key, out in entries.items()}
+    with pytest.raises(ValueError, match=problem):
+        VertexMap(ALGEBRA, m.space, m.space, m.space, table, absent)
