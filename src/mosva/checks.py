@@ -184,19 +184,26 @@ def _conjugation_spot_check(inst, rep: Report, samples: int = 3):
             coeffs, (lo, hi), exact = vertex_series(vmap, u, v)
             if not exact:
                 continue  # a coefficient it lacks may be unknown, not zero
+            # (k, Y(D^k u/k!, x)v, exact) for k <= top up to the first
+            # inexact k; built for the first bra that needs it, k = 0 is u
+            shifted = None
             for b_lbl in vmap.out_space.labels()[:samples]:
                 b = basis_dual(vmap.out_space, b_lbl)
                 series = LaurentPoly(("x",), {(e,): pair(b, out)
                                               for e, out in coeffs.items()})
                 if series.is_zero():
                     continue
+                if shifted is None:
+                    shifted = [(0, coeffs, True)]
+                    for k in range(1, min(top, max(powers)) + 1):
+                        ck, _, exact_k = vertex_series(vmap, powers[k], v)
+                        shifted.append((k, ck, exact_k))
+                        if not exact_k:
+                            break
                 order = top
                 lhs = taylor_shift(series, "x", "x", "y", "y", order)
                 rhs = LaurentPoly.zero(("x", "y"))
-                for k, uk in powers.items():
-                    if k > order:
-                        break
-                    ck, _, exact_k = vertex_series(vmap, uk, v)
+                for k, ck, exact_k in shifted:
                     if not exact_k:
                         order = k - 1
                         break

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import (GradedOp, Vec, _accumulate, dual_space, exp_op_series, op_powers,
-                     transpose_op)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, dual_space, exp_op_series,
+                     op_powers, transpose_op)
 from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
@@ -129,6 +129,9 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     L(1) lowers weight on a bounded-below space.  Returns (GradedOp of
     weight shift n+1-h, exact); basis actions that would overflow the cutoff
     are left absent, and so is every action when some L(1)^m u is unknown.
+    ``contragredient_module`` does not call it; it is the independent
+    reference that the transposition identity of ``check_contragredient``
+    compares the dual rows against.
     """
     if W.side not in (LEFT, BI):
         raise ValueError("opposite vertex operator needs a left module structure")
@@ -170,10 +173,41 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     return GradedOp(W.space, shift, action), exact
 
 
+def _dual_rows(YL: VertexMap, terms: list, n: int, sources) -> dict | None:
+    """The dual rows b -> {g': coefficient of b in (Y^o)_n(u) g} that the
+    source labels g feed, where terms lists (2h - 2 - m, the signed
+    coefficients of L(1)^m u / m!); None when some source touches an absent
+    entry of YL, by the rule ``mode_apply`` uses."""
+    table = YL.entries
+    rows: dict[str, dict] = {}
+    for g in sources:
+        image: dict = {}
+        for base, coeffs in terms:
+            mode = base - n
+            for a, c in coeffs:
+                hit = table.get((a, mode, g))
+                if hit is None:
+                    if not YL._miss_is_exact(a, mode, g):
+                        return None
+                elif hit.entries:
+                    _accumulate(image, c, hit.entries)
+        g_dual = g + DUAL_SUFFIX
+        for b, c in image.items():
+            rows.setdefault(b, {})[g_dual] = c
+    return rows
+
+
 def contragredient_module(W: ModuleInstance) -> ModuleInstance:
     """The graded dual of a left module as a left module over the opposite
     algebra, with <Y'(u,x)w', w> = <w', Y^o(u,x)w> and L'(j) the transpose
     of L(-j).
+
+    The rows of Y'_n(u) are written directly from one L(1) chain per u:
+    each source label g of weight wv is sent to (Y^o)_n(u) g, and the
+    coefficient of b in that image lands in the row of b' under g'.  The
+    rows of weight wv + n + 1 - wt u are all absent when some L(1)^m u is
+    unknown or some source of weight wv touches an absent entry, just as
+    transposing ``opposite_vertex_components`` would leave them.
 
     Every representable instance has finite-dimensional weight spaces, so
     the grading restriction the construction needs always holds.
@@ -183,30 +217,40 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
     if W.L1 is None or W.algebra.L1 is None:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")
     algebra_op = opposite_mosva(W.algebra).result
-    dual = dual_space(W.space)
+    space, alg_space = W.space, W.algebra.space
+    dual = dual_space(space)
+    components, top = space.components, space.cutoff
     entries: dict[tuple, Vec] = {}
     absent = set()
-    minw, top = W.space.min_weight, W.space.cutoff
-    for u_lbl in W.algebra.space.labels():
-        u = Vec(W.algebra.space, {u_lbl: 1})
-        hu = int(W.algebra.space.weight_of(u_lbl))
-        # the union over module weights wt w of the windows of hu + wt w
-        for n in range(W.space.mode_window(hu + minw).start,
-                       W.space.mode_window(hu + top).stop):
-            # an inexact operator lacks some actions, and transposing turns
-            # each gap into absent rows, so the flag is carried by the op
-            op, exact = opposite_vertex_components(W, u, n)
-            rows = transpose_op(op, dual).action
-            for b in dual.labels():
-                # a row whose source weight overflows is outside the window
-                if dual.weight_of(b) + hu - n - 1 > top:
+    for u_lbl in alg_space.labels():
+        h = alg_space.weight_of(u_lbl)
+        if h.denominator != 1:
+            raise ValueError("algebra weights must be integers")
+        h = int(h)
+        powers, known = exp_op_series(W.algebra.L1, Vec(alg_space, {u_lbl: 1}))
+        sign = -1 if h % 2 else 1
+        # (2h - 2 - m, the (-1)^h-signed coefficients of L(1)^m u / m!)
+        terms = [(2 * h - 2 - m, [(a, sign * c) for a, c in um.entries.items()])
+                 for m, um in powers.items()]
+        # the union over module weights wt w of the windows of h + wt w
+        for n in range(space.mode_window(h + space.min_weight).start,
+                       space.mode_window(h + top).stop):
+            for wv, sources in components.items():
+                # sources of weight wv feed the rows of weight tw
+                tw = wv + n + 1 - h
+                if tw > top:
+                    break
+                targets = components.get(tw)
+                if targets is None:
                     continue
-                row = rows.get(b)
-                if row is None:
-                    absent.add((u_lbl, n, b))
-                elif not row.is_zero():
-                    entries[(u_lbl, n, b)] = row
-    Yp = VertexMap(LEFT, W.algebra.space, dual, dual, entries, absent)
+                rows = _dual_rows(W.YL, terms, n, sources) if known else None
+                for b in targets:
+                    key = (u_lbl, n, b + DUAL_SUFFIX)
+                    if rows is None:
+                        absent.add(key)
+                    elif b in rows:
+                        entries[key] = Vec._wrap(dual, rows[b])
+    Yp = VertexMap(LEFT, alg_space, dual, dual, entries, absent)
     D_p = transpose_op(W.L1, dual)
     L1_p = transpose_op(W.D, dual)
     N0_p = transpose_op(W.N0, dual) if W.N0 is not None else None

@@ -11,7 +11,7 @@ from mosva.errors import WindowError
 from mosva.factory import (build_heisenberg, matrix_units_mosva, self_module,
                            with_scaled_entry)
 from mosva.graded import GradedOp, Vec, basis_dual
-from mosva.report import SKIP
+from mosva.report import SKIP, Report
 from mosva.vertex import ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap
 
 from oracle_oscillator import Oracle
@@ -363,3 +363,25 @@ def test_rational_weight_module_over_matrix_algebra():
                   Vec(space, {"E11~": 1}))
     assert s.coefficients == {(0, 0): Fraction(1)}
     assert s.degree_sum == 0
+
+
+def test_conjugation_spot_check_computes_each_series_once(monkeypatch):
+    # the bra samples of one (u, v) pair share Y(D^k u/k!, x)v; only the
+    # pairing with the bra differs.  The samples u are vac, a1 and a2, and
+    # D a1 = a2, so three of the 27 distinct series are built twice, once
+    # per u; before the sharing there were 44 calls
+    from mosva import checks
+
+    seen = []
+    series = checks.vertex_series
+
+    def recorded(vmap, first, second):
+        seen.append((vmap.kind, tuple(first.entries.items()), tuple(second.entries.items())))
+        return series(vmap, first, second)
+
+    monkeypatch.setattr(checks, "vertex_series", recorded)
+    alg, _ = build_heisenberg(level=1, cutoff=5)
+    rep = Report("D")
+    checks._conjugation_spot_check(alg, rep)
+    assert rep.passed
+    assert len(seen) == 30 and len(set(seen)) == 27

@@ -273,6 +273,26 @@ def _matrix_left_with_absent_key():
     return ModuleInstance(LEFT, m.space, m, YL=YL, D=left.D, L1=left.L1)
 
 
+def _fock_with_absent_pole_key():
+    # a pole term of a1 on a1 unknown: every dual row it feeds, for a1 and
+    # for each u whose L(1) chain reaches a1, must be absent
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    key = ("a1", 1, "a1")
+    assert key in fock.YL.entries
+    entries = {k: v for k, v in fock.YL.entries.items() if k != key}
+    YL = VertexMap(LEFT, alg.space, fock.space, fock.space, entries, {key})
+    return ModuleInstance(LEFT, fock.space, alg, YL=YL, D=fock.D, L1=fock.L1, N0=fock.N0)
+
+
+def _fock_with_partial_l1():
+    # L(1) a3 unknown: every dual row of (Y^o)_n(a3) must be absent
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    L1 = GradedOp(alg.space, -1, {l: out for l, out in alg.L1.action.items() if l != "a3"})
+    partial = AlgebraInstance(alg.space, alg.Y, alg.vacuum, alg.D, L1)
+    return ModuleInstance(LEFT, fock.space, partial, YL=fock.YL, D=fock.D, L1=fock.L1,
+                          N0=fock.N0)
+
+
 ORACLE_MODULES = {
     **{f"fock-c{cutoff}-{level}": (lambda c=cutoff, l=level:
                                    build_heisenberg(level=l, cutoff=c)[1])
@@ -282,6 +302,8 @@ ORACLE_MODULES = {
     "matrix-left-absent": _matrix_left_with_absent_key,
     "double-contragredient": lambda: contragredient_module(
         build_heisenberg(level=1, cutoff=4)[1]),
+    "fock-c4-absent-pole-key": _fock_with_absent_pole_key,
+    "fock-c4-partial-l1": _fock_with_partial_l1,
 }
 
 
@@ -292,3 +314,35 @@ def test_contragredient_matches_row_loop_oracle(name):
     assert got.YL.entries == want.YL.entries
     assert got.YL.absent == want.YL.absent
     assert serialize(got) == serialize(want)
+
+
+def test_oracle_modules_reach_the_absence_paths():
+    # the two absence fixtures leave rows absent that the full Fock module
+    # stores, so the oracle comparison above covers both rules
+    full = contragredient_module(build_heisenberg(level=1, cutoff=4)[1]).YL
+    for name, u in (("fock-c4-absent-pole-key", "a1"), ("fock-c4-partial-l1", "a3")):
+        gaps = contragredient_module(ORACLE_MODULES[name]()).YL.absent
+        assert any(k[0] == u and k in full.entries for k in gaps), name
+
+
+def test_opposite_vertex_components_is_only_the_checks_reference(monkeypatch):
+    # the contragredient writes its rows without the reference operator;
+    # check_contragredient builds each (u, n) of it at most once
+    from collections import Counter
+
+    from mosva import checks, constructions
+
+    calls = Counter()
+    reference = constructions.opposite_vertex_components
+
+    def counted(W, u, n):
+        calls[tuple(u.entries), n] += 1
+        return reference(W, u, n)
+
+    monkeypatch.setattr(constructions, "opposite_vertex_components", counted)
+    monkeypatch.setattr(checks, "opposite_vertex_components", counted)
+    alg, fock = build_heisenberg(level=1, cutoff=3)
+    contragredient_module(fock)
+    assert not calls
+    assert checks.check_contragredient(fock, max_weight=2).passed
+    assert calls and max(calls.values()) == 1
