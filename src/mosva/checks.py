@@ -172,6 +172,14 @@ def _conjugation_spot_check(inst, rep: Report, samples: int = 3):
     vmap = next(iter(inst.vertex_maps().values()))
     own_f, _, _ = _owners(inst, vmap)
     checked = 0
+    memo: dict = {}  # D^k u/k! of one sample u may be a later sample
+
+    def series_of(first: Vec, s: str):
+        key = (tuple(first.entries.items()), s)
+        if key not in memo:
+            memo[key] = vertex_series(vmap, first, Vec(vmap.second_space, {s: 1}))
+        return memo[key]
+
     for f in vmap.first_space.labels()[:samples]:
         u = Vec(vmap.first_space, {f: 1})
         # exp(yD)u up to its first unknown power, shared by every sample of f
@@ -180,8 +188,7 @@ def _conjugation_spot_check(inst, rep: Report, samples: int = 3):
         if not known:
             top = min(top, len(powers) - 1)
         for s in vmap.second_space.labels()[:samples]:
-            v = Vec(vmap.second_space, {s: 1})
-            coeffs, (lo, hi), exact = vertex_series(vmap, u, v)
+            coeffs, (lo, hi), exact = series_of(u, s)
             if not exact:
                 continue  # a coefficient it lacks may be unknown, not zero
             # (k, Y(D^k u/k!, x)v, exact) for k <= top up to the first
@@ -196,7 +203,7 @@ def _conjugation_spot_check(inst, rep: Report, samples: int = 3):
                 if shifted is None:
                     shifted = [(0, coeffs, True)]
                     for k in range(1, min(top, max(powers)) + 1):
-                        ck, _, exact_k = vertex_series(vmap, powers[k], v)
+                        ck, _, exact_k = series_of(powers[k], s)
                         shifted.append((k, ck, exact_k))
                         if not exact_k:
                             break

@@ -21,9 +21,17 @@ from fractions import Fraction
 
 from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, dual_space, exp_op_series,
                      op_powers, transpose_op)
-from .scalars import factorial_fraction
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
+
+
+def _lcm_of_denominators(vecs) -> int:
+    return math.lcm(*{c.denominator for v in vecs for c in v.entries.values()})
+
+
+def _cleared(vec: Vec, d: int) -> dict:
+    """The integer entries d * vec, for d a multiple of every denominator."""
+    return {lbl: c.numerator * (d // c.denominator) for lbl, c in vec.entries.items()}
 
 
 def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
@@ -32,15 +40,23 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     The result's first/second roles are swapped relative to the source.
     Each (first, second) pair keeps one D-chain per inner mode m,
     op_powers(D, S_m(second) first), so no lift is computed twice.
+    The chains run on integers, with dS and dD the lcms of the denominators
+    of the table and of D: they start at dS S_m(second) first and apply dD D,
+    and term k of T_n enters as (-1)^(n+k+1) (K!/k!) dD^(K-k), K = top - n,
+    so each partial sum is dS dD^K K! times the rational one, divided out once.
     """
     first_space = source.second_space
     second_space = source.first_space
     out_space = source.out_space
     minw = out_space.min_weight
-    # signed[p][k] = (-1)^p / k!, for every k a window can reach
-    inverse = [factorial_fraction(k)
-               for k in range(math.floor(out_space.cutoff - minw) + 1)]
-    signed = (inverse, [-c for c in inverse])
+    d_src = _lcm_of_denominators(source.entries.values())
+    d_op = _lcm_of_denominators(D.action.values())
+    D_int = GradedOp(D.space, D.weight_shift, {lbl: Vec._wrap(D.space, _cleared(out, d_op))
+                                               for lbl, out in D.action.items()})
+    # weights[K][k] = (K!/k!) dD^(K-k) and scales[K] = dS dD^K K!
+    reach = range(math.floor(out_space.cutoff - minw) + 1)
+    weights = [[math.perm(K, K - k) * d_op ** (K - k) for k in range(K + 1)] for K in reach]
+    scales = [d_src * d_op ** K * math.factorial(K) for K in reach]
     entries: dict[tuple, Vec] = {}
     absent = set()
     for f in first_space.labels():
@@ -52,22 +68,26 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
             for n in out_space.mode_window(w):
                 total: dict = {}
                 ok = True
-                for k in range(top - n + 1):
-                    lift = chains.get(n + k)
+                for k, c in enumerate(weights[top - n]):
+                    m = n + k
+                    lift = chains.get(m)
                     if lift is None:
-                        lift = chains[n + k] = op_powers(D, source.basis_entry(s, n + k, f))
-                    # an unstored base is a zero with exact=False
+                        # an unstored base is a zero with exact=False
+                        base, known = source.basis_entry(s, m, f)
+                        start = Vec._wrap(out_space, _cleared(base, d_src))
+                        lift = chains[m] = op_powers(D_int, (start, known))
                     lifted, exact = lift(k)
                     if not exact:
                         ok = False
                         break
                     if lifted.entries:
-                        _accumulate(total, signed[(n + k + 1) % 2][k], lifted.entries)
+                        _accumulate(total, -c if m % 2 == 0 else c, lifted.entries)
                 key = (f, n, s)
                 if not ok:
                     absent.add(key)
                 elif total:
-                    entries[key] = Vec._wrap(out_space, total)
+                    entries[key] = Vec._wrap(out_space, {lbl: Fraction(c, scales[top - n])
+                                                         for lbl, c in total.items()})
     return VertexMap(out_kind, first_space, second_space, out_space, entries, absent)
 
 
@@ -173,12 +193,13 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     return GradedOp(W.space, shift, action), exact
 
 
-def _dual_rows(YL: VertexMap, terms: list, n: int, sources) -> dict | None:
+def _dual_rows(YL: VertexMap, table: dict, terms: list, n: int, sources,
+               scale: int) -> dict | None:
     """The dual rows b -> {g': coefficient of b in (Y^o)_n(u) g} that the
     source labels g feed, where terms lists (2h - 2 - m, the signed
-    coefficients of L(1)^m u / m!); None when some source touches an absent
-    entry of YL, by the rule ``mode_apply`` uses."""
-    table = YL.entries
+    coefficients of L(1)^m u / m!) and table the entries of YL, both on
+    integers whose products are ``scale`` times the rational ones; None when
+    some source touches an absent entry of YL, by the rule ``mode_apply`` uses."""
     rows: dict[str, dict] = {}
     for g in sources:
         image: dict = {}
@@ -189,11 +210,11 @@ def _dual_rows(YL: VertexMap, terms: list, n: int, sources) -> dict | None:
                 if hit is None:
                     if not YL._miss_is_exact(a, mode, g):
                         return None
-                elif hit.entries:
-                    _accumulate(image, c, hit.entries)
+                elif hit:
+                    _accumulate(image, c, hit)
         g_dual = g + DUAL_SUFFIX
         for b, c in image.items():
-            rows.setdefault(b, {})[g_dual] = c
+            rows.setdefault(b, {})[g_dual] = Fraction(c, scale)
     return rows
 
 
@@ -218,6 +239,9 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")
     algebra_op = opposite_mosva(W.algebra).result
     space, alg_space = W.space, W.algebra.space
+    # YL on cleared denominators, under YL's own keys
+    d_y = _lcm_of_denominators(W.YL.entries.values())
+    table = {key: _cleared(out, d_y) for key, out in W.YL.entries.items()}
     dual = dual_space(space)
     components, top = space.components, space.cutoff
     entries: dict[tuple, Vec] = {}
@@ -228,9 +252,10 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
             raise ValueError("algebra weights must be integers")
         h = int(h)
         powers, known = exp_op_series(W.algebra.L1, Vec(alg_space, {u_lbl: 1}))
+        d_t = _lcm_of_denominators(powers.values())
         sign = -1 if h % 2 else 1
-        # (2h - 2 - m, the (-1)^h-signed coefficients of L(1)^m u / m!)
-        terms = [(2 * h - 2 - m, [(a, sign * c) for a, c in um.entries.items()])
+        # (2h - 2 - m, the coefficients of (-1)^h dT L(1)^m u / m!)
+        terms = [(2 * h - 2 - m, [(a, sign * c) for a, c in _cleared(um, d_t).items()])
                  for m, um in powers.items()]
         # the union over module weights wt w of the windows of h + wt w
         for n in range(space.mode_window(h + space.min_weight).start,
@@ -243,7 +268,7 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
                 targets = components.get(tw)
                 if targets is None:
                     continue
-                rows = _dual_rows(W.YL, terms, n, sources) if known else None
+                rows = _dual_rows(W.YL, table, terms, n, sources, d_t * d_y) if known else None
                 for b in targets:
                     key = (u_lbl, n, b + DUAL_SUFFIX)
                     if rows is None:

@@ -109,13 +109,6 @@ def divisor_terms(variables, pole_axis: Mapping[str, int],
     return terms
 
 
-def divisor_poly(variables, pole_axis: Mapping[str, int],
-                 pole_diag: Mapping[tuple[str, str], int]) -> LaurentPoly:
-    """prod z_i^{p_i} * prod_{i<j} (z_i - z_j)^{p_ij} as a polynomial, with
-    the terms in ``divisor_terms`` order."""
-    return LaurentPoly(variables, divisor_terms(variables, pole_axis, pole_diag))
-
-
 class RationalFn:
     """g(z) over the pole divisor {z_i = 0, z_i = z_j}, stored reduced."""
 

@@ -6,7 +6,7 @@ a plain ``(fn, certified, degree, detail)`` tuple.  Every coefficient of
 series x divisor is re-summed over the divisor terms and every shift is
 checked for certification separately.  The divisor is built by the
 ``LaurentPoly`` product and power chain, independently of
-``expansion.divisor_poly``.
+``expansion.divisor_terms``.
 """
 
 from fractions import Fraction

@@ -368,8 +368,9 @@ def test_rational_weight_module_over_matrix_algebra():
 def test_conjugation_spot_check_computes_each_series_once(monkeypatch):
     # the bra samples of one (u, v) pair share Y(D^k u/k!, x)v; only the
     # pairing with the bra differs.  The samples u are vac, a1 and a2, and
-    # D a1 = a2, so three of the 27 distinct series are built twice, once
-    # per u; before the sharing there were 44 calls
+    # D a1 = a2, so the a2 series the a1 sample built are reused by the a2
+    # sample: each of the 27 distinct series is built once (44 calls before
+    # the bra sharing, 30 before the per-call memo)
     from mosva import checks
 
     seen = []
@@ -384,4 +385,4 @@ def test_conjugation_spot_check_computes_each_series_once(monkeypatch):
     rep = Report("D")
     checks._conjugation_spot_check(alg, rep)
     assert rep.passed
-    assert len(seen) == 30 and len(set(seen)) == 27
+    assert len(seen) == 27 and len(set(seen)) == 27

@@ -14,6 +14,7 @@ from mosva.vertex import (BI, LEFT, AlgebraInstance, ModuleInstance, VertexMap, 
 
 import oracle_contragredient
 from oracle_oscillator import Oracle, deriv
+from test_skew_kernels import assert_same_map
 
 
 def test_matrix_opposite_is_transposed_table():
@@ -293,6 +294,18 @@ def _fock_with_partial_l1():
                           N0=fock.N0)
 
 
+def _fock_with_fractional_l1():
+    # L(1) scaled by 1/2 and 2/3 on alternate labels at level 1/3: the
+    # contragredient clears the L(1) terms and YL by factors above 1
+    alg, fock = build_heisenberg(level=Fraction(1, 3), cutoff=4)
+    factors = (Fraction(1, 2), Fraction(2, 3))
+    L1 = GradedOp(alg.space, -1, {lbl: out.scale(factors[i % 2])
+                                  for i, (lbl, out) in enumerate(alg.L1.action.items())})
+    assert any(c.denominator > 1 for out in L1.action.values() for c in out.entries.values())
+    scaled = AlgebraInstance(alg.space, alg.Y, alg.vacuum, alg.D, L1)
+    return ModuleInstance(LEFT, fock.space, scaled, YL=fock.YL, D=fock.D, L1=L1, N0=fock.N0)
+
+
 ORACLE_MODULES = {
     **{f"fock-c{cutoff}-{level}": (lambda c=cutoff, l=level:
                                    build_heisenberg(level=l, cutoff=c)[1])
@@ -304,6 +317,7 @@ ORACLE_MODULES = {
         build_heisenberg(level=1, cutoff=4)[1]),
     "fock-c4-absent-pole-key": _fock_with_absent_pole_key,
     "fock-c4-partial-l1": _fock_with_partial_l1,
+    "fock-c4-1/3-fractional-l1": _fock_with_fractional_l1,
 }
 
 
@@ -311,8 +325,7 @@ ORACLE_MODULES = {
 def test_contragredient_matches_row_loop_oracle(name):
     W = ORACLE_MODULES[name]()
     got, want = contragredient_module(W), oracle_contragredient.contragredient_module(W)
-    assert got.YL.entries == want.YL.entries
-    assert got.YL.absent == want.YL.absent
+    assert_same_map(got.YL, want.YL)
     assert serialize(got) == serialize(want)
 
 

@@ -21,7 +21,7 @@ from mosva import constructions
 from mosva.constructions import contragredient_module, opposite_mosva, transport_module
 from mosva.document import serialize
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
-from mosva.graded import GradedOp, Vec
+from mosva.graded import GradedOp, Vec, op_powers
 from mosva.vertex import ALGEBRA, LEFT, RIGHT, AlgebraInstance, VertexMap
 
 import oracle_skew
@@ -42,6 +42,9 @@ def assert_same_map(got: VertexMap, want: VertexMap):
     for key, vec in want.entries.items():
         assert list(got.entries[key].entries.items()) == list(vec.entries.items()), key
     assert got.absent == want.absent
+    # the kernels scale by integers internally; none of those may escape
+    assert all(type(c) is Fraction for vec in got.entries.values()
+               for c in vec.entries.values())
 
 
 def constructed(alg):
@@ -116,6 +119,58 @@ def test_gapped_instance_matches_oracle(monkeypatch):
         assert want.absent > oracle_skew._skew_map(source, full_D, kind).absent
         assert_same_map(constructions._skew_map(source, D, kind), want)
     assert_bytes_match_oracle(alg, monkeypatch)
+
+
+def denominators(vecs) -> set:
+    return {c.denominator for vec in vecs for c in vec.entries.values()}
+
+
+def with_D(alg, action) -> AlgebraInstance:
+    """alg with D's images replaced on the labels of ``action``."""
+    D = GradedOp(alg.space, 1, {**alg.D.action, **action})
+    return AlgebraInstance(alg.space, alg.Y, alg.vacuum, D, alg.L1, meta=alg.meta)
+
+
+def assert_skew_maps_match_oracle(alg, monkeypatch):
+    for source, D, kind in skew_inputs(alg):
+        assert_same_map(constructions._skew_map(source, D, kind),
+                        oracle_skew._skew_map(source, D, kind))
+    assert_bytes_match_oracle(alg, monkeypatch)
+
+
+def test_non_integral_d_matches_oracle(monkeypatch):
+    # the table's denominators reach 27 at level 1/3 and cutoff 4, and D is
+    # scaled by 2/3 and 5/7 on alternate labels, so the skew map clears
+    # both by factors above 1
+    alg, _ = build_heisenberg(level=Fraction(1, 3), cutoff=4)
+    assert max(denominators(alg.Y.entries.values())) == 27
+    factors = (Fraction(2, 3), Fraction(5, 7))
+    alg = with_D(alg, {lbl: out.scale(factors[i % 2])
+                       for i, (lbl, out) in enumerate(alg.D.action.items())})
+    assert denominators(alg.D.action.values()) == {1, 3, 7}
+    assert_skew_maps_match_oracle(alg, monkeypatch)
+
+
+def test_d_chain_that_cancels_to_zero_matches_oracle(monkeypatch):
+    # D a1 = a2/2 + a1.a1/3, D a2 = 2 a3 and D a1.a1 = -3 a3, so D^2 a1
+    # cancels to zero while D a1 does not; the chain of the stored base
+    # Y(a1)_{-1} vac = a1 stops there, partway through the window of n = -3
+    alg, _ = build_heisenberg(level=Fraction(1, 3), cutoff=4)
+    sp = alg.space
+    alg = with_D(alg, {"a1": Vec(sp, {"a2": Fraction(1, 2), "a1.a1": Fraction(1, 3)}),
+                       "a2": Vec(sp, {"a3": 2}), "a1.a1": Vec(sp, {"a3": -3})})
+    chain = op_powers(alg.D, (Vec(sp, {"a1": 1}), True))
+    assert chain(1)[0].entries and not chain(2)[0].entries and chain(2)[1]
+    assert alg.Y.entries[("a1", -1, "vac")] == Vec(sp, {"a1": 1})
+    assert_skew_maps_match_oracle(alg, monkeypatch)
+
+
+def test_d_over_another_space_raises():
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    other, _ = build_heisenberg(level=1, cutoff=3)
+    for skew_map in (constructions._skew_map, oracle_skew._skew_map):
+        with pytest.raises(ValueError):
+            skew_map(alg.Y, other.D, ALGEBRA)
 
 
 # sha256 of serialize() at cutoff 5, recorded before the D-chains landed:
