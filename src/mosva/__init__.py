@@ -16,7 +16,7 @@ from .correlators import (CorrelationSeries, PoleOrderWitness, correlate,
                           estimate_pole_orders, reconstruct_rational)
 from .document import deserialize, from_document, load, save, serialize, to_document
 from .errors import SchemaError, WindowError
-from .expansion import ExpandedSeries, RationalFn, Region, expand_rational, series_match
+from .expansion import ExpandedSeries, RationalFn, Region, expand_rational
 from .factory import (build_heisenberg, build_matrix_mosva, matrix_units_mosva,
                       self_module, with_scaled_entry)
 from .graded import (DualVec, GradedOp, GradedSpace, Vec, basis_dual, basis_vec,

@@ -161,9 +161,9 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     h = u.weight()
     if h is None:
         raise ValueError("argument must be homogeneous; decompose first")
-    if h != int(h):
+    if h.denominator != 1:
         raise ValueError("algebra weights must be integers")
-    h = int(h)
+    h = h.numerator
     sign = -1 if h % 2 else 1
     shift = Fraction(n + 1 - h)
     # (1/m!) L(1)^m u until it vanishes; an unknown power leaves every action absent
@@ -250,7 +250,7 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         h = alg_space.weight_of(u_lbl)
         if h.denominator != 1:
             raise ValueError("algebra weights must be integers")
-        h = int(h)
+        h = h.numerator
         powers, known = exp_op_series(W.algebra.L1, Vec(alg_space, {u_lbl: 1}))
         d_t = _lcm_of_denominators(powers.values())
         sign = -1 if h % 2 else 1

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .expansion import RationalFn, divisor_terms
+from .expansion import RationalFn, Region, divisor_terms
 from .graded import DualVec, Vec, pair
 from .laurent import LaurentPoly
-from .scalars import exact_scalar
+from .scalars import exact_int, exact_scalar
 from .vertex import BI, chain_maps, joining_map, mode_apply, module_position
 
 PRODUCT = "product"
@@ -156,7 +156,7 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
             raise ValueError("operators must be homogeneous")
     names = [v for _, v in ops]
     if mode == ITERATE:
-        names = [f"{a}-{b}" for a, b in zip(names, names[1:])] + [names[-1]]
+        names = Region.iterate(names).out_names
     if len(set(names)) != len(names):
         raise ValueError("operator variables must be distinct")
     position = _module_position(inst, len(ops), mode, module_at)
@@ -243,21 +243,10 @@ class ReconstructionResult:
     detail: str = ""
 
 
-def _pole_order(p) -> int:
-    """A pole order as an int.  A float or bool raises TypeError and a
-    non-integral rational ValueError, instead of being rounded."""
-    if type(p) is int:
-        return p
-    q = exact_scalar(p, "pole order")
-    if q.denominator != 1:
-        raise ValueError(f"pole order must be an integer, got {p!r}")
-    return int(q)
-
-
 def _normalize_witness(witness: PoleOrderWitness, variables):
     p_axis = {}
     for i, v in enumerate(variables):
-        p = _pole_order(witness.p_axis.get(v, witness.p_axis.get(i + 1, 0)))
+        p = exact_int(witness.p_axis.get(v, witness.p_axis.get(i + 1, 0)), "pole order")
         if p:
             p_axis[v] = p
     p_diag = {}
@@ -265,8 +254,8 @@ def _normalize_witness(witness: PoleOrderWitness, variables):
     for i in range(n):
         for j in range(i + 1, n):
             a, b = variables[i], variables[j]
-            p = _pole_order(witness.p_diag.get((a, b),
-                                               witness.p_diag.get((i + 1, j + 1), 0)))
+            p = exact_int(witness.p_diag.get((a, b), witness.p_diag.get((i + 1, j + 1), 0)),
+                          "pole order")
             if p:
                 p_diag[(a, b)] = p
     return p_axis, p_diag
@@ -304,10 +293,10 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
     n = len(vs)
     divisor = divisor_terms(vs, p_axis, p_diag)
     deg_f = sum(p_axis.values()) + sum(p_diag.values()) + series.degree_sum
-    if deg_f != int(deg_f):
+    if deg_f.denominator != 1:
         return ReconstructionResult(None, False, None, NONINTEGER_DEGREE,
                                     f"predicted degree {deg_f} is not an integer")
-    deg = int(deg_f)
+    deg = deg_f.numerator
     if deg < 0:
         if series.is_zero():
             return ReconstructionResult(RationalFn(vs, LaurentPoly.zero(vs)),

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import WindowError
 from .laurent import LaurentPoly
-from .scalars import binomial
+from .scalars import binomial, exact_int
 
 _INF = float("inf")
 
@@ -123,14 +123,16 @@ class RationalFn:
             r = numerator.exponent_range(v)
             if r is not None and r[0] < 0:
                 raise ValueError(f"numerator has a negative power of {v}")
-        axis = {v: int(p) for v, p in (pole_axis or {}).items() if p}
+        axis = {v: exact_int(p, "pole order") for v, p in (pole_axis or {}).items()}
+        axis = {v: p for v, p in axis.items() if p}
         diag = {}
         for (a, b), p in (pole_diag or {}).items():
+            p = exact_int(p, "pole order")
             if not p:
                 continue
             if a not in vs or b not in vs or vs.index(a) >= vs.index(b):
                 raise ValueError(f"diagonal pole key ({a}, {b}) must follow variable order")
-            diag[(a, b)] = int(p)
+            diag[(a, b)] = p
         if any(p < 0 for p in axis.values()) or any(p < 0 for p in diag.values()):
             raise ValueError("pole orders must be nonnegative")
         for v in axis:
@@ -167,9 +169,6 @@ class RationalFn:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def scale(self, c) -> "RationalFn":
-        return RationalFn(self.variables, self.numerator.scale(c), self.pole_axis, self.pole_diag)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -192,11 +191,11 @@ class RationalFn:
 class Region:
     """An expansion region for the pole divisor.
 
-    kind "product" or "custom_chain": a strict modulus chain given by the
-    variables in descending modulus order.  kind "iterate": the nested region
-    of successive differences; the expansion is produced in the difference
-    variables named by ``out_names`` (out_names[i] stands for z_i - z_{i+1},
-    the last one for z_n itself).
+    kind "product": a strict modulus chain given by the variables in
+    descending modulus order, in any order of the function's variables.
+    kind "iterate": the nested region of successive differences; the
+    expansion is produced in the difference variables ``out_names``, which
+    Region.iterate names "z_i-z_{i+1}" (the last one is z_n itself).
     """
 
     kind: str
@@ -208,18 +207,9 @@ class Region:
         return cls("product", tuple(variables))
 
     @classmethod
-    def custom_chain(cls, variables_desc) -> "Region":
-        return cls("custom_chain", tuple(variables_desc))
-
-    @classmethod
-    def iterate(cls, variables, out_names=None) -> "Region":
+    def iterate(cls, variables) -> "Region":
         vs = tuple(variables)
-        if out_names is None:
-            out_names = tuple(f"{a}-{b}" for a, b in zip(vs, vs[1:])) + (vs[-1],)
-        out_names = tuple(out_names)
-        if len(out_names) != len(vs):
-            raise ValueError("need one output name per variable")
-        return cls("iterate", vs, out_names)
+        return cls("iterate", vs, tuple(f"{a}-{b}" for a, b in zip(vs, vs[1:])) + vs[-1:])
 
 
 @dataclass(frozen=True)
@@ -233,9 +223,6 @@ class ExpandedSeries:
 
     poly: LaurentPoly
     window: dict = field(default_factory=dict)
-
-    def variables(self):
-        return self.poly.variables
 
 
 class _Factor:
@@ -296,7 +283,7 @@ def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if region.kind in ("product", "custom_chain"):
+    if region.kind == "product":
         if set(region.chain) != set(f.variables):
             raise ValueError("region chain must mention exactly the function's variables")
         out_vars = f.variables
@@ -390,7 +377,7 @@ def _tail_reach_bound(fac, factors, window):
     k_hi = min(hi_by_front, hi_by_big)
     if k_hi == _INF:
         raise WindowError("expansion window cannot be certified for this region")
-    return int(k_hi)
+    return k_hi
 
 
 def _chain_factor_specs(f: RationalFn, chain, out_vars):
@@ -442,58 +429,3 @@ def _substitute_partial_sums(poly: LaurentPoly, variables, out_vars) -> LaurentP
                 term = term * sums[i] ** x
         out = out + term
     return out
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    equal: bool
-    first_difference: tuple | None
-    window: dict
-
-    def __bool__(self):
-        return self.equal
-
-
-def _window_of(operand):
-    if isinstance(operand, ExpandedSeries):
-        return operand.poly, operand.window
-    return operand, {v: (None, None) for v in operand.variables}
-
-
-def series_match(a, b, window: Mapping | None = None) -> MatchResult:
-    """Compare two expansions coefficientwise on a shared window.
-
-    Operands are ExpandedSeries (window-certified) or plain LaurentPoly
-    (asserted exact everywhere).  Raises WindowError if an explicit window
-    exceeds what either operand certifies.
-    """
-    pa, wa = _window_of(a)
-    pb, wb = _window_of(b)
-    if set(pa.variables) != set(pb.variables):
-        raise ValueError("operands must share a variable set")
-    shared = {}
-    for v in pa.variables:
-        lo_a, hi_a = wa.get(v, (None, None))
-        lo_b, hi_b = wb.get(v, (None, None))
-        lo = None if lo_a is None and lo_b is None else max(
-            x for x in (lo_a, lo_b) if x is not None)
-        hi = None if hi_a is None and hi_b is None else min(
-            x for x in (hi_a, hi_b) if x is not None)
-        shared[v] = (lo, hi)
-    if window is not None:
-        for v, (lo, hi) in window.items():
-            slo, shi = shared.get(v, (None, None))
-            if lo is not None and slo is not None and lo < slo:
-                raise WindowError(f"window for {v} extends below the certified expansion")
-            if hi is not None and shi is not None and hi > shi:
-                raise WindowError(f"window for {v} extends above the certified expansion")
-        shared = dict(window)
-    ra = pa.restricted(shared)
-    rb = pb.extended(ra.variables).restricted(shared)
-    if ra.terms == rb.terms:
-        return MatchResult(True, None, shared)
-    diffs = sorted(set(ra.terms) | set(rb.terms))
-    for e in diffs:
-        if ra.terms.get(e) != rb.terms.get(e):
-            return MatchResult(False, e, shared)
-    return MatchResult(True, None, shared)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import GradedOp, GradedSpace, Vec
-from .scalars import binomial, exact_scalar
+from .scalars import binomial, exact_int, exact_scalar, parse_scalar
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap)
 
@@ -138,7 +138,7 @@ def partition_label(part: tuple[int, ...]) -> str:
 def label_partition(label: str) -> tuple[int, ...]:
     if label == "vac":
         return ()
-    return tuple(int(piece[1:]) for piece in label.split("."))
+    return tuple(exact_int(parse_scalar(piece[1:]), "part") for piece in label.split("."))
 
 
 def _remove_part(part: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -240,9 +240,7 @@ def build_heisenberg(level=1, cutoff=6):
     level = exact_scalar(level, "level")
     if level == 0:
         raise ValueError("level must be nonzero")
-    if exact_scalar(cutoff, "cutoff").denominator != 1:
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-    cutoff = int(cutoff)
+    cutoff = exact_int(cutoff, "cutoff")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     parts = partitions_up_to(cutoff)

@@ -70,9 +70,6 @@ class GradedSpace:
     def labels_at(self, weight) -> tuple[str, ...]:
         return self.components.get(Fraction(weight), ())
 
-    def dim(self, weight) -> int:
-        return len(self.labels_at(weight))
-
     def mode_window(self, weight_sum) -> range:
         """The modes n whose output weight weight_sum - n - 1 lies in
         [min_weight, cutoff]: all a truncated space can represent."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import binomial, exact_scalar, format_scalar
+from .scalars import binomial, exact_int, exact_scalar, format_scalar
 
 
 def _nonzero(terms: dict) -> dict:
@@ -35,7 +35,7 @@ class LaurentPoly:
                 c = exact_scalar(coeff, "coefficient")
                 if c == 0:
                     continue
-                e = tuple(int(x) for x in expo)
+                e = tuple(exact_int(x, "exponent") for x in expo)
                 if len(e) != n:
                     raise ValueError(f"exponent tuple {e} does not match variables {vs}")
                 acc = clean.get(e)
@@ -78,7 +78,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Mapping[str, int], coeff=1) -> "LaurentPoly":
         vs = tuple(variables)
-        expo = tuple(int(exponents.get(v, 0)) for v in vs)
+        expo = tuple(exact_int(exponents.get(v, 0), "exponent") for v in vs)
         unknown = set(exponents) - set(vs)
         if unknown:
             raise ValueError(f"unknown variables in monomial: {sorted(unknown)}")
@@ -95,10 +95,9 @@ class LaurentPoly:
         return not self.terms
 
     def coefficient(self, exponents) -> Fraction:
-        if isinstance(exponents, Mapping):
-            e = tuple(int(exponents.get(v, 0)) for v in self.variables)
-        else:
-            e = tuple(int(x) for x in exponents)
+        e = tuple(exact_int(x, "exponent") for x in exponents)
+        if len(e) != len(self.variables):
+            raise ValueError(f"exponent tuple {e} does not match variables {self.variables}")
         return self.terms.get(e, Fraction(0))
 
     def exponent_range(self, var: str) -> tuple[int, int] | None:
@@ -221,9 +220,6 @@ class LaurentPoly:
             return NotImplemented
         a, b = LaurentPoly.align(self, other)
         return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
 
     # -- printing ------------------------------------------------------------
 

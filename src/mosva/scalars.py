@@ -40,6 +40,17 @@ def exact_scalar(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+def exact_int(x, what: str) -> int:
+    """``x`` as an int.  A float or bool raises TypeError and a non-integral
+    rational ValueError, instead of being rounded."""
+    if type(x) is int:
+        return x
+    q = exact_scalar(x, what)
+    if q.denominator != 1:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return q.numerator
+
+
 def format_scalar(x) -> str:
     """Canonical decimal-free rendering: ``p`` or ``p/q`` with q > 1."""
     f = Fraction(x)

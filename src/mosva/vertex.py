@@ -101,10 +101,6 @@ class VertexMap:
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
 
-    @property
-    def cutoff(self) -> Fraction:
-        return self.out_space.cutoff
-
     def output_weight(self, first_label: str, n: int, second_label: str) -> Fraction:
         return (self.first_space.weight_of(first_label)
                 + self.second_space.weight_of(second_label) - n - 1)
@@ -391,7 +387,7 @@ def validate_instance(inst) -> Report:
     else:
         rep.ok("weights bounded below", inputs=f"min weight {space.min_weight}")
     if inst.algebra is inst:
-        if any(w != int(w) for w in space.components):
+        if any(w.denominator != 1 for w in space.components):
             rep.fail("integer grading", witness="algebra weights must be integers")
         else:
             rep.ok("integer grading")

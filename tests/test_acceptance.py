@@ -173,7 +173,7 @@ def test_criterion_7_rationality_and_degree(heis6):
     res = reconstruct_rational(series, witness)
     assert res.certified
     assert res.fn.pole_diag == {("z1", "z2"): 2} and res.fn.pole_axis == {}
-    assert res.fn.numerator.coefficient({}) == 1  # level / (z1 - z2)^2 at level 1
+    assert res.fn.numerator.coefficient((0, 0)) == 1  # level / (z1 - z2)^2 at level 1
 
     checked = uncertified = 0
     for n_ops in (2, 3):

@@ -108,7 +108,7 @@ def test_reconstruct_two_point_closed_form(heis):
     res = reconstruct_rational(s, w)
     assert res.certified
     assert res.fn.pole_diag == {("z1", "z2"): 2} and res.fn.pole_axis == {}
-    assert res.fn.numerator.coefficient({}) == 1  # level 1
+    assert res.fn.numerator.coefficient((0, 0)) == 1  # level 1
     # degree formula: p1+p2+p12 + wt(bra) - wt(u1) - wt(u2) - wt(ket) = 0
     assert res.degree == 0
 
@@ -120,7 +120,7 @@ def test_reconstruct_scales_with_level():
     s = correlate(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum)
     w = estimate_pole_orders(alg, bra, [(a, "z1"), (a, "z2")], alg.vacuum, s)
     res = reconstruct_rational(s, w)
-    assert res.certified and res.fn.numerator.coefficient({}) == Fraction(5, 3)
+    assert res.certified and res.fn.numerator.coefficient((0, 0)) == Fraction(5, 3)
 
 
 def test_reconstruct_reports_window_shortfall():
@@ -135,7 +135,7 @@ def test_reconstruct_reports_window_shortfall():
     assert not res.certified
     assert "cutoff" in res.detail
     ok = reconstruct_rational(s, PoleOrderWitness({}, {("z1", "z2"): 4}))
-    assert ok.certified and ok.fn.numerator.coefficient({}) == -6
+    assert ok.certified and ok.fn.numerator.coefficient((0, 0)) == -6
 
 
 def test_reconstruct_detects_wrong_pole_orders(heis):
@@ -157,7 +157,7 @@ def test_matrix_reconstruction_has_empty_divisor():
     res = reconstruct_rational(s, w)
     assert res.certified
     assert res.fn.pole_axis == {} and res.fn.pole_diag == {}
-    assert res.fn.numerator.coefficient({}) == 1
+    assert res.fn.numerator.coefficient((0, 0)) == 1
 
 
 def test_operators_must_be_homogeneous(heis):

@@ -38,7 +38,7 @@ def test_partition_dims_match_counting_oracle():
     alg, _ = build_heisenberg(level=1, cutoff=5)
     expect = classic_partition_count(5)
     for w in range(6):
-        assert alg.space.dim(w) == expect[w]
+        assert len(alg.space.labels_at(w)) == expect[w]
     assert expect[:6] == [1, 1, 2, 3, 5, 7]
 
 
@@ -300,3 +300,16 @@ def test_vertex_map_with_kind_rejects_unknown_kinds():
     assert m.Y.with_kind("left").kind == "left"
     with pytest.raises(ValueError, match="unknown vertex map kind"):
         m.Y.with_kind("middle")
+
+
+@pytest.mark.parametrize("cutoff, error", [
+    (4.0, TypeError), (True, TypeError), (Fraction(7, 2), ValueError), ("7/2", ValueError),
+])
+def test_heisenberg_cutoff_raises_instead_of_rounding(cutoff, error):
+    with pytest.raises(error, match="cutoff"):
+        build_heisenberg(level=1, cutoff=cutoff)
+
+
+def test_heisenberg_integral_rational_cutoff_is_the_int_cutoff():
+    alg, _ = build_heisenberg(level=1, cutoff=Fraction(6, 2))
+    assert alg.space == build_heisenberg(level=1, cutoff=3)[0].space

@@ -17,7 +17,7 @@ def space():
 def test_space_structure(space):
     assert space.min_weight == 0
     assert space.weight_of("e2b") == 2
-    assert space.dim(3) == 3
+    assert len(space.labels_at(3)) == 3
     assert space.labels()[0] == "e0"
     with pytest.raises(KeyError):
         space.weight_of("nope")

@@ -88,6 +88,19 @@ def test_dual_prime_is_spelled_once(path):
     assert not lines, f"{path.name}: a bare prime on lines {lines}; use DUAL_SUFFIX"
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "scalars.py"],
+                         ids=lambda p: p.name)
+def test_integers_pass_one_gate(path):
+    # int() truncates a float or a rational and reads True as 1; an exponent,
+    # pole order or cutoff goes through scalars.exact_int, which raises
+    # instead, and a Fraction known to be integral gives up .numerator
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "int"]
+    assert not lines, f"{path.name}: builtin int() on lines {lines}; use scalars.exact_int"
+
+
 # calls whose result is (value, exact), the exactness flag last
 FLAGGED_CALLS = {"apply", "mode_apply", "vertex_series", "basis_entry",
                  "opposite_vertex_components", "exp_op_series"}

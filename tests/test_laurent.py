@@ -43,8 +43,8 @@ def test_alignment_extends_variable_context():
     b = LaurentPoly(("z2",), {(1,): 1})
     c = a + b
     assert c.variables == ("z1", "z2")
-    assert c.coefficient({"z1": 2}) == 1
-    assert c.coefficient({"z2": 1}) == 1
+    assert c.coefficient((2, 0)) == 1
+    assert c.coefficient((0, 1)) == 1
 
 
 def test_power_and_exponent_range():
@@ -195,3 +195,31 @@ def test_extended_rejects_duplicate_variables():
 def test_float_and_bool_coefficients_raise(make):
     with pytest.raises(TypeError):
         make()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: LaurentPoly(("z1",), {(1.5,): 1}), TypeError),
+    (lambda: LaurentPoly(("z1",), {(True,): 1}), TypeError),
+    (lambda: LaurentPoly(("z1",), {(Fraction(3, 2),): 1}), ValueError),
+    (lambda: LaurentPoly.monomial(("z1",), {"z1": 2.7}), TypeError),
+    (lambda: LaurentPoly.monomial(("z1",), {"z1": Fraction(1, 2)}), ValueError),
+    (lambda: P({(1, 0): 1}).coefficient((0.9, 0.2)), TypeError),
+    (lambda: P({(1, 0): 1}).coefficient((True, 0)), TypeError),
+])
+def test_exponents_raise_instead_of_rounding(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_integral_rational_exponents_are_stored_as_ints():
+    p = LaurentPoly(("z1",), {(Fraction(4, 2),): 1})
+    assert list(p.terms) == [(2,)] and type(next(iter(p.terms))[0]) is int
+    assert p.coefficient((Fraction(2),)) == 1
+
+
+def test_coefficient_rejects_the_wrong_arity():
+    p = P({(2, 0): 1, (0, 0): 5})
+    assert p.coefficient((2, 0)) == 1 and p.coefficient((1, 1)) == 0
+    for bad in [(2,), (0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="does not match"):
+            p.coefficient(bad)
