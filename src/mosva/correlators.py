@@ -20,10 +20,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .expansion import RationalFn, Region, divisor_terms
-from .graded import DualVec, Vec, pair
+from .graded import DualVec, Vec
 from .laurent import LaurentPoly
 from .scalars import exact_int, exact_scalar
-from .vertex import BI, chain_maps, joining_map, mode_apply, module_position
+from .vertex import BI, chain_maps, joining_map, mode_apply, mode_pair, module_position
 
 PRODUCT = "product"
 ITERATE = "iterate"
@@ -91,7 +91,10 @@ class CorrelationSeries:
         return not self.coefficients
 
     def coefficient(self, mono) -> Fraction:
-        return self.coefficients.get(tuple(mono), Fraction(0))
+        mono = tuple(mono)
+        if len(mono) != len(self.variables):
+            raise ValueError("monomial arity mismatch")
+        return self.coefficients.get(mono, Fraction(0))
 
     def is_certified(self, mono) -> bool:
         """True when the (possibly zero) coefficient at mono is provably exact."""
@@ -154,10 +157,11 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     for u, _ in ops:
         if u.weight() is None and not u.is_zero():
             raise ValueError("operators must be homogeneous")
-    names = [v for _, v in ops]
+    raw = names = [v for _, v in ops]
     if mode == ITERATE:
-        names = Region.iterate(names).out_names
-    if len(set(names)) != len(names):
+        names = Region.iterate(raw).out_names
+    # distinct raw names can still rename to equal differences
+    if len(set(raw)) != len(raw) or len(set(names)) != len(names):
         raise ValueError("operator variables must be distinct")
     position = _module_position(inst, len(ops), mode, module_at)
     chain = chain_maps(inst, position, len(ops), nested=mode == ITERATE)
@@ -166,11 +170,9 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     if not zero_input and (bra.weight() is None or ket.weight() is None):
         raise ValueError("bra and ket must be homogeneous; decompose and sum")
     if zero_input:
-        return CorrelationSeries(names, {}, mode, op_weights,
-                                 ket.weight() or Fraction(0),
-                                 bra.weight() or Fraction(0),
-                                 [Fraction(0)] * len(ops),
-                                 [Fraction(0)] * len(ops),
+        zeros = [Fraction(0)] * len(ops)
+        return CorrelationSeries(names, {}, mode, op_weights, ket.weight() or Fraction(0),
+                                 bra.weight() or Fraction(0), zeros, zeros,
                                  trivially_zero=True)
     bw, kw = bra.weight(), ket.weight()
     if bra.space != inst.space:
@@ -181,7 +183,10 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # operator is the fixed first argument and -n-1 is prepended.  An iterate
     # walk starts at the first operator and builds the nested operator: each
     # later operator, and finally the ket, is the fixed second argument and
-    # -n-1 is appended.
+    # -n-1 is appended.  Each state carries its weight, an int when integral.
+    # The last step pairs each output with the bra without building it; a
+    # nonzero pairing away from the mode of output weight wt(bra) breaks the
+    # degree invariant.
     if mode == ITERATE:
         start, prepend = ops[0][0], False
         steps = list(zip(chain, [u for u, _ in ops[1:]] + [ket]))
@@ -191,34 +196,35 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     degree = bw - sum(op_weights) - kw
     holes: set[tuple] = set()
     cutoffs, minws = [], []
-    states: dict[tuple, Vec] = {(): start}
-    for vmap, fixed in steps:
+    coefficients: dict[tuple, Fraction] = {}
+    sw = start.weight()
+    states = [((), start, sw.numerator if sw.denominator == 1 else sw)]
+    for i, (vmap, fixed) in enumerate(steps, 1):
         space = vmap.out_space
         cutoffs.append(space.cutoff)
         minws.append(space.min_weight)
         wf = fixed.weight()
-        nxt: dict[tuple, Vec] = {}
-        for mono, vec in states.items():
-            for n in space.mode_window(wf + vec.weight()):
-                if prepend:
-                    out, exact = mode_apply(vmap, fixed, n, vec)
-                    key = (-n - 1,) + mono
+        wf = wf.numerator if wf.denominator == 1 else wf
+        nxt = []
+        for mono, vec, w in states:
+            w += wf
+            first, second = (fixed, vec) if prepend else (vec, fixed)
+            for n in space.mode_window(w):
+                key = (-n - 1,) + mono if prepend else mono + (-n - 1,)
+                if i < len(steps):
+                    out, exact = mode_apply(vmap, first, n, second)
+                    if exact and out.entries:
+                        nxt.append((key, out, w - n - 1))
                 else:
-                    out, exact = mode_apply(vmap, vec, n, fixed)
-                    key = mono + (-n - 1,)
+                    c, exact = mode_pair(vmap, bra, first, n, second)
+                    if exact and c:
+                        if n != w - 1 - bw:
+                            raise ArithmeticError(f"degree invariant: monomial {key} "
+                                                  f"is off the hyperplane {degree}")
+                        coefficients[key] = c
                 if not exact:
                     holes.add(key)
-                elif not out.is_zero():
-                    nxt[key] = out
         states = nxt
-    coefficients: dict[tuple, Fraction] = {}
-    for mono, vec in states.items():
-        c = pair(bra, vec)
-        if c != 0:
-            if sum(mono) != degree:
-                raise ArithmeticError(
-                    f"degree invariant: monomial {mono} is off the hyperplane {degree}")
-            coefficients[mono] = c
     if prepend:  # the product chain data is indexed by operator position
         cutoffs, minws = cutoffs[::-1], minws[::-1]
     return CorrelationSeries(names, coefficients, mode, op_weights, kw, bw,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .graded import GradedOp, GradedSpace, Vec, _accumulate, weight_diagonal_op
+from .graded import DualVec, GradedOp, GradedSpace, Vec, _accumulate, weight_diagonal_op
 from .report import Report
 
 ALGEBRA = "algebra"
@@ -152,13 +152,17 @@ class VertexMap:
         return self.kind == other.kind and a == b and self.absent == other.absent
 
 
-def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, bool]:
-    """Bilinear extension of the stored modes; exact=False if an absent
-    (cutoff-overflow) entry was required."""
+def _check_arguments(vmap: VertexMap, first: Vec, second: Vec) -> None:
     if first.space is not vmap.first_space and first.space != vmap.first_space:
         raise ValueError(f"first argument lives in the wrong space for kind {vmap.kind!r}")
     if second.space is not vmap.second_space and second.space != vmap.second_space:
         raise ValueError(f"second argument lives in the wrong space for kind {vmap.kind!r}")
+
+
+def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, bool]:
+    """Bilinear extension of the stored modes; exact=False if an absent
+    (cutoff-overflow) entry was required."""
+    _check_arguments(vmap, first, second)
     out_space = vmap.out_space
     table = vmap.entries
     acc: dict = {}
@@ -172,6 +176,26 @@ def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, b
             elif hit.entries:
                 _accumulate(acc, cf * cs, hit.entries)
     return Vec._wrap(out_space, acc), exact
+
+
+def mode_pair(vmap: VertexMap, dual: DualVec, first: Vec, n: int, second: Vec):
+    """(<dual, output>, exact) for the output mode_apply would give, without
+    building it: each stored output is read only at the labels of dual."""
+    _check_arguments(vmap, first, second)
+    table, bra = vmap.entries, dual.entries.items()
+    total, exact = 0, True
+    for f, cf in first.entries.items():
+        for s, cs in second.entries.items():
+            hit = table.get((f, n, s))
+            if hit is None:
+                exact = exact and vmap._miss_is_exact(f, n, s)
+                continue
+            out = hit.entries
+            for lbl, b in bra:
+                x = out.get(lbl)
+                if x is not None:
+                    total += cf * cs * b * x
+    return total, exact
 
 
 def vertex_series(vmap: VertexMap, first: Vec, second: Vec):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mosva import correlators
 from mosva.correlators import (PoleOrderWitness, _pair_pole_bound, correlate,
                                estimate_pole_orders, reconstruct_rational)
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
@@ -261,3 +262,84 @@ def test_pair_pole_bound_index_matches_full_scan(build):
     for f, s in itertools.product(inst.space.labels(), repeat=2):
         u, v = inst.basis_vec(f), inst.basis_vec(s)
         assert _pair_pole_bound(inst.Y, u, v) == _scanned_pole_bound(inst.Y, u, v), (f, s)
+
+
+@pytest.mark.parametrize("mode, module_at", [("product", None), ("iterate", None),
+                                             ("mixed", 0)])
+def test_repeated_variable_raises_in_every_mode(heis, mode, module_at):
+    alg, _ = heis
+    a = alg.basis_vec("a1")
+    inst = self_module(alg, "bi") if mode == "mixed" else alg
+    with pytest.raises(ValueError, match="distinct"):
+        correlate(inst, basis_dual(alg.space, "vac"), [(a, "z1"), (a, "z1")],
+                  alg.vacuum, mode, module_at)
+
+
+def test_iterate_differences_must_be_distinct(heis):
+    alg, _ = heis
+    a = alg.basis_vec("a1")
+    # distinct names, but z1-z2 and z3-z4 both read "a-b-c"
+    ops = [(a, v) for v in ["a", "b-c", "a-b", "c"]]
+    bra = basis_dual(alg.space, "vac")
+    assert not correlate(alg, bra, ops, alg.vacuum).is_zero()
+    with pytest.raises(ValueError, match="distinct"):
+        correlate(alg, bra, ops, alg.vacuum, "iterate")
+
+
+def test_coefficient_rejects_wrong_arity(heis):
+    alg, _ = heis
+    a = alg.basis_vec("a1")
+    s = correlate(alg, basis_dual(alg.space, "vac"), [(a, "z1"), (a, "z2")], alg.vacuum)
+    assert s.coefficient((-2, 0)) == 1
+    for mono in [(-1,), (-2, 0, 0)]:
+        with pytest.raises(ValueError, match="monomial arity mismatch"):
+            s.coefficient(mono)
+        with pytest.raises(ValueError, match="monomial arity mismatch"):
+            s.is_certified(mono)
+
+
+@pytest.mark.parametrize("mode, key", [("product", ("a1", 0, "a1")),
+                                       ("iterate", ("vac", -2, "vac"))])
+def test_wrong_weight_output_off_the_bra_mode_raises(mode, key):
+    # the doctored entry is met in the outermost step only, at a mode whose
+    # nominal output weight is 1; it stores the weight-0 vacuum, which pairs
+    # with the vacuum bra off the grading hyperplane
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    entries = dict(alg.Y.entries)
+    entries[key] = alg.vacuum
+    inst = AlgebraInstance(alg.space, VertexMap(ALGEBRA, alg.space, alg.space, alg.space,
+                                                entries), alg.vacuum, alg.D, alg.L1)
+    a = alg.basis_vec("a1")
+    ops = [(a, "z1"), (a, "z2")]
+    with pytest.raises(ArithmeticError, match="degree invariant"):
+        correlate(inst, basis_dual(alg.space, "vac"), ops, alg.vacuum, mode)
+    # the untouched table gives the 2-point function
+    assert not correlate(alg, basis_dual(alg.space, "vac"), ops, alg.vacuum, mode).is_zero()
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+def test_outermost_step_builds_at_most_one_vector_per_state(heis, mode, monkeypatch):
+    alg, _ = heis
+    ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a1", "a2", "a1"])]
+    ket = alg.basis_vec("a1")
+    # the fixed argument of the last step and of the one before it: an
+    # operator is the first argument of a product step, the second of an
+    # iterate step
+    product = mode == "product"
+    last, before = (ops[0][0], ops[1][0]) if product else (ket, ops[2][0])
+    counts = {"built": 0, "states": 0}
+    real = correlators.mode_apply
+
+    def counting(vmap, first, n, second):
+        out, exact = real(vmap, first, n, second)
+        fixed = first if product else second
+        if fixed is last:
+            counts["built"] += 1
+        elif fixed is before and exact and out.entries:
+            counts["states"] += 1
+        return out, exact
+
+    monkeypatch.setattr(correlators, "mode_apply", counting)
+    s = correlate(alg, basis_dual(alg.space, "a1.a1"), ops, ket, mode)
+    assert not s.is_zero() and counts["states"] > 0
+    assert counts["built"] <= counts["states"]
