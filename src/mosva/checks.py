@@ -19,8 +19,8 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, basis_dual, exp_op_series,
-                     op_powers, pair)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, basis_dual, basis_vec,
+                     exp_op_series, op_powers, pair)
 from .laurent import LaurentPoly, taylor_shift
 from .report import SKIP, Report
 from .scalars import binomial, format_scalar
@@ -266,7 +266,7 @@ def check_mobius(inst) -> Report:
         return rep
     Lm1, L0, L1 = _sl2_of(inst)
 
-    def bracket(rep_name, A, B, want_fn):
+    def bracket(rep_name, A, B, C, c):  # [A, B] = c C on every basis vector
         checked = skipped = 0
         bad = None
         for lbl in inst.space.labels():
@@ -275,22 +275,20 @@ def check_mobius(inst) -> Report:
             abv, ok2 = A.apply(bv)
             av, ok3 = A.apply(v)
             bav, ok4 = B.apply(av)
-            want, ok5 = want_fn(v)
+            want, ok5 = C.apply(v)
             if not (ok1 and ok2 and ok3 and ok4 and ok5):
                 skipped += 1
                 continue
             checked += 1
-            if abv - bav != want:
+            if abv - bav != want.scale(c):
                 bad = bad or lbl
         rep.record(rep_name, "fail" if bad else "pass", witness=bad or "",
                    inputs=f"{checked} basis vectors",
                    window=f"{skipped} skipped at cutoff")
 
-    bracket("[L(0), L(-1)] = L(-1)", L0, Lm1, lambda v: Lm1.apply(v))
-    bracket("[L(0), L(1)] = -L(1)", L0, L1,
-            lambda v: (lambda o, k: (o.scale(-1), k))(*L1.apply(v)))
-    bracket("[L(-1), L(1)] = -2 L(0)", Lm1, L1,
-            lambda v: (lambda o, k: (o.scale(-2), k))(*L0.apply(v)))
+    bracket("[L(0), L(-1)] = L(-1)", L0, Lm1, Lm1, 1)
+    bracket("[L(0), L(1)] = -L(1)", L0, L1, L1, -1)
+    bracket("[L(-1), L(1)] = -2 L(0)", Lm1, L1, L0, -2)
 
     if inst.algebra is inst:
         for nm, op in (("L(-1)", Lm1), ("L(0)", L0), ("L(1)", L1)):
@@ -317,51 +315,50 @@ def check_mobius(inst) -> Report:
 
     for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
-        f_m1, f_0, f_1 = _sl2_of(own_f)
-        s_m1, s_0, s_1 = _sl2_of(own_s)
-        o_m1, o_0, o_1 = _sl2_of(own_o)
-        for formula, shifts in (("L(0)", ((0, f_0, 1), (1, f_m1, 1))),
-                                ("L(1)", ((0, f_1, 1), (1, f_0, 2), (2, f_m1, 1)))):
-            out_op = o_0 if formula == "L(0)" else o_1
-            sec_op = s_0 if formula == "L(0)" else s_1
-            checked = skipped = 0
-            bad = None
-            for f in vmap.first_space.labels():
-                fv = Vec(vmap.first_space, {f: 1})
-                firsts = []
-                ok_first = True
-                for off, op, scale in shifts:
-                    img, ok = op.apply(fv)
-                    firsts.append((off, img, scale))
-                    ok_first = ok_first and ok
-                for s in vmap.second_space.labels():
-                    sv = Vec(vmap.second_space, {s: 1})
-                    s_img, ok_s = sec_op.apply(sv)
-                    for n in vmap.mode_range(f, s):
-                        here, okh = vmap.basis_entry(f, n, s)
-                        if not (okh and ok_first and ok_s):
-                            skipped += 1
+        f_ops = _sl2_of(own_f)  # L(j) at index j + 1
+        (_, s_0, s_1), (_, o_0, o_1) = _sl2_of(own_s), _sl2_of(own_o)
+        # per formula: L(k) on the output and on the second slot, and the
+        # (mode offset, j, scale) of each L(j) first-slot term
+        formulas = (("L(0)", o_0, s_0, ((0, 0, 1), (1, -1, 1))),
+                    ("L(1)", o_1, s_1, ((0, 1, 1), (1, 0, 2), (2, -1, 1))))
+        tally = [[0, 0, None] for _ in formulas]  # checked, skipped, witness
+        s_basis = [(s, basis_vec(vmap.second_space, s)) for s in vmap.second_space.labels()]
+        seconds = [(s, sv, [sec.apply(sv) for _, _, sec, _ in formulas]) for s, sv in s_basis]
+        for f in vmap.first_space.labels():
+            fv = Vec(vmap.first_space, {f: 1})
+            firsts = [op.apply(fv) for op in f_ops]
+            ok_first = [all(firsts[j + 1][1] for _, j, _ in shifts)
+                        for *_, shifts in formulas]
+            terms: dict = {}  # (j, m, s) -> mode_apply(vmap, L(j) fv, m, sv)
+            for s, sv, s_imgs in seconds:
+                for n in vmap.mode_range(f, s):
+                    here, okh = vmap.basis_entry(f, n, s)
+                    for t, (_, out_op, _, shifts), ok_f, (s_img, ok_s) in zip(
+                            tally, formulas, ok_first, s_imgs):
+                        if not (okh and ok_f and ok_s):
+                            t[1] += 1
                             continue
                         out_img, oko = out_op.apply(here)
                         tail, okt = mode_apply(vmap, fv, n, s_img)
                         rhs: dict = {}
-                        ok_rhs = True
-                        for off, img, scale in firsts:
-                            term, okr = mode_apply(vmap, img, n + off, sv)
-                            if not okr:
-                                ok_rhs = False
+                        for off, j, scale in shifts:
+                            key = (j, n + off, s)
+                            if key not in terms:
+                                terms[key] = mode_apply(vmap, firsts[j + 1][0], n + off, sv)
+                            term, ok_rhs = terms[key]
+                            if not ok_rhs:
                                 break
                             _accumulate(rhs, scale, term.entries)
                         if not (oko and okt and ok_rhs):
-                            skipped += 1
+                            t[1] += 1
                             continue
-                        checked += 1
+                        t[0] += 1
                         if (out_img - tail).entries != rhs:
-                            bad = bad or f"({f}, {n}, {s})"
+                            t[2] = t[2] or f"({f}, {n}, {s})"
+        for (formula, *_), (checked, skipped, bad) in zip(formulas, tally):
             rep.record(f"{name}: {formula} commutator formula",
                        "fail" if bad else "pass", witness=bad or "",
-                       inputs=f"{checked} modes",
-                       window=f"{skipped} skipped at cutoff")
+                       inputs=f"{checked} modes", window=f"{skipped} skipped at cutoff")
     return rep
 
 
@@ -425,30 +422,33 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
             f"no certified comparison window at this cutoff; cutoff >= {needed} "
             f"would suffice", needed=needed)
 
+    # memos map a key to its vector, or to None when inexact (never to zero)
     P_memo: dict = {}
     I_memo: dict = {}
     S_memo: dict = {}
+    P_inner: dict = {}  # b -> Y_{-b-1}(second) ket
+    I_inner: dict = {}  # a -> Y_{-a-1}(first) second
+
+    def known(vmap, u, n, v):
+        out, ok = mode_apply(vmap, u, n, v)
+        return out if ok else None
 
     def P(a, b):
         key = (a, b)
         if key not in P_memo:
-            innerv, ok = mode_apply(inner_P, second, -b - 1, ket)
-            if not ok:
-                P_memo[key] = None
-            else:
-                out, ok2 = mode_apply(outer_P, first, -a - 1, innerv)
-                P_memo[key] = out if ok2 else None
+            if b not in P_inner:
+                P_inner[b] = known(inner_P, second, -b - 1, ket)
+            innerv = P_inner[b]
+            P_memo[key] = None if innerv is None else known(outer_P, first, -a - 1, innerv)
         return P_memo[key]
 
     def I(a, b):
         key = (a, b)
         if key not in I_memo:
-            innerv, ok = mode_apply(inner_I, first, -a - 1, second)
-            if not ok:
-                I_memo[key] = None
-            else:
-                out, ok2 = mode_apply(outer_I, innerv, -b - 1, ket)
-                I_memo[key] = out if ok2 else None
+            if a not in I_inner:
+                I_inner[a] = known(inner_I, first, -a - 1, second)
+            innerv = I_inner[a]
+            I_memo[key] = None if innerv is None else known(outer_I, innerv, -b - 1, ket)
         return I_memo[key]
 
     def P_shifted(c, d):
@@ -479,21 +479,18 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                 d = s + p1 - c
                 lhs: dict = {}
                 rhs: dict = {}
-                ok = True
                 for i in range(0, p1 + 1):
                     w = binomial(p1, i)
                     l_term = P_shifted(c - i, d - p1 + i)
                     r_term = I(c - i, d - p1 + i)
                     if l_term is None or r_term is None:
-                        ok = False
-                        break
+                        break  # an inexact term: the monomial is not compared
                     _accumulate(lhs, w, l_term)
                     _accumulate(rhs, w, r_term.entries)
-                if not ok:
-                    continue
-                compared += 1
-                if lhs != rhs and diff is None:
-                    diff = f"x0^{c} x2^{d} at p1={p1}"
+                else:
+                    compared += 1
+                    if lhs != rhs and diff is None:
+                        diff = f"x0^{c} x2^{d} at p1={p1}"
         if compared and diff is None:
             found = p1
             compared_at_found = compared
@@ -714,8 +711,11 @@ def _assoc_sweep(inst, spaces, max_weight: int, p1_max: int | None, flavor):
     first failure or None, max minimal p1, monomials compared), the last two
     over the passing triples."""
     sp1, sp2, sp3 = spaces
-    triples = [(f, s, k) for f in sp1.labels() for s in sp2.labels() for k in sp3.labels()
-               if sp1.weight_of(f) + sp2.weight_of(s) + sp3.weight_of(k) <= max_weight]
+    m2, m3 = sp2.min_weight, sp3.min_weight  # the cube's order, cut off by weight
+    triples = [(f, s, k) for w1, ls1 in sp1.components.items() if w1 + m2 + m3 <= max_weight
+               for f in ls1 for w2, ls2 in sp2.components.items() if w1 + w2 + m3 <= max_weight
+               for s in ls2 for w3, ls3 in sp3.components.items() if w1 + w2 + w3 <= max_weight
+               for k in ls3]
     bad = None
     worst = compared = 0
     for f, s, k in triples:

@@ -25,7 +25,7 @@ class GradedSpace:
     """
 
     __slots__ = ("components", "cutoff", "label_weights", "complete", "min_weight",
-                 "_window_lo", "_window_hi")
+                 "_labels", "_window_lo", "_window_hi")
 
     def __init__(self, components: Mapping, cutoff, complete: bool = False):
         cut = exact_scalar(cutoff, "cutoff")
@@ -46,6 +46,8 @@ class GradedSpace:
         object.__setattr__(self, "components", dict(sorted(comp.items())))
         object.__setattr__(self, "cutoff", cut)
         object.__setattr__(self, "label_weights", label_weights)
+        object.__setattr__(self, "_labels", tuple(l for labels in self.components.values()
+                                                  for l in labels))
         object.__setattr__(self, "complete", bool(complete))
         minw = min(comp) if comp else Fraction(0)
         object.__setattr__(self, "min_weight", minw)
@@ -59,7 +61,8 @@ class GradedSpace:
         raise AttributeError("GradedSpace is immutable")
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(l for labels in self.components.values() for l in labels)
+        """Every basis label, in component order; one tuple per space."""
+        return self._labels
 
     def weight_of(self, label: str) -> Fraction:
         try:

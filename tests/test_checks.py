@@ -386,3 +386,69 @@ def test_conjugation_spot_check_computes_each_series_once(monkeypatch):
     checks._conjugation_spot_check(alg, rep)
     assert rep.passed
     assert len(seen) == 27 and len(set(seen)) == 27
+
+
+def _counting_mode_apply(monkeypatch):
+    from mosva import checks
+
+    calls = [0]
+    apply = checks.mode_apply
+
+    def counted(*args):
+        calls[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(checks, "mode_apply", counted)
+    return calls
+
+
+def test_assoc_and_mobius_mode_apply_counts(monkeypatch):
+    # the inner vectors Y_{-b-1}(second)ket and Y_{-a-1}(first)second are
+    # computed once per mode for a call (13800 applications before), and
+    # the Mobius images L(j)f at mode m are shared by both formulas (9576)
+    calls = _counting_mode_apply(monkeypatch)
+    alg, _ = build_heisenberg(level=1, cutoff=5)
+    assert run_suite(alg, "assoc", max_weight=4).passed
+    assert calls[0] == 8265
+    calls[0] = 0
+    assert check_mobius(alg).passed
+    assert calls[0] == 7296
+
+
+def _swept_triples(monkeypatch, inst, spaces, max_weight):
+    from types import SimpleNamespace
+
+    from mosva import checks
+
+    seen = []
+
+    def recorded(inst, first, second, ket, p1_max, flavor):
+        seen.append(tuple(next(iter(v.entries)) for v in (first, second, ket)))
+        return SimpleNamespace(passed=True, p1=0, compared=0)
+
+    monkeypatch.setattr(checks, "check_weak_associativity", recorded)
+    count, bad, _, _ = checks._assoc_sweep(inst, spaces, max_weight, None, None)
+    assert count == len(seen) and bad is None
+    return seen
+
+
+def test_sweep_walks_the_filtered_cube_in_order(monkeypatch):
+    from mosva.constructions import contragredient_module
+
+    import oracle_assoc
+    from test_assoc_oracle import shifted
+
+    alg, fock = build_heisenberg(level=1, cutoff=5)
+    cg = contragredient_module(shifted(fock, Fraction(1, 2)))
+    assert cg.space.min_weight == Fraction(1, 2)
+    v = alg.space
+    cases = [(alg, (v, v, v), 4), (fock, (v, v, fock.space), 4),
+             (self_module(alg, "right"), (v, v, v), 3),
+             (cg, (v, v, cg.space), 3), (cg, (v, v, cg.space), Fraction(7, 2)),
+             (cg, (cg.space, v, v), 5)]
+    for inst, spaces, max_weight in cases:
+        want = oracle_assoc.assoc_triples(spaces, max_weight)
+        assert want and _swept_triples(monkeypatch, inst, spaces, max_weight) == want
+    # every weight sum of the contragredient's sweep is at least 1/2
+    assert _swept_triples(monkeypatch, cg, (v, v, cg.space), 0) == []
+    assert oracle_assoc.assoc_triples((v, v, cg.space), 0) == []

@@ -240,6 +240,16 @@ def test_space_accepts_exact_weights():
     assert all(type(w) is Fraction for w in s.components)
 
 
+def test_labels_built_once_in_component_order():
+    # components given out of weight order, and one empty component
+    s = GradedSpace({2: ["c", "b"], 0: ["z"], 1: [], Fraction(1, 2): ["h"]}, cutoff=2)
+    assert s.labels() is s.labels()
+    assert s.labels() == ("z", "h", "c", "b")
+    assert s.labels() == tuple(l for ls in s.components.values() for l in ls)
+    with pytest.raises(AttributeError):
+        s._labels = ()
+
+
 def test_min_weight_is_read_only(space):
     with pytest.raises(AttributeError):
         space.min_weight = Fraction(-1)
