@@ -745,28 +745,26 @@ def _assoc_suite(inst, max_weight: int, p1_max: int | None) -> Report:
     return rep
 
 
-SUITES = ("structural", "vacuum", "D", "grading", "assoc", "mobius")
+# name -> checker(inst, max_weight, p1_max), in the order the CLI lists them
+SUITES = {
+    "structural": lambda inst, max_weight, p1_max: validate_instance(inst),
+    "vacuum": lambda inst, max_weight, p1_max: check_vacuum(inst),
+    "D": lambda inst, max_weight, p1_max: check_derivative(inst),
+    "grading": lambda inst, max_weight, p1_max: check_grading(inst),
+    "assoc": _assoc_suite,
+    "mobius": lambda inst, max_weight, p1_max: check_mobius(inst),
+}
 
 
 def run_suite(inst, suite: str, max_weight: int = 4,
               p1_max: int | None = None) -> Report:
     """Run one named checker suite, or all of them."""
-    if suite == "structural":
-        return validate_instance(inst)
-    if suite == "vacuum":
-        return check_vacuum(inst)
-    if suite == "D":
-        return check_derivative(inst)
-    if suite == "grading":
-        return check_grading(inst)
-    if suite == "mobius":
-        return check_mobius(inst)
-    if suite == "assoc":
-        return _assoc_suite(inst, max_weight, p1_max)
     if suite == "all":
         rep = Report("all")
         # grading subsumes the structural validation
         for name in ("grading", "vacuum", "D", "mobius", "assoc"):
-            rep.extend(run_suite(inst, name, max_weight, p1_max))
+            rep.extend(SUITES[name](inst, max_weight, p1_max))
         return rep
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](inst, max_weight, p1_max)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .checks import check_region_consistency, run_suite
+from .checks import SUITES, check_region_consistency, run_suite
 from .constructions import contragredient_module, opposite_mosva, transport_module
 from .correlators import (PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           _module_position, correlate, estimate_pole_orders,
@@ -54,9 +54,7 @@ def _build_parser() -> _Parser:
 
     ck = sub.add_parser("check", help="run checker suites on an instance file")
     ck.add_argument("file")
-    ck.add_argument("--suite", default="all",
-                    choices=["structural", "vacuum", "D", "grading", "assoc",
-                             "mobius", "all"])
+    ck.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ck.add_argument("--p1-max", type=int, default=None)
     ck.add_argument("--max-weight", type=int, default=4)
     ck.add_argument("--report", choices=["text", "machine"], default="text")

@@ -117,8 +117,7 @@ _DIRECTIONS = {
 }
 
 
-def transport_module(W: ModuleInstance, direction: str,
-                     target_algebra: AlgebraInstance | None = None) -> ModuleInstance:
+def transport_module(W: ModuleInstance, direction: str) -> ModuleInstance:
     """Move a one-sided module across the opposite construction.
 
     A right module becomes a left module for the opposite algebra via
@@ -131,10 +130,8 @@ def transport_module(W: ModuleInstance, direction: str,
     src_side, dst_side = _DIRECTIONS[direction]
     if W.side != src_side:
         raise ValueError(f"direction {direction} needs a {src_side} module, got {W.side}")
-    if target_algebra is None:
-        target_algebra = opposite_mosva(W.algebra).result
     new_map = _skew_map(W.YR if src_side == RIGHT else W.YL, W.D, dst_side)
-    return ModuleInstance(dst_side, W.space, target_algebra,
+    return ModuleInstance(dst_side, W.space, opposite_mosva(W.algebra).result,
                           YL=new_map if dst_side == LEFT else None,
                           YR=new_map if dst_side == RIGHT else None,
                           D=W.D, L1=W.L1, N0=W.N0,

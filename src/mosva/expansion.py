@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import WindowError
 from .laurent import LaurentPoly
 from .scalars import binomial, exact_int
-
-_INF = float("inf")
 
 
 def _divisible_by_var(poly: LaurentPoly, var: str) -> bool:
@@ -225,28 +222,6 @@ class ExpandedSeries:
     window: dict = field(default_factory=dict)
 
 
-class _Factor:
-    """One multiplicand of an expansion: either exact or a truncated geometric tail."""
-
-    __slots__ = ("poly", "tlo", "thi", "front", "big", "pole")
-
-    def __init__(self, poly, tlo, thi, front=(), big=None, pole=0):
-        self.poly = poly
-        self.tlo = tlo      # var -> true min exponent (may be -inf)
-        self.thi = thi      # var -> true max exponent (may be +inf)
-        self.front = front  # geometric factors only: the small-side variables
-        self.big = big      # geometric factors only: the variable carrying -p-k
-        self.pole = pole
-
-
-def _exact_factor(poly: LaurentPoly, variables) -> _Factor:
-    tlo, thi = {}, {}
-    for v in variables:
-        rng = poly.exponent_range(v)
-        tlo[v], thi[v] = rng if rng is not None else (0, 0)
-    return _Factor(poly, tlo, thi)
-
-
 def _geometric_tail(variables, front: tuple[str, ...], big: str, pole: int,
                     sign: int, front_sign: int, depth: int) -> LaurentPoly:
     """sign * (big + front_sign*sum(front))^(-pole), expanded to front degree <= depth."""
@@ -263,24 +238,17 @@ def _geometric_tail(variables, front: tuple[str, ...], big: str, pole: int,
     return out
 
 
-def _sum_bound(values):
-    # within one call every infinity has the same sign: a variable is never
-    # simultaneously a front and a big slot of the same bound kind
-    total = 0
-    for v in values:
-        if v == _INF or v == -_INF:
-            return v
-        total += v
-    return total
-
-
 def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries:
     """The unique Laurent expansion of ``f`` in ``region``, windowed by ``order``.
 
-    The certified window is the box [head_lo - order, head_hi + order] per
-    variable, where head_* are the exponents before any geometric tail; every
-    true monomial inside the box is returned exactly.
+    The head is the numerator times every one-variable factor; each other
+    factor is a geometric tail in its big variable.  The certified window
+    is the box [head_lo - poles - order, head_hi - poles + order] per
+    variable, where head_* are the head's exponents and poles the orders of
+    the tails whose big variable it is; every true monomial inside the box
+    is returned exactly.
     """
+    order = exact_int(order, "order")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if region.kind == "product":
@@ -288,97 +256,84 @@ def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries
             raise ValueError("region chain must mention exactly the function's variables")
         out_vars = f.variables
         specs = _chain_factor_specs(f, region.chain, out_vars)
-        numerator = f.numerator
+        head = f.numerator
     elif region.kind == "iterate":
         if region.chain != f.variables:
             raise ValueError("iterate region must be built on the function's variables in order")
         out_vars = region.out_names
         specs = _iterate_factor_specs(f, out_vars)
-        numerator = _substitute_partial_sums(f.numerator, f.variables, out_vars)
+        head = _substitute_partial_sums(f.numerator, f.variables, out_vars)
     else:
         raise ValueError(f"unsupported region kind: {region.kind}")
-
-    factors = [_exact_factor(numerator, out_vars)]
-    for front, big, pole, sign, front_sign in specs:
-        if not front:
-            mono = LaurentPoly.monomial(out_vars, {big: -pole}, sign)
-            factors.append(_exact_factor(mono, out_vars))
-            continue
-        tlo = {v: 0 for v in out_vars}
-        thi = {v: 0 for v in out_vars}
-        for v in front:
-            thi[v] = _INF
-        tlo[big], thi[big] = -_INF, -pole
-        factors.append(_Factor(None, tlo, thi, front=front, big=big, pole=pole))
-        factors[-1].poly = (sign, front_sign)  # depth decided once the window is known
-
-    if numerator.is_zero():
+    if head.is_zero():
         return ExpandedSeries(LaurentPoly.zero(out_vars), {v: (0, 0) for v in out_vars})
 
-    window = _requested_window(factors, out_vars, order)
-
-    # depth per geometric factor: past it no dropped term can reach the window
-    for fac in factors:
-        if fac.big is None:
-            continue
-        sign, front_sign = fac.poly
-        k_hi = _tail_reach_bound(fac, factors, window)
-        fac.poly = _geometric_tail(out_vars, fac.front, fac.big, fac.pole,
-                                   sign, front_sign, max(0, k_hi))
-
-    product = LaurentPoly.constant(out_vars, 1)
-    remaining = list(factors)
-    for i, fac in enumerate(factors):
-        product = product * fac.poly
-        remaining = factors[i + 1:]
-        pad = {}
-        for v in out_vars:
-            lo_shift = sum(min(0, _finite(g.poly.exponent_range(v), 0)[0]) for g in remaining)
-            hi_shift = sum(max(0, _finite(g.poly.exponent_range(v), 0)[1]) for g in remaining)
-            lo, hi = window[v]
-            pad[v] = (lo - hi_shift, hi - lo_shift)
-        product = product.restricted(pad)
-    return ExpandedSeries(product.restricted(window), window)
-
-
-def _finite(rng, default):
-    return rng if rng is not None else (default, default)
-
-
-def _requested_window(factors, out_vars, order):
-    window = {}
+    tails = []
+    for front, big, pole, sign, front_sign in specs:
+        if front:
+            tails.append((front, big, pole, sign, front_sign))
+        else:
+            head = head * LaurentPoly.monomial(out_vars, {big: -pole}, sign)
+    width, window = {}, {}
     for v in out_vars:
-        lo = hi = 0
-        for fac in factors:
-            if fac.big is None:
-                rng = fac.poly.exponent_range(v)
-                if rng is None:
-                    continue
-                lo += rng[0]
-                hi += rng[1]
-            else:
-                if v == fac.big:
-                    lo -= fac.pole
-                    hi -= fac.pole
-        window[v] = (lo - order, hi + order)
-    return window
+        lo, hi = head.exponent_range(v)
+        poles = sum(t[2] for t in tails if t[1] == v)
+        width[v] = hi - lo + order
+        window[v] = (lo - poles - order, hi - poles + order)
+
+    factors = [head] + [_geometric_tail(out_vars, *t, depth)
+                        for t, depth in zip(tails, _tail_depths(tails, width))]
+    ranges = [{v: g.exponent_range(v) for v in out_vars} for g in factors]
+    product = LaurentPoly.constant(out_vars, 1)
+    for i, g in enumerate(factors):
+        product = product * g
+        rest = ranges[i + 1:]
+        # keep only the terms that the remaining factors can still carry into the window
+        product = product.restricted({
+            v: (lo - sum(max(0, r[v][1]) for r in rest), hi - sum(min(0, r[v][0]) for r in rest))
+            for v, (lo, hi) in window.items()})
+    return ExpandedSeries(product, window)
 
 
-def _tail_reach_bound(fac, factors, window):
-    """Largest tail index k of ``fac`` that could still contribute inside the window."""
-    others = [g for g in factors if g is not fac]
-    hi_by_front = 0
-    for v in fac.front:
-        lo_sum = _sum_bound([g.tlo[v] for g in others])
-        bound = window[v][1] - lo_sum
-        hi_by_front = _INF if bound == _INF or hi_by_front == _INF else hi_by_front + max(0, bound)
-    thi_sum = _sum_bound([g.thi[fac.big] for g in others])
-    hi_by_big = _INF if thi_sum == _INF else -fac.pole - window[fac.big][0] + thi_sum
-    k_hi = min(hi_by_front, hi_by_big)
-    if k_hi == _INF:
-        raise WindowError("expansion window cannot be certified for this region")
-    return k_hi
+def _tail_depths(tails, width) -> list[int]:
+    """The largest index k of each tail whose term can still reach the window.
 
+    Term k of a tail is big^(-pole-k) times a front monomial of degree k.  In
+    every supported region the big variable of a tail comes before its
+    front variables in one order (the chain, or the differences in reverse),
+    so two bounds each recurse in one direction only:
+
+    - A, the big variable's lower edge: k is at most width[big] plus the
+      depths of the tails that raise big, that is hold it in their front;
+      these have earlier big variables, and the first variable is raised by
+      none.
+    - B, the front variables' upper edges: the share of each front variable
+      v is at most width[v] plus the depths of the tails that lower v, that
+      is have v as their big variable; these have later big variables, and
+      the last variable is lowered by none.
+
+    ``width[v]`` is the head's exponent spread of v plus the order.  The
+    depth is min(A, B); B may use the full depth of a later tail since A
+    never recurses into B.
+    """
+    bound_a: dict[int, int] = {}
+    depth: dict[int, int] = {}
+
+    def lower_edge(i):
+        if i not in bound_a:
+            big = tails[i][1]
+            bound_a[i] = width[big] + sum(lower_edge(j) for j, t in enumerate(tails)
+                                          if big in t[0])
+        return bound_a[i]
+
+    def tail_depth(i):
+        if i not in depth:
+            upper = sum(width[v] + sum(tail_depth(j) for j, t in enumerate(tails) if t[1] == v)
+                        for v in tails[i][0])
+            depth[i] = min(lower_edge(i), upper)
+        return depth[i]
+
+    return [tail_depth(i) for i in range(len(tails))]
 
 def _chain_factor_specs(f: RationalFn, chain, out_vars):
     rank = {v: i for i, v in enumerate(chain)}

@@ -1,0 +1,174 @@
+"""``expand_rational`` as it stood before the exact chain bound in
+``mosva.expansion``, kept verbatim.
+
+Each factor carries its true exponent range, with ``float("inf")`` for the
+unbounded side of a geometric tail.  A tail's depth is the smaller of two
+half-rules (the front variables' upper edges and the big variable's lower
+edge), each infinite as soon as another tail leaves its variable unbounded;
+when both are infinite it raises ``WindowError``.  Tests compare the new
+expansion and its tail depths against this one wherever it returns.
+"""
+
+from mosva.errors import WindowError
+from mosva.expansion import (ExpandedSeries, RationalFn, Region, _chain_factor_specs,
+                             _iterate_factor_specs, _substitute_partial_sums)
+from mosva.laurent import LaurentPoly
+from mosva.scalars import binomial
+
+_INF = float("inf")
+
+
+class _Factor:
+    """One multiplicand of an expansion: either exact or a truncated geometric tail."""
+
+    __slots__ = ("poly", "tlo", "thi", "front", "big", "pole")
+
+    def __init__(self, poly, tlo, thi, front=(), big=None, pole=0):
+        self.poly = poly
+        self.tlo = tlo      # var -> true min exponent (may be -inf)
+        self.thi = thi      # var -> true max exponent (may be +inf)
+        self.front = front  # geometric factors only: the small-side variables
+        self.big = big      # geometric factors only: the variable carrying -p-k
+        self.pole = pole
+
+
+def _exact_factor(poly: LaurentPoly, variables) -> _Factor:
+    tlo, thi = {}, {}
+    for v in variables:
+        rng = poly.exponent_range(v)
+        tlo[v], thi[v] = rng if rng is not None else (0, 0)
+    return _Factor(poly, tlo, thi)
+
+
+def _geometric_tail(variables, front: tuple[str, ...], big: str, pole: int,
+                    sign: int, front_sign: int, depth: int) -> LaurentPoly:
+    """sign * (big + front_sign*sum(front))^(-pole), expanded to front degree <= depth."""
+    out = LaurentPoly.zero(variables)
+    front_sum = LaurentPoly.zero(variables)
+    for v in front:
+        front_sum = front_sum + LaurentPoly.variable(v, variables).scale(front_sign)
+    front_pow = LaurentPoly.constant(variables, 1)
+    for k in range(depth + 1):
+        coeff = binomial(-pole, k) * sign
+        term = front_pow * LaurentPoly.monomial(variables, {big: -pole - k}, coeff)
+        out = out + term
+        front_pow = front_pow * front_sum
+    return out
+
+
+def _sum_bound(values):
+    # within one call every infinity has the same sign: a variable is never
+    # simultaneously a front and a big slot of the same bound kind
+    total = 0
+    for v in values:
+        if v == _INF or v == -_INF:
+            return v
+        total += v
+    return total
+
+
+def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries:
+    """The unique Laurent expansion of ``f`` in ``region``, windowed by ``order``.
+
+    The certified window is the box [head_lo - order, head_hi + order] per
+    variable, where head_* are the exponents before any geometric tail; every
+    true monomial inside the box is returned exactly.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if region.kind == "product":
+        if set(region.chain) != set(f.variables):
+            raise ValueError("region chain must mention exactly the function's variables")
+        out_vars = f.variables
+        specs = _chain_factor_specs(f, region.chain, out_vars)
+        numerator = f.numerator
+    elif region.kind == "iterate":
+        if region.chain != f.variables:
+            raise ValueError("iterate region must be built on the function's variables in order")
+        out_vars = region.out_names
+        specs = _iterate_factor_specs(f, out_vars)
+        numerator = _substitute_partial_sums(f.numerator, f.variables, out_vars)
+    else:
+        raise ValueError(f"unsupported region kind: {region.kind}")
+
+    factors = [_exact_factor(numerator, out_vars)]
+    for front, big, pole, sign, front_sign in specs:
+        if not front:
+            mono = LaurentPoly.monomial(out_vars, {big: -pole}, sign)
+            factors.append(_exact_factor(mono, out_vars))
+            continue
+        tlo = {v: 0 for v in out_vars}
+        thi = {v: 0 for v in out_vars}
+        for v in front:
+            thi[v] = _INF
+        tlo[big], thi[big] = -_INF, -pole
+        factors.append(_Factor(None, tlo, thi, front=front, big=big, pole=pole))
+        factors[-1].poly = (sign, front_sign)  # depth decided once the window is known
+
+    if numerator.is_zero():
+        return ExpandedSeries(LaurentPoly.zero(out_vars), {v: (0, 0) for v in out_vars})
+
+    window = _requested_window(factors, out_vars, order)
+
+    # depth per geometric factor: past it no dropped term can reach the window
+    for fac in factors:
+        if fac.big is None:
+            continue
+        sign, front_sign = fac.poly
+        k_hi = _tail_reach_bound(fac, factors, window)
+        fac.poly = _geometric_tail(out_vars, fac.front, fac.big, fac.pole,
+                                   sign, front_sign, max(0, k_hi))
+
+    product = LaurentPoly.constant(out_vars, 1)
+    remaining = list(factors)
+    for i, fac in enumerate(factors):
+        product = product * fac.poly
+        remaining = factors[i + 1:]
+        pad = {}
+        for v in out_vars:
+            lo_shift = sum(min(0, _finite(g.poly.exponent_range(v), 0)[0]) for g in remaining)
+            hi_shift = sum(max(0, _finite(g.poly.exponent_range(v), 0)[1]) for g in remaining)
+            lo, hi = window[v]
+            pad[v] = (lo - hi_shift, hi - lo_shift)
+        product = product.restricted(pad)
+    return ExpandedSeries(product.restricted(window), window)
+
+
+def _finite(rng, default):
+    return rng if rng is not None else (default, default)
+
+
+def _requested_window(factors, out_vars, order):
+    window = {}
+    for v in out_vars:
+        lo = hi = 0
+        for fac in factors:
+            if fac.big is None:
+                rng = fac.poly.exponent_range(v)
+                if rng is None:
+                    continue
+                lo += rng[0]
+                hi += rng[1]
+            else:
+                if v == fac.big:
+                    lo -= fac.pole
+                    hi -= fac.pole
+        window[v] = (lo - order, hi + order)
+    return window
+
+
+def _tail_reach_bound(fac, factors, window):
+    """Largest tail index k of ``fac`` that could still contribute inside the window."""
+    others = [g for g in factors if g is not fac]
+    hi_by_front = 0
+    for v in fac.front:
+        lo_sum = _sum_bound([g.tlo[v] for g in others])
+        bound = window[v][1] - lo_sum
+        hi_by_front = _INF if bound == _INF or hi_by_front == _INF else hi_by_front + max(0, bound)
+    thi_sum = _sum_bound([g.thi[fac.big] for g in others])
+    hi_by_big = _INF if thi_sum == _INF else -fac.pole - window[fac.big][0] + thi_sum
+    k_hi = min(hi_by_front, hi_by_big)
+    if k_hi == _INF:
+        raise WindowError("expansion window cannot be certified for this region")
+    return k_hi
+

@@ -460,7 +460,7 @@ def test_serialize_is_json_dumps_indent_one(level):
         alg, fock = build_heisenberg(level=level, cutoff=5)
         there = transport_module(fock, "left_to_right_op")
         instances = [alg, fock, opposite_mosva(alg).result, there,
-                     transport_module(there, "right_op_to_left", target_algebra=alg),
+                     transport_module(there, "right_op_to_left"),
                      contragredient_module(fock)]
     for inst in instances:
         assert serialize(inst) == json.dumps(to_document(inst), indent=1) + "\n"

@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mosva import expansion
+from mosva.errors import WindowError
 from mosva.expansion import RationalFn, Region, divisor_terms, expand_rational
 from mosva.laurent import LaurentPoly
+
+import oracle_expansion
 
 Z2 = ("z1", "z2")
 Z3 = ("z1", "z2", "z3")
@@ -49,6 +55,17 @@ def test_rational_rejects_bad_input():
 def test_pole_orders_raise_instead_of_rounding(axis, diag, error):
     with pytest.raises(error, match="pole order"):
         RationalFn(Z2, one(Z2), axis, diag)
+
+
+@pytest.mark.parametrize("order, error", [(1.5, TypeError), (True, TypeError),
+                                          (Fraction(3, 2), ValueError)])
+def test_orders_raise_instead_of_entering_the_window(order, error):
+    # no tail, so the order alone would set the window's edges
+    f = RationalFn(Z2, one(Z2), pole_axis={"z1": 1})
+    with pytest.raises(error, match="order"):
+        expand_rational(f, Region.product(Z2), order)
+    assert expand_rational(f, Region.product(Z2), Fraction(2)).window == \
+        {"z1": (-3, 1), "z2": (-2, 2)}
 
 
 def test_integral_rational_pole_orders_are_ints():
@@ -234,3 +251,62 @@ def test_property_three_variable_iterate_inverse(f, order):
         lo, hi = exp.window[v]
         shrunk[v] = (lo + rng[1], hi + rng[0])
     assert prod.restricted(shrunk) == num.restricted(shrunk)
+
+
+def _expand_recording_depths(module, f, region, order):
+    """``module.expand_rational`` with ``(front, big, pole, depth)`` of
+    every geometric tail it builds, read by wrapping ``_geometric_tail``."""
+    tails = []
+    real = module._geometric_tail
+
+    def spy(variables, front, big, pole, sign, front_sign, depth):
+        tails.append((front, big, pole, depth))
+        return real(variables, front, big, pole, sign, front_sign, depth)
+
+    module._geometric_tail = spy
+    try:
+        return module.expand_rational(f, region, order), tails
+    finally:
+        module._geometric_tail = real
+
+
+def test_the_exact_bound_keeps_every_expansion_the_old_bound_certified():
+    # seeded random functions in 2-4 variables, in the natural chain, a
+    # permuted chain and the iterate region: wherever the old float bound
+    # returns, the expansion and window are equal and no tail is deeper;
+    # where it raised, the new bound must still expand
+    rng = random.Random(1)
+    returned = raised = shallower = 0
+    for _ in range(600):
+        vs = tuple(f"z{i + 1}" for i in range(rng.randint(2, 4)))
+        num = LaurentPoly(vs, {tuple(rng.randint(0, 2) for _ in vs): rng.choice([-2, -1, 1, 3])
+                               for _ in range(rng.randint(1, 3))})
+        f = RationalFn(vs, num, {v: rng.randint(0, 1) for v in vs},
+                       {key: rng.randint(0, 2) for key in combinations(vs, 2)})
+        region = rng.choice([Region.product(vs), Region.product(rng.sample(vs, len(vs))),
+                             Region.iterate(vs)])
+        order = rng.randint(0, 3)
+        got, depths = _expand_recording_depths(expansion, f, region, order)
+        try:
+            want, old_depths = _expand_recording_depths(oracle_expansion, f, region, order)
+        except WindowError:
+            raised += 1
+            continue
+        returned += 1
+        assert got.poly.terms == want.poly.terms and got.window == want.window
+        assert [t[:3] for t in depths] == [t[:3] for t in old_depths]
+        assert all(new[3] <= old[3] for new, old in zip(depths, old_depths))
+        shallower += sum(new[3] < old[3] for new, old in zip(depths, old_depths))
+    assert returned > 500 and raised > 25 and shallower > 0
+
+
+def test_every_diagonal_pole_expands_in_the_product_region():
+    # (z1-z2)^-2 (z3-z4)^-2: z2 is raised by (z1-z2) and z3 lowered by
+    # (z3-z4), so the old bound found no finite depth for (z2-z3)^-2
+    z4 = ("z1", "z2", "z3", "z4")
+    f = RationalFn(z4, one(z4), pole_diag={key: 2 for key in combinations(z4, 2)})
+    with pytest.raises(WindowError):
+        oracle_expansion.expand_rational(f, Region.product(z4), 2)
+    exp = expand_rational(f, Region.product(z4), 2)
+    assert exp.window == {"z1": (-8, -4), "z2": (-6, -2), "z3": (-4, 0), "z4": (-2, 2)}
+    assert exp.poly.coefficient((-6, -4, -2, 0)) == 1

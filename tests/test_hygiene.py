@@ -1,6 +1,7 @@
 """Source invariants that must survive ``python -O``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,54 @@ def test_integers_pass_one_gate(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "int"]
     assert not lines, f"{path.name}: builtin int() on lines {lines}; use scalars.exact_int"
+
+
+INFINITE_NAME = re.compile(r"(^|_)inf(inity)?($|_)", re.IGNORECASE)
+INFINITE_TEXT = {"inf", "+inf", "-inf", "infinity", "+infinity", "-infinity", "nan"}
+
+
+def _float_rejection(tree):
+    """The ``float`` names in exact_scalar's isinstance test, the one place
+    where a float may be named: to be turned away."""
+    return {id(name) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "exact_scalar"
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+            for name in ast.walk(call.args[1]) if isinstance(name, ast.Name)}
+
+
+def _float_lines(tree, allowed=frozenset()):
+    """Lines with a float() call, a float literal or an infinity, whether a
+    name (math.inf, _INF) or a string (float("inf")); ``allowed`` holds the
+    ids of the ``float`` names that may stay."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name) and node.id == "float"
+                       and id(node) not in allowed)
+                   or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                   or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and node.value.strip().lower() in INFINITE_TEXT)
+                   or (isinstance(node, ast.Name) and INFINITE_NAME.search(node.id))
+                   or (isinstance(node, ast.Attribute) and INFINITE_NAME.search(node.attr))})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_enters(path):
+    # scalars.py: "No float ever enters a computation"; exact_scalar names
+    # float only to reject it
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = _float_rejection(tree) if path.name == "scalars.py" else set()
+    lines = _float_lines(tree, allowed)
+    assert not lines, f"{path.name}: a float or an infinity on lines {lines}"
+
+
+def test_the_float_rule_sees_floats():
+    src = ('import math\n_INF = float("inf")\nx = -math.inf\ny = 0.5\n'
+           'def exact_scalar(x):\n    return isinstance(x, float) or float(x)\n')
+    tree = ast.parse(src)
+    assert _float_lines(tree, _float_rejection(tree)) == [2, 3, 4, 6]
+    # the float bound that expand_rational used to carry
+    old = (ROOT / "tests" / "oracle_expansion.py").read_text(encoding="utf-8")
+    assert _float_lines(ast.parse(old))
 
 
 # calls whose result is (value, exact), the exactness flag last

@@ -20,7 +20,7 @@ three-variable function, where the ring takes a few milliseconds.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
@@ -110,6 +110,7 @@ def numerators(variables, max_terms):
 
 Z2 = ("z1", "z2")
 Z3 = ("z1", "z2", "z3")
+Z4 = ("z1", "z2", "z3", "z4")
 order2 = st.integers(0, 2)
 
 
@@ -125,6 +126,19 @@ def rational3(draw):
     axis = {v: draw(st.integers(0, 1)) for v in Z3}
     diag = {key: draw(order2) for key in [("z1", "z2"), ("z1", "z3"), ("z2", "z3")]}
     return draw(numerators(Z3, 2)), axis, diag
+
+
+@st.composite
+def rational4(draw):
+    axis = {v: draw(st.integers(0, 1)) for v in Z4}
+    diag = {key: draw(order2) for key in combinations(Z4, 2)}
+    return draw(numerators(Z4, 2)), axis, diag
+
+
+# the natural chain, any permuted chain and the iterate region; with every
+# diagonal pole present these are the expansions of a 4-point function
+regions4 = st.one_of(st.just(Region.product(Z4)), st.permutations(Z4).map(Region.product),
+                     st.just(Region.iterate(Z4)))
 
 
 def regions(variables):
@@ -160,6 +174,12 @@ def test_two_variable_expansions_match_sympy(data, region, order):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(rational3(), st.sampled_from(regions(Z3)), st.integers(0, 2))
 def test_three_variable_expansions_match_sympy(data, region, order):
+    check_against_sympy(data, region, order)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(rational4(), regions4, st.integers(0, 1))
+def test_four_variable_expansions_match_sympy(data, region, order):
     check_against_sympy(data, region, order)
 
 

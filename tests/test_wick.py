@@ -3,22 +3,17 @@ against Wick's theorem: level^2 times the sum over the three perfect
 matchings of (z_i - z_j)^-2, compared with sympy.
 
 The product series is reconstructed as a rational function and cancelled
-against Wick's sum; the iterate series is matched against that function's
-iterate-region expansion, the iterate half of check_region_consistency.
-The product half cannot run on four variables yet: expand_rational finds no
-finite tail bound for the product region when every diagonal has a pole,
-and raises WindowError.  The cutoff is 9, the first at which the
-reconstruction certifies."""
+against Wick's sum; check_region_consistency then matches both the product
+and the iterate series against that function's region expansions.  The
+cutoff is 9, the first at which the reconstruction certifies."""
 
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from mosva.checks import _match_expansion
-from mosva.correlators import (ITERATE, PRODUCT, correlate, estimate_pole_orders,
-                               reconstruct_rational)
-from mosva.expansion import Region, expand_rational
+from mosva.checks import check_region_consistency
+from mosva.correlators import PRODUCT, correlate, estimate_pole_orders, reconstruct_rational
 from mosva.factory import build_heisenberg
 from mosva.graded import basis_dual
 
@@ -58,10 +53,12 @@ def test_product_correlator_is_wick(four_point):
     assert sympy.cancel(sympy.together(_sympy_fn(rec.fn) - wick)) == 0
 
 
-def test_iterate_correlator_matches_the_iterate_expansion(four_point):
-    _, alg, bra, ops, prod, rec = four_point
-    it = correlate(alg, bra, ops, alg.vacuum, ITERATE)
-    equal, checked, witness = _match_expansion(
-        expand_rational(rec.fn, Region.iterate(prod.variables), 6), it)
-    assert equal, witness
-    assert checked > 100
+def test_region_consistency_certifies_both_halves(four_point):
+    _, alg, bra, ops, _, _ = four_point
+    rep = check_region_consistency(alg, bra, ops, alg.vacuum, order=6)
+    assert rep.passed, rep.to_text()
+    windows = {r.check: r.window for r in rep.records}
+    assert windows["product region expansion matches the direct series"] \
+        == "234 monomials, order 6"
+    assert windows["iterate region expansion matches the direct series"] \
+        == "138 monomials, order 6"
