@@ -335,6 +335,7 @@ def _tail_depths(tails, width) -> list[int]:
 
     return [tail_depth(i) for i in range(len(tails))]
 
+
 def _chain_factor_specs(f: RationalFn, chain, out_vars):
     rank = {v: i for i, v in enumerate(chain)}
     specs = []
