@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, dual_space, exp_op_series,
-                     op_powers, transpose_op)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _same_space, dual_space,
+                     exp_op_series, transpose_op)
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, mode_apply)
 
@@ -34,61 +34,81 @@ def _cleared(vec: Vec, d: int) -> dict:
     return {lbl: c.numerator * (d // c.denominator) for lbl, c in vec.entries.items()}
 
 
+def _d_step(rows: dict, vec: dict) -> dict | None:
+    """D vec on the cleared rows of D; None when D does not know a label."""
+    out: dict = {}
+    for lbl, c in vec.items():
+        row = rows.get(lbl)
+        if row is None:
+            return None
+        _accumulate(out, c, row)
+    return out
+
+
 def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     """Apply the skew transport to a whole mode table.
 
     The result's first/second roles are swapped relative to the source.
-    Each (first, second) pair keeps one D-chain per inner mode m,
-    op_powers(D, S_m(second) first), so no lift is computed twice.
-    The chains run on integers, with dS and dD the lcms of the denominators
-    of the table and of D: they start at dS S_m(second) first and apply dD D,
-    and term k of T_n enters as (-1)^(n+k+1) (K!/k!) dD^(K-k), K = top - n,
-    so each partial sum is dS dD^K K! times the rational one, divided out once.
+    Per (first, second) pair the inner modes m of the window are read once,
+    in ascending order, and the D-chain of S_m(second) first is walked once,
+    never on a partial sum: power k goes into the total of T_{m-k}.  An
+    unknown base, or a power that meets a gap in D, makes its own n and
+    every lower n absent.  The chains run on integers, with dS and dD the
+    lcms of the denominators of the table and of D: they start at
+    dS S_m(second) first and apply dD D, and term k of T_n enters as
+    (-1)^(n+k+1) (K!/k!) dD^(K-k), K = top - n, so each total is
+    dS dD^K K! times the rational one, divided out once.
     """
-    first_space = source.second_space
-    second_space = source.first_space
-    out_space = source.out_space
+    first_space, second_space, out_space = source.second_space, source.first_space, source.out_space
+    _same_space(D.space, out_space)
     minw = out_space.min_weight
     d_src = _lcm_of_denominators(source.entries.values())
     d_op = _lcm_of_denominators(D.action.values())
-    D_int = GradedOp(D.space, D.weight_shift, {lbl: Vec._wrap(D.space, _cleared(out, d_op))
-                                               for lbl, out in D.action.items()})
+    D_rows = {lbl: _cleared(out, d_op) for lbl, out in D.action.items()}
     # weights[K][k] = (K!/k!) dD^(K-k) and scales[K] = dS dD^K K!
     reach = range(math.floor(out_space.cutoff - minw) + 1)
     weights = [[math.perm(K, K - k) * d_op ** (K - k) for k in range(K + 1)] for K in reach]
     scales = [d_src * d_op ** K * math.factorial(K) for K in reach]
+    table, gaps = source.entries, source.absent
     entries: dict[tuple, Vec] = {}
     absent = set()
-    for f in first_space.labels():
-        for s in second_space.labels():
-            chains: dict = {}
-            w = first_space.weight_of(f) + second_space.weight_of(s)
-            # k runs while the output weight w - n - 1 - k stays >= minw
-            top = math.floor(w - minw) - 1
-            for n in out_space.mode_window(w):
-                total: dict = {}
-                ok = True
-                for k, c in enumerate(weights[top - n]):
-                    m = n + k
-                    lift = chains.get(m)
-                    if lift is None:
-                        # an unstored base is a zero with exact=False
-                        base, known = source.basis_entry(s, m, f)
-                        start = Vec._wrap(out_space, _cleared(base, d_src))
-                        lift = chains[m] = op_powers(D_int, (start, known))
-                    lifted, exact = lift(k)
-                    if not exact:
-                        ok = False
-                        break
-                    if lifted.entries:
-                        _accumulate(total, -c if m % 2 == 0 else c, lifted.entries)
-                key = (f, n, s)
-                if not ok:
-                    absent.add(key)
-                elif total:
-                    entries[key] = Vec._wrap(out_space, {lbl: Fraction(c, scales[top - n])
-                                                         for lbl, c in total.items()})
-    return VertexMap(out_kind, first_space, second_space, out_space, entries, absent)
+    for wf, firsts in first_space.components.items():
+        # per second component: its labels, the top mode and the mode window
+        blocks = [(seconds, math.floor(wf + ws - minw) - 1, out_space.mode_window(wf + ws))
+                  for ws, seconds in second_space.components.items()]
+        for f in firsts:
+            for seconds, top, window in blocks:
+                lo = window.start
+                for s in seconds:
+                    totals = [{} for _ in window]
+                    cut = lo  # the modes n < cut are absent
+                    for m in window:
+                        base = table.get((s, m, f))
+                        if base is None:
+                            # inside the window a miss is an exact zero
+                            # unless it is explicitly absent
+                            if (s, m, f) in gaps:
+                                cut = m + 1
+                            continue
+                        power, n = _cleared(base, d_src), m
+                        while power:
+                            c = weights[top - n][m - n]
+                            _accumulate(totals[n - lo], c if m % 2 else -c, power)
+                            n -= 1
+                            if n < cut:
+                                break
+                            power = _d_step(D_rows, power)
+                            if power is None:
+                                cut = n + 1
+                    absent.update((f, n, s) for n in range(lo, cut))
+                    for n in range(cut, window.stop):
+                        total = totals[n - lo]
+                        if total:
+                            scale = scales[top - n]
+                            entries[(f, n, s)] = Vec._wrap(out_space, {
+                                lbl: Fraction(c, scale) for lbl, c in total.items()})
+    return VertexMap._wrap(out_kind, first_space, second_space, out_space, entries,
+                           frozenset(absent))
 
 
 @dataclass(frozen=True)
@@ -240,7 +260,13 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
     d_y = _lcm_of_denominators(W.YL.entries.values())
     table = {key: _cleared(out, d_y) for key, out in W.YL.entries.items()}
     dual = dual_space(space)
-    components, top = space.components, space.cutoff
+    # (sources, targets) per pair of components, keyed by the integer
+    # weight offset between them; in ascending source weight
+    links: dict[int, list] = {}
+    for wv, sources in space.components.items():
+        for tw, targets in space.components.items():
+            if (tw - wv).denominator == 1:
+                links.setdefault((tw - wv).numerator, []).append((sources, targets))
     entries: dict[tuple, Vec] = {}
     absent = set()
     for u_lbl in alg_space.labels():
@@ -256,15 +282,9 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
                  for m, um in powers.items()]
         # the union over module weights wt w of the windows of h + wt w
         for n in range(space.mode_window(h + space.min_weight).start,
-                       space.mode_window(h + top).stop):
-            for wv, sources in components.items():
-                # sources of weight wv feed the rows of weight tw
-                tw = wv + n + 1 - h
-                if tw > top:
-                    break
-                targets = components.get(tw)
-                if targets is None:
-                    continue
+                       space.mode_window(h + space.cutoff).stop):
+            # sources of weight wv feed the rows of weight wv + n + 1 - h
+            for sources, targets in links.get(n + 1 - h, ()):
                 rows = _dual_rows(W.YL, table, terms, n, sources, d_t * d_y) if known else None
                 for b in targets:
                     key = (u_lbl, n, b + DUAL_SUFFIX)

@@ -368,20 +368,21 @@ def _iterate_factor_specs(f: RationalFn, out_vars):
 
 def _substitute_partial_sums(poly: LaurentPoly, variables, out_vars) -> LaurentPoly:
     """Rewrite a polynomial in z_i as a polynomial in the difference variables."""
-    n = len(variables)
-    sums = []
-    for i in range(n):
-        s = LaurentPoly.zero(out_vars)
-        for w in out_vars[i:]:
-            s = s + LaurentPoly.variable(w, out_vars)
-        sums.append(s)
-    out = LaurentPoly.zero(out_vars)
+    zero = LaurentPoly.zero(out_vars)
+    sums = [sum((LaurentPoly.variable(w, out_vars) for w in out_vars[i:]), zero)
+            for i in range(len(variables))]
+    # each power sums[i] ** x once, and every term summed into one dict
+    one, powers, acc = LaurentPoly.constant(out_vars, 1), {}, {}
     for e, c in poly.terms.items():
-        term = LaurentPoly.constant(out_vars, c)
+        term = one
         for i, x in enumerate(e):
             if x < 0:
                 raise ValueError("numerator must be a polynomial")
             if x:
-                term = term * sums[i] ** x
-        out = out + term
-    return out
+                p = powers.get((i, x))
+                if p is None:
+                    p = powers[(i, x)] = sums[i] ** x
+                term = term * p
+        for mono, v in term.terms.items():
+            acc[mono] = acc.get(mono, 0) + c * v
+    return LaurentPoly._wrap(out_vars, {mono: v for mono, v in acc.items() if v})

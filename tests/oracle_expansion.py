@@ -7,15 +7,40 @@ half-rules (the front variables' upper edges and the big variable's lower
 edge), each infinite as soon as another tail leaves its variable unbounded;
 when both are infinite it raises ``WindowError``.  Tests compare the new
 expansion and its tail depths against this one wherever it returns.
+
+``_substitute_partial_sums`` is kept as it stood before each power of a
+partial sum was computed once: it recomputes ``sums[i] ** x`` per term and
+adds the terms one polynomial at a time.
 """
 
 from mosva.errors import WindowError
 from mosva.expansion import (ExpandedSeries, RationalFn, Region, _chain_factor_specs,
-                             _iterate_factor_specs, _substitute_partial_sums)
+                             _iterate_factor_specs)
 from mosva.laurent import LaurentPoly
 from mosva.scalars import binomial
 
 _INF = float("inf")
+
+
+def _substitute_partial_sums(poly: LaurentPoly, variables, out_vars) -> LaurentPoly:
+    """Rewrite a polynomial in z_i as a polynomial in the difference variables."""
+    n = len(variables)
+    sums = []
+    for i in range(n):
+        s = LaurentPoly.zero(out_vars)
+        for w in out_vars[i:]:
+            s = s + LaurentPoly.variable(w, out_vars)
+        sums.append(s)
+    out = LaurentPoly.zero(out_vars)
+    for e, c in poly.terms.items():
+        term = LaurentPoly.constant(out_vars, c)
+        for i, x in enumerate(e):
+            if x < 0:
+                raise ValueError("numerator must be a polynomial")
+            if x:
+                term = term * sums[i] ** x
+        out = out + term
+    return out
 
 
 class _Factor:

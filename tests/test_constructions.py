@@ -7,7 +7,7 @@ from mosva.constructions import (contragredient_module, opposite_mosva,
 from mosva.document import serialize
 from mosva.factory import (build_heisenberg, label_partition, matrix_units_mosva,
                            partition_label, self_module)
-from mosva.graded import GradedOp, Vec, basis_dual, pair
+from mosva.graded import GradedOp, GradedSpace, Vec, basis_dual, pair
 from mosva.scalars import factorial_fraction
 from mosva.vertex import (BI, LEFT, AlgebraInstance, ModuleInstance, VertexMap, mode_apply,
                           validate_instance)
@@ -306,6 +306,34 @@ def _fock_with_fractional_l1():
     return ModuleInstance(LEFT, fock.space, scaled, YL=fock.YL, D=fock.D, L1=L1, N0=fock.N0)
 
 
+def _fock_beside_a_half_shifted_copy():
+    # Fock at cutoff 4 and a copy of it raised by 1/2 (labels get a "~"),
+    # in one space with cutoff 9/2: components whose weights differ by a
+    # half feed no dual rows, those of each copy feed their own.  The pole
+    # term a1_1 a1~ is unknown, so the rows it feeds in the copy are absent
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    comps: dict = {}
+    for w, labels in fock.space.components.items():
+        comps.setdefault(w, []).extend(labels)
+        comps.setdefault(w + Fraction(1, 2), []).extend(l + "~" for l in labels)
+    space = GradedSpace(comps, Fraction(9, 2))
+    tags = ("", "~")
+
+    def move(v, tag):
+        return Vec(space, {l + tag: c for l, c in v.entries.items()})
+
+    def op(o):
+        return GradedOp(space, o.weight_shift, {l + tag: move(v, tag) for tag in tags
+                                                for l, v in o.action.items()})
+
+    gap = ("a1", 1, "a1~")
+    entries = {(u, n, w + tag): move(v, tag) for tag in tags
+               for (u, n, w), v in fock.YL.entries.items()}
+    assert entries.pop(gap).entries
+    YL = VertexMap(LEFT, alg.space, space, space, entries, absent={gap})
+    return ModuleInstance(LEFT, space, alg, YL=YL, D=op(fock.D), L1=op(fock.L1))
+
+
 ORACLE_MODULES = {
     **{f"fock-c{cutoff}-{level}": (lambda c=cutoff, l=level:
                                    build_heisenberg(level=l, cutoff=c)[1])
@@ -318,6 +346,7 @@ ORACLE_MODULES = {
     "fock-c4-absent-pole-key": _fock_with_absent_pole_key,
     "fock-c4-partial-l1": _fock_with_partial_l1,
     "fock-c4-1/3-fractional-l1": _fock_with_fractional_l1,
+    "fock-c4-beside-half-shifted-copy": _fock_beside_a_half_shifted_copy,
 }
 
 

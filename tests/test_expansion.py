@@ -300,6 +300,39 @@ def test_the_exact_bound_keeps_every_expansion_the_old_bound_certified():
     assert returned > 500 and raised > 25 and shallower > 0
 
 
+@st.composite
+def numerators(draw):
+    """A polynomial in one to four variables z_i, exponents up to 3."""
+    vs = tuple(f"z{i + 1}" for i in range(draw(st.integers(1, 4))))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vs)),
+                                 st.fractions(-5, 5, max_denominator=6), max_size=6))
+    return LaurentPoly(vs, terms)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(numerators())
+def test_partial_sums_match_the_oracle(poly):
+    # each power of a partial sum is computed once and the terms are summed
+    # into one dict; the polynomial must be that of the per-term loop
+    vs = poly.variables
+    out_vars = Region.iterate(vs).out_names
+    got = expansion._substitute_partial_sums(poly, vs, out_vars)
+    want = oracle_expansion._substitute_partial_sums(poly, vs, out_vars)
+    assert got.variables == want.variables == out_vars
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_partial_sums_cancel_and_reject_negative_exponents():
+    # z1 - z2 = (z1-z2): the z2 terms of the two partial sums cancel
+    got = expansion._substitute_partial_sums(LaurentPoly(Z2, {(1, 0): 1, (0, 1): -1}), Z2, W2)
+    assert got.terms == {(1, 0): 1}
+    for substitute in (expansion._substitute_partial_sums,
+                       oracle_expansion._substitute_partial_sums):
+        with pytest.raises(ValueError):
+            substitute(LaurentPoly(Z2, {(1, -1): 1}), Z2, W2)
+
+
 def test_every_diagonal_pole_expands_in_the_product_region():
     # (z1-z2)^-2 (z3-z4)^-2: z2 is raised by (z1-z2) and z3 lowered by
     # (z3-z4), so the old bound found no finite depth for (z2-z3)^-2

@@ -1,26 +1,30 @@
-"""The skew transport's per-pair D-chains against the map they replaced.
+"""The skew transport's scatter walk against the map it replaced.
 
 ``oracle_skew._skew_map`` lifts every term by ``op_power_apply`` from
-scratch.  ``constructions._skew_map`` must give the same entries in the same
+scratch.  ``constructions._skew_map`` walks each D-chain once and scatters
+its powers into their modes; it must give the same entries in the same
 entry and label order and the same absences: for Heisenberg at four levels
 and cutoffs 2-5 (and 6 at one level, to keep the sweep near 3 s), for the
-matrix algebra, and for one hand-made instance whose ``D`` has a gap below
-the cutoff and whose ``Y`` has explicit absences, so that inexact lifts are
-exercised.  The serialized opposite and transports are compared byte for
-byte at cutoff 3 and on the other two instances; at cutoff 5 their sha256
-pins, and that of the contragredient, were recorded before the D-chains
-landed.
+matrix algebra, for one hand-made instance whose ``D`` has a gap below the
+cutoff and whose ``Y`` has explicit absences, so that inexact lifts are
+exercised, for random such instances, and for every ``with_scaled_entry``
+fault of the suite benchmark.  The serialized opposite and transports are
+compared byte for byte at cutoff 3 and on the other instances; at cutoff 5
+their sha256 pins, and that of the contragredient, were recorded before the
+D-chains landed, and the faults' pins before the scatter walk.
 """
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosva import constructions
 from mosva.constructions import contragredient_module, opposite_mosva, transport_module
 from mosva.document import serialize
-from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
+from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
 from mosva.graded import GradedOp, Vec, op_powers
 from mosva.vertex import ALGEBRA, LEFT, RIGHT, AlgebraInstance, VertexMap
 
@@ -171,6 +175,103 @@ def test_d_over_another_space_raises():
     for skew_map in (constructions._skew_map, oracle_skew._skew_map):
         with pytest.raises(ValueError):
             skew_map(alg.Y, other.D, ALGEBRA)
+    # the matrix algebra has weight 0, so no chain takes a D step and only
+    # the check made before the walk can see the foreign D
+    with pytest.raises(ValueError):
+        constructions._skew_map(matrix_units_mosva(2).Y, other.D, ALGEBRA)
+
+
+def test_zero_power_through_a_gap_in_d_is_absent():
+    # D is unknown on a2, so D S_{-1}(vac) a2 = D a2 is a zero vector with
+    # exact=False.  T_{-2}(a2) vac needs that power and, past it, only
+    # exact zeros: it is absent with the gap, and an exact zero, neither
+    # stored nor absent, when D a2 is stored as an explicit zero
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    sp = alg.space
+    gap = GradedOp(sp, 1, {lbl: out for lbl, out in alg.D.action.items() if lbl != "a2"})
+    zero_row = GradedOp(sp, 1, {**alg.D.action, "a2": Vec(sp)})
+    assert alg.Y.entries[("vac", -1, "a2")] == Vec(sp, {"a2": 1})
+    power, exact = op_powers(gap, (Vec(sp, {"a2": 1}), True))(1)
+    assert not power.entries and not exact
+    key = ("a2", -2, "vac")
+    for skew_map in (constructions._skew_map, oracle_skew._skew_map):
+        with_gap, with_zero = skew_map(alg.Y, gap, ALGEBRA), skew_map(alg.Y, zero_row, ALGEBRA)
+        assert key in with_gap.absent and key not in with_gap.entries
+        assert key not in with_zero.absent and key not in with_zero.entries
+    assert_same_map(constructions._skew_map(alg.Y, gap, ALGEBRA),
+                    oracle_skew._skew_map(alg.Y, gap, ALGEBRA))
+
+
+@lru_cache(maxsize=None)
+def base_algebra(name):
+    """``matrix_units_mosva(2)`` for "matrix", else Heisenberg at a
+    (level, cutoff); each built once."""
+    if name == "matrix":
+        return matrix_units_mosva(2)
+    level, cutoff = name
+    return build_heisenberg(level=level, cutoff=cutoff)[0]
+
+
+@st.composite
+def perturbed(draw):
+    """An algebra whose Y has random explicit absences, stored entries or
+    unstored keys of the mode window, and whose D has random labels
+    missing and every other image scaled by a random rational (zero too)."""
+    alg = base_algebra(draw(st.sampled_from(
+        ["matrix"] + [(level, cutoff) for level in LEVELS for cutoff in (2, 3, 4)])))
+    Y, sp = alg.Y, alg.space
+    window_keys = [(f, n, s) for f in sp.labels() for s in sp.labels()
+                   for n in Y.mode_range(f, s)]
+    gaps = set(draw(st.lists(st.sampled_from(window_keys), max_size=8)))
+    entries = {k: v for k, v in Y.entries.items() if k not in gaps}
+    dropped = set(draw(st.lists(st.sampled_from(sorted(alg.D.action)), max_size=3)))
+    factors = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    action = {lbl: out.scale(draw(factors)) for lbl, out in alg.D.action.items()
+              if lbl not in dropped}
+    return AlgebraInstance(sp, VertexMap(ALGEBRA, sp, sp, sp, entries, gaps | Y.absent),
+                           alg.vacuum, GradedOp(sp, alg.D.weight_shift, action), alg.L1,
+                           meta=alg.meta)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(perturbed())
+def test_random_gaps_and_rescalings_match_oracle(alg):
+    for source, D, kind in skew_inputs(alg):
+        assert_same_map(constructions._skew_map(source, D, kind),
+                        oracle_skew._skew_map(source, D, kind))
+
+
+# the fault list of the suite benchmark (bench/workloads.py) with the
+# sha256 of serialize() of each faulted opposite, recorded before the
+# scatter walk: Heisenberg at level 1, cutoff 5, and matrix_units_mosva(2)
+FAULT_PINS = {
+    ("heisenberg", ("vac", -1, "a1")):
+        "3decb1ae5cdd994a623f96786dac6df6072b1b8a355fb36187ec05de765afe40",
+    ("heisenberg", ("a1", -2, "a1")):
+        "98883c6c696f60a6f998b7767795a7af573c140d212b1519f28d826a926d17e3",
+    ("heisenberg", ("a2", 2, "a1")):
+        "e106294233ccdd5f3bde20c3ac8633dcf8ad3645380b9821c867c165e77a0627",
+    ("heisenberg", ("a1", -1, "a1")):
+        "5c16a98926b0d3cb0f25d1e79b3252a107d473ddb6e1d9178453a0eccfa9fcd7",
+    ("matrix", ("E11", -1, "E11")):
+        "a65ca5b0173f1660323b133b8da7e62eebed011321df9ea5c170986a3e28f76a",
+    ("matrix", ("E12", -1, "E22")):
+        "4bf32fd71922981a38fe7001826adddfa154569734711f7a076b4bf91fca40b5",
+    ("matrix", ("E12", -1, "E21")):
+        "ed1365916bd36866aa07dc24b0e97acfee2cf1f664d2d393b89e26f89c0e0823",
+}
+
+
+@pytest.mark.parametrize("example, key", FAULT_PINS, ids=str)
+def test_fault_skew_maps_are_pinned(example, key):
+    inst = base_algebra((Fraction(1), 5) if example == "heisenberg" else "matrix")
+    bad = with_scaled_entry(inst, key, 2)
+    # the self-modules share the faulted table, so the oracle runs once
+    want = oracle_skew._skew_map(bad.Y, bad.D, ALGEBRA)
+    assert want != oracle_skew._skew_map(inst.Y, inst.D, ALGEBRA)
+    for source, D, kind in skew_inputs(bad):
+        assert_same_map(constructions._skew_map(source, D, kind), want)
+    assert sha(opposite_mosva(bad).result) == FAULT_PINS[(example, key)]
 
 
 # sha256 of serialize() at cutoff 5, recorded before the D-chains landed:
