@@ -20,12 +20,12 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
 from .errors import WindowError
 from .expansion import Region, expand_rational
 from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, basis_dual, basis_vec,
-                     exp_op_series, op_powers, pair)
+                     exp_op_series, op_power_apply, pair)
 from .laurent import LaurentPoly, taylor_shift
-from .report import SKIP, Report
+from .report import FAIL, PASS, SKIP, Report
 from .scalars import binomial, format_scalar
-from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, chain_maps, mode_apply,
-                     module_position, validate_instance, vertex_series)
+from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _weight_faults, chain_maps,
+                     mode_apply, module_position, validate_instance, vertex_series)
 
 COMPAT = "compat"
 
@@ -68,8 +68,7 @@ def check_vacuum(inst) -> Report:
                 checked += 1
                 if out != want:
                     witness = witness or f"mode {n} on {lbl}: got {out!r}"
-        rep.record(f"{name}: identity property", "fail" if witness else "pass",
-                   inputs=f"{checked} modes", witness=witness or "")
+        rep.judge(f"{name}: identity property", witness, inputs=f"{checked} modes")
 
     def creation_on(vmap, name, D):
         checked, witness = 0, None
@@ -92,8 +91,7 @@ def check_vacuum(inst) -> Report:
                 if coeffs.get(k, zero) != powers.get(k, zero):
                     witness = witness or f"{lbl}: power {k} is not exp(xD)"
                     break
-        rep.record(f"{name}: creation property", "fail" if witness else "pass",
-                   inputs=f"{checked} coefficients", witness=witness or "")
+        rep.judge(f"{name}: creation property", witness, inputs=f"{checked} coefficients")
 
     # the vacuum enters a map wherever an algebra element may
     for name, vmap in inst.vertex_maps().items():
@@ -105,7 +103,7 @@ def check_vacuum(inst) -> Report:
     if inst.algebra is inst:
         dvac, exact = inst.D.apply(vac)
         rep.record("D annihilates the vacuum",
-                   "pass" if exact and dvac.is_zero() else "fail",
+                   PASS if exact and dvac.is_zero() else FAIL,
                    witness="" if dvac.is_zero() else repr(dvac))
     return rep
 
@@ -158,10 +156,8 @@ def check_derivative(inst) -> Report:
                     checked += 1
                     if lhs != d_here - tail:
                         bad = bad or f"commutator at ({f}, {n}, {s})"
-        rep.record(f"{name}: derivative and commutator",
-                   "fail" if bad else "pass", witness=bad or "",
-                   inputs=f"{checked} identities",
-                   window=f"{skipped} skipped at cutoff")
+        rep.judge(f"{name}: derivative and commutator", bad,
+                  inputs=f"{checked} identities", window=f"{skipped} skipped at cutoff")
     _conjugation_spot_check(inst, rep)
     return rep
 
@@ -233,23 +229,16 @@ def _conjugation_spot_check(inst, rep: Report):
 
 def check_grading(inst) -> Report:
     """Structural validation plus the grading commutator
-    [d, Y_n(u)] = (wt u - n - 1) Y_n(u) on every stored entry."""
+    [d, Y_n(u)] = (wt u - n - 1) Y_n(u) on every stored entry.  d scales
+    each label by its weight, so the commutator fails exactly at the nonzero
+    entries that the homogeneity test faults."""
     rep = Report("grading")
     rep.extend(validate_instance(inst))
     for name, vmap in inst.vertex_maps().items():
-        own_f, own_s, own_o = _owners(inst, vmap)
-        bad, checked = None, 0
-        for (f, n, s), entry in sorted(vmap.entries.items()):
-            d_out, exact = own_o.d.apply(entry)
-            if not exact:
-                continue
-            commutator = d_out.add(entry, -vmap.second_space.weight_of(s))
-            want = entry.scale(vmap.first_space.weight_of(f) - n - 1)
-            checked += 1
-            if commutator != want:
-                bad = bad or f"({f}, {n}, {s})"
-        rep.record(f"{name}: grading commutator", "fail" if bad else "pass",
-                   witness=bad or "", inputs=f"{checked} entries")
+        faults, nonzero = _weight_faults(vmap)
+        bad = min((key for key in nonzero if key in faults), default=None)
+        rep.judge(f"{name}: grading commutator", bad and "({}, {}, {})".format(*bad),
+                  inputs=f"{len(vmap.entries)} entries")
     return rep
 
 
@@ -282,9 +271,8 @@ def check_mobius(inst) -> Report:
             checked += 1
             if abv - bav != want.scale(c):
                 bad = bad or lbl
-        rep.record(rep_name, "fail" if bad else "pass", witness=bad or "",
-                   inputs=f"{checked} basis vectors",
-                   window=f"{skipped} skipped at cutoff")
+        rep.judge(rep_name, bad, inputs=f"{checked} basis vectors",
+                  window=f"{skipped} skipped at cutoff")
 
     bracket("[L(0), L(-1)] = L(-1)", L0, Lm1, Lm1, 1)
     bracket("[L(0), L(1)] = -L(1)", L0, L1, L1, -1)
@@ -294,20 +282,20 @@ def check_mobius(inst) -> Report:
         for nm, op in (("L(-1)", Lm1), ("L(0)", L0), ("L(1)", L1)):
             out, ok = op.apply(inst.vacuum)
             rep.record(f"{nm} annihilates the vacuum",
-                       "pass" if ok and out.is_zero() else "fail",
+                       PASS if ok and out.is_zero() else FAIL,
                        witness="" if out.is_zero() else repr(out))
     n0 = inst.N0
     if n0 is not None:
         bound = max(len(ls) for ls in inst.space.components.values()) + 1
         bad = unknown = None
         for lbl in inst.space.labels():
-            out, exact = op_powers(n0, (Vec(inst.space, {lbl: 1}), True))(bound)
+            out, exact = op_power_apply(n0, Vec(inst.space, {lbl: 1}), bound)
             if not exact:
                 unknown = unknown or lbl
             elif out.entries:
                 bad = bad or lbl
         if bad:
-            rep.record("N0 nilpotent", "fail", witness=bad)
+            rep.fail("N0 nilpotent", witness=bad)
         elif unknown:
             rep.record("N0 nilpotent", SKIP, witness=f"{unknown}: a power of N0 is unknown")
         else:
@@ -356,9 +344,8 @@ def check_mobius(inst) -> Report:
                         if (out_img - tail).entries != rhs:
                             t[2] = t[2] or f"({f}, {n}, {s})"
         for (formula, *_), (checked, skipped, bad) in zip(formulas, tally):
-            rep.record(f"{name}: {formula} commutator formula",
-                       "fail" if bad else "pass", witness=bad or "",
-                       inputs=f"{checked} modes", window=f"{skipped} skipped at cutoff")
+            rep.judge(f"{name}: {formula} commutator formula", bad,
+                      inputs=f"{checked} modes", window=f"{skipped} skipped at cutoff")
     return rep
 
 
@@ -370,7 +357,7 @@ class WeakAssocResult:
     passed: bool
     p1: int | None
     compared: int
-    witness: PoleOrderWitness
+    p1_max: int  # the search bound the call resolved
     first_difference: str = ""
 
 
@@ -498,13 +485,9 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
         last_diff = diff or last_diff
 
     if found is None:
-        witness = PoleOrderWitness({}, {}, p1_search_bound=p1_max,
-                                   note="no p1 within the search bound")
-        return WeakAssocResult(False, None, 0, witness,
+        return WeakAssocResult(False, None, 0, p1_max,
                                last_diff or "no certified monomials compared")
-    witness = PoleOrderWitness({"z1": found}, {}, p1_search_bound=p1_max,
-                               note="minimal p1 on the certified window")
-    return WeakAssocResult(True, found, compared_at_found, witness)
+    return WeakAssocResult(True, found, compared_at_found, p1_max)
 
 
 def audit_pole_order(inst, samples, p1_max: int | None = None,
@@ -525,7 +508,7 @@ def audit_pole_order(inst, samples, p1_max: int | None = None,
     bound_used = 0
     for first, second, ket in samples:
         res = check_weak_associativity(inst, first, second, ket, p1_max, flavor)
-        bound_used = max(bound_used, res.witness.p1_search_bound or 0)
+        bound_used = max(bound_used, res.p1_max)
         name = f"({first!r}, {second!r}, {ket!r})"
         if not res.passed:
             rep.fail("weak associativity", inputs=name,
@@ -603,7 +586,7 @@ def check_region_consistency(inst, bra, ops, ket, order: int = 6,
     prod_exp = expand_rational(rec.fn, Region.product(vs), order)
     ok1, n1, w1 = _match_expansion(prod_exp, prod)
     rep.record("product region expansion matches the direct series",
-               "pass" if ok1 and n1 else "fail",
+               PASS if ok1 and n1 else FAIL,
                inputs=names, window=f"{n1} monomials, order {order}",
                witness=w1)
 
@@ -611,7 +594,7 @@ def check_region_consistency(inst, bra, ops, ket, order: int = 6,
     it_exp = expand_rational(rec.fn, Region.iterate(vs), order)
     ok2, n2, w2 = _match_expansion(it_exp, it)
     rep.record("iterate region expansion matches the direct series",
-               "pass" if ok2 and n2 else "fail",
+               PASS if ok2 and n2 else FAIL,
                inputs=names, window=f"{n2} monomials, order {order}",
                witness=w2)
     return rep
@@ -635,10 +618,9 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
     vspace = cg.algebra.space
     triples, bad, worst_p1, _ = _assoc_sweep(
         cg, (vspace, vspace, cg.space), max_weight, p1_max, None)
-    rep.record("weak associativity over the opposite algebra",
-               "fail" if bad else "pass", witness=bad or "",
-               inputs=f"{triples} triples with weight sum <= {max_weight}",
-               window=f"max minimal p1 = {worst_p1}")
+    rep.judge("weak associativity over the opposite algebra", bad,
+              inputs=f"{triples} triples with weight sum <= {max_weight}",
+              window=f"max minimal p1 = {worst_p1}")
 
     # transposition: <Y'_n(u) w', w> = <w', (Y^o)_n(u) w> on stored entries
     bad = None
@@ -659,8 +641,7 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
             checked += 1
             if out.coefficient(gamma + DUAL_SUFFIX) != img.coefficient(beta):
                 bad = bad or f"({u_lbl}, {n}, {bl}) against {gamma}"
-    rep.record("transposition pairing identity", "fail" if bad else "pass",
-               witness=bad or "", inputs=f"{checked} pairings")
+    rep.judge("transposition pairing identity", bad, inputs=f"{checked} pairings")
 
     # region consistency on the first four dual correlators
     def candidates():
@@ -696,9 +677,8 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
     for (u, n, w), out in W.YL.entries.items():
         if (u, n, w) not in stripped and not out.is_zero():
             bad = bad or f"missing {(u, n, w)}"
-    rep.record("double contragredient restores the module",
-               "fail" if bad else "pass", witness=bad or "",
-               inputs=f"{len(stripped)} entries")
+    rep.judge("double contragredient restores the module", bad,
+              inputs=f"{len(stripped)} entries")
     return rep
 
 
@@ -738,10 +718,9 @@ def _assoc_suite(inst, max_weight: int, p1_max: int | None) -> Report:
         triples, bad, worst, compared = _assoc_sweep(inst, spaces, max_weight, p1_max,
                                                      flavor)
         label = f" [{flavor}]" if flavor else ""
-        rep.record(f"weak associativity{label}", "fail" if bad else "pass",
-                   witness=bad or "",
-                   inputs=f"{triples} triples with weight sum <= {max_weight}",
-                   window=f"max minimal p1 = {worst}, {compared} monomials")
+        rep.judge(f"weak associativity{label}", bad,
+                  inputs=f"{triples} triples with weight sum <= {max_weight}",
+                  window=f"max minimal p1 = {worst}, {compared} monomials")
     return rep
 
 

@@ -113,7 +113,6 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
 
 @dataclass(frozen=True)
 class OppositeWitness:
-    source: AlgebraInstance
     result: AlgebraInstance
 
 
@@ -126,7 +125,7 @@ def opposite_mosva(V: AlgebraInstance) -> OppositeWitness:
     Y_op = _skew_map(V.Y, V.D, ALGEBRA)
     result = AlgebraInstance(V.space, Y_op, V.vacuum, V.D, V.L1,
                              meta={**V.meta, "opposite_of": V.meta.get("example", "?")})
-    return OppositeWitness(V, result)
+    return OppositeWitness(result)
 
 
 _DIRECTIONS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .expansion import RationalFn, Region, divisor_terms
 from .graded import DualVec, Vec
@@ -250,20 +250,18 @@ class ReconstructionResult:
 
 
 def _normalize_witness(witness: PoleOrderWitness, variables):
+    """The nonzero pole orders of a witness keyed by variable name, per
+    variable and per ordered variable pair."""
     p_axis = {}
-    for i, v in enumerate(variables):
-        p = exact_int(witness.p_axis.get(v, witness.p_axis.get(i + 1, 0)), "pole order")
+    for v in variables:
+        p = exact_int(witness.p_axis.get(v, 0), "pole order")
         if p:
             p_axis[v] = p
     p_diag = {}
-    n = len(variables)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = variables[i], variables[j]
-            p = exact_int(witness.p_diag.get((a, b), witness.p_diag.get((i + 1, j + 1), 0)),
-                          "pole order")
-            if p:
-                p_diag[(a, b)] = p
+    for pair in combinations(variables, 2):
+        p = exact_int(witness.p_diag.get(pair, 0), "pole order")
+        if p:
+            p_diag[pair] = p
     return p_axis, p_diag
 
 

@@ -14,8 +14,6 @@ from typing import Mapping
 
 from .scalars import exact_scalar, factorial_fraction, format_scalar
 
-Weight = Fraction
-
 
 class GradedSpace:
     """Ordered basis labels per weight, bounded below, truncated at a cutoff.
@@ -290,31 +288,16 @@ def weight_diagonal_op(space: GradedSpace) -> GradedOp:
         l: Vec(space, {l: space.weight_of(l)}) for l in space.labels()})
 
 
-def op_powers(op: GradedOp, start: tuple[Vec, bool]):
-    """The chain k -> (T^k v, exact so far) from start = (v, exact), the pair
-    ``basis_entry`` and ``apply`` return.
-
-    Each power is computed once, on demand, by one ``apply`` to the previous
-    power.  A power after an inexact application is inexact, and past a zero
-    vector every power is that zero.
-    """
-    chain = [start]
-
-    def power(k: int) -> tuple[Vec, bool]:
-        while len(chain) <= k:
-            out, exact = chain[-1]
-            if not out.entries:
-                return out, exact
-            nxt, ok = op.apply(out)
-            chain.append((nxt, exact and ok))
-        return chain[k]
-
-    return power
-
-
 def op_power_apply(op: GradedOp, v: Vec, k: int) -> tuple[Vec, bool]:
-    """T^k v with exactness tracking."""
-    return op_powers(op, (v, True))(k)
+    """T^k v with exactness tracking: a power after an inexact application
+    is inexact, and past a zero vector every power is that zero."""
+    exact = True
+    for _ in range(k):
+        if not v.entries:
+            break
+        v, ok = op.apply(v)
+        exact = exact and ok
+    return v, exact
 
 
 def exp_op_series(op: GradedOp, v: Vec):
@@ -326,18 +309,16 @@ def exp_op_series(op: GradedOp, v: Vec):
     reaches zero on a bounded-below space; a positive one may hit the
     cutoff.  A zero-shift operator must be nilpotent.
     """
-    power = op_powers(op, (v, True))
     max_dim = max((len(ls) for ls in op.space.components.values()), default=0)
     coeffs: dict[int, Vec] = {}
-    k = 0
-    while True:
-        out, exact = power(k)
-        if not (exact and out.entries):
-            return coeffs, exact
-        coeffs[k] = out.scale(factorial_fraction(k))
-        k += 1
-        if op.weight_shift == 0 and k > max_dim + 1:
+    exact = True
+    while exact and v.entries:
+        k = len(coeffs)
+        coeffs[k] = v.scale(factorial_fraction(k))
+        if op.weight_shift == 0 and k > max_dim:
             raise ValueError("zero-shift operator is not nilpotent; series does not terminate")
+        v, exact = op.apply(v)
+    return coeffs, exact
 
 
 # The prime that turns a basis label into its dual label.

@@ -48,6 +48,10 @@ class Report:
     def fail(self, check, inputs="", window="", witness=""):
         self.record(check, FAIL, inputs, window, witness)
 
+    def judge(self, check, witness, inputs="", window=""):
+        """Record a check that fails exactly when it has a witness."""
+        self.record(check, FAIL if witness else PASS, inputs, window, witness or "")
+
     def note(self, text):
         self.notes.append(text)
 

@@ -9,7 +9,6 @@ it reports exact=False.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .graded import DualVec, GradedOp, GradedSpace, Vec, _accumulate, weight_diagonal_op
@@ -100,10 +99,6 @@ class VertexMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
-
-    def output_weight(self, first_label: str, n: int, second_label: str) -> Fraction:
-        return (self.first_space.weight_of(first_label)
-                + self.second_space.weight_of(second_label) - n - 1)
 
     def basis_entry(self, first_label: str, n: int, second_label: str):
         """(Vec, exact) for one basis pair; a zero vector with exact=False
@@ -374,29 +369,48 @@ def chain_maps(inst, position: int | None, n_ops: int, nested: bool = False) -> 
     return [joining_map(inst, module[j], any(module[j + 1:])) for j in range(n_ops)]
 
 
-def _validate_map(vmap: VertexMap, name: str, rep: Report):
-    bad_weight = None
-    for (f, n, s), out in sorted(vmap.entries.items()):
-        expected = vmap.output_weight(f, n, s)
-        if expected > vmap.out_space.cutoff:
-            bad_weight = bad_weight or (f, n, s, "stored beyond cutoff")
+def _plain(w):
+    """A weight as an int where it is integral, so comparisons skip Fraction."""
+    return w.numerator if w.denominator == 1 else w
+
+
+def _weight_faults(vmap: VertexMap):
+    """One walk over the stored entries against the grading axiom
+    wt(u_n v) = wt u + wt v - n - 1.  Returns (faults, nonzero): faults maps
+    each key that breaks it to "stored beyond cutoff", when that weight is
+    above the cutoff, or to "weight {w} != {want}", when an output label has
+    another weight w; nonzero lists the keys of the nonzero entries."""
+    firsts, seconds, outs = ({lbl: _plain(w) for lbl, w in sp.label_weights.items()}
+                             for sp in (vmap.first_space, vmap.second_space, vmap.out_space))
+    cutoff = _plain(vmap.out_space.cutoff)
+    faults, nonzero = {}, []
+    for key, out in vmap.entries.items():
+        f, n, s = key
+        want = firsts[f] + seconds[s] - n - 1
+        if out.entries:
+            nonzero.append(key)
+        if want > cutoff:
+            faults[key] = "stored beyond cutoff"
             continue
-        got = out.weight()
-        if got is not None and got != expected:
-            bad_weight = bad_weight or (f, n, s, f"weight {got} != {expected}")
-    if bad_weight:
-        f, n, s, why = bad_weight
-        rep.fail(f"{name}: homogeneity", inputs=f"({f}, {n}, {s})", witness=why)
+        for lbl in out.entries:
+            if outs[lbl] != want:
+                faults[key] = f"weight {outs[lbl]} != {want}"
+                break
+    return faults, nonzero
+
+
+def _validate_map(vmap: VertexMap, name: str, rep: Report):
+    faults, nonzero = _weight_faults(vmap)
+    if faults:
+        key = min(faults)
+        rep.fail(f"{name}: homogeneity", inputs="({}, {}, {})".format(*key),
+                 witness=faults[key])
     else:
         rep.ok(f"{name}: homogeneity", inputs=f"{len(vmap.entries)} entries")
-
     # lower truncation: for each pair the nonzero modes are finitely many and
     # bounded above; finite storage makes this structural, recorded per pair
-    pairs = {}
-    for (f, n, s), out in vmap.entries.items():
-        if not out.is_zero():
-            pairs.setdefault((f, s), []).append(n)
-    worst = max((max(ns) for ns in pairs.values()), default=None)
+    pairs = {(f, s) for f, _, s in nonzero}
+    worst = max((n for _, n, _ in nonzero), default=None)
     rep.ok(f"{name}: lower truncation",
            inputs=f"{len(pairs)} pairs, max mode {worst}")
 
@@ -411,15 +425,10 @@ def validate_instance(inst) -> Report:
     else:
         rep.ok("weights bounded below", inputs=f"min weight {space.min_weight}")
     if inst.algebra is inst:
-        if any(w.denominator != 1 for w in space.components):
-            rep.fail("integer grading", witness="algebra weights must be integers")
-        else:
-            rep.ok("integer grading")
+        rep.judge("integer grading", any(w.denominator != 1 for w in space.components)
+                  and "algebra weights must be integers")
         wt = inst.vacuum.weight()
-        if inst.vacuum.is_zero() or wt != 0:
-            rep.fail("vacuum weight", witness=f"weight {wt}")
-        else:
-            rep.ok("vacuum weight")
+        rep.judge("vacuum weight", (inst.vacuum.is_zero() or wt != 0) and f"weight {wt}")
     else:
         rep.ok(f"module side {inst.side}")
     for name, vmap in inst.vertex_maps().items():

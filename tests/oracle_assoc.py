@@ -1,6 +1,8 @@
 """The axiom checks as they stood before the per-call inner-product memos,
 the weight-walked sweep and the shared Mobius images in ``mosva.checks``,
-kept verbatim.
+kept verbatim apart from the result type: ``WeakAssocResult`` carries the
+resolved ``p1_max`` where it carried a ``PoleOrderWitness``, and the ``N0``
+power goes through ``op_power_apply``.
 
 ``check_weak_associativity`` recomputes ``Y_{-b-1}(second) ket`` for every
 ``a`` and ``Y_{-a-1}(first) second`` for every ``b``; ``_assoc_sweep``
@@ -14,9 +16,8 @@ from fractions import Fraction
 
 from mosva.checks import (_SIDE_FLAVORS, WeakAssocResult, _assoc_position, _owners,
                           _sl2_of)
-from mosva.correlators import PoleOrderWitness
 from mosva.errors import WindowError
-from mosva.graded import Vec, _accumulate, op_powers
+from mosva.graded import Vec, _accumulate, op_power_apply
 from mosva.report import SKIP, Report
 from mosva.scalars import binomial
 from mosva.vertex import chain_maps, mode_apply
@@ -69,7 +70,7 @@ def check_mobius(inst) -> Report:
         bound = max(len(ls) for ls in inst.space.components.values()) + 1
         bad = unknown = None
         for lbl in inst.space.labels():
-            out, exact = op_powers(n0, (Vec(inst.space, {lbl: 1}), True))(bound)
+            out, exact = op_power_apply(n0, Vec(inst.space, {lbl: 1}), bound)
             if not exact:
                 unknown = unknown or lbl
             elif out.entries:
@@ -242,13 +243,9 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
         last_diff = diff or last_diff
 
     if found is None:
-        witness = PoleOrderWitness({}, {}, p1_search_bound=p1_max,
-                                   note="no p1 within the search bound")
-        return WeakAssocResult(False, None, 0, witness,
+        return WeakAssocResult(False, None, 0, p1_max,
                                last_diff or "no certified monomials compared")
-    witness = PoleOrderWitness({"z1": found}, {}, p1_search_bound=p1_max,
-                               note="minimal p1 on the certified window")
-    return WeakAssocResult(True, found, compared_at_found, witness)
+    return WeakAssocResult(True, found, compared_at_found, p1_max)
 
 
 

@@ -62,7 +62,9 @@ def basis_entry(self, first_label, n, second_label):
         return hit, True
     if key in self.absent:
         return Vec(self.out_space), False
-    if self.output_weight(first_label, n, second_label) > self.out_space.cutoff:
+    weight = (self.first_space.weight_of(first_label)
+              + self.second_space.weight_of(second_label) - n - 1)
+    if weight > self.out_space.cutoff:
         return Vec(self.out_space), self.out_space.complete
     return Vec(self.out_space), True
 

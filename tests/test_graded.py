@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mosva.graded import (DualVec, GradedOp, GradedSpace, Vec, basis_dual,
-                          basis_vec, dual_space, exp_op_series, op_powers, pair,
+                          basis_vec, dual_space, exp_op_series, op_power_apply, pair,
                           transpose_op, weight_diagonal_op)
 
 
@@ -125,7 +125,7 @@ def test_exp_series_lowering_stops_at_an_unknown_power(space):
     assert coeffs == {0: basis_vec(space, "e3a"), 1: Vec(space, {"e2a": 1, "e2b": 1})}
 
 
-def test_op_powers_applies_each_power_once(space):
+def test_op_power_apply_stops_past_a_zero_power(space):
     applied = []
 
     class Counting(GradedOp):
@@ -136,20 +136,17 @@ def test_op_powers_applies_each_power_once(space):
             return super().apply(v)
 
     up = Counting(space, 1, {"e0": Vec(space, {"e1": 1}), "e1": Vec(space, {"e2a": 1})})
-    power = op_powers(up, (basis_vec(space, "e0"), True))
-    assert power(2) == (basis_vec(space, "e2a"), True)
-    assert power(1) == (basis_vec(space, "e1"), True) and len(applied) == 2
+    e0 = basis_vec(space, "e0")
+    assert op_power_apply(up, e0, 0) == (e0, True) and not applied
+    assert op_power_apply(up, e0, 2) == (basis_vec(space, "e2a"), True) and len(applied) == 2
     # e2a's image is absent: every later power is inexact
-    assert power(3) == (Vec(space), False) and power(5) == (Vec(space), False)
-    # past a zero vector every power is that zero, and nothing is applied
+    assert op_power_apply(up, e0, 3) == (Vec(space), False)
+    assert op_power_apply(up, e0, 5) == (Vec(space), False)
+    # past a zero vector every power is that zero, and nothing more is applied
     down = Counting(space, -1, {"e1": Vec(space, {"e0": 1}), "e0": Vec(space)})
-    power = op_powers(down, (basis_vec(space, "e1"), True))
-    assert power(9) == (Vec(space), True)
     del applied[:]
-    assert power(40) == (Vec(space), True) and not applied
-    # an inexact start stays inexact
-    assert op_powers(down, (basis_vec(space, "e1"), False))(1) == (basis_vec(space, "e0"),
-                                                                    False)
+    assert op_power_apply(down, basis_vec(space, "e1"), 40) == (Vec(space), True)
+    assert len(applied) == 2
 
 
 def test_exp_series_zero_shift_requires_nilpotent(space):

@@ -102,6 +102,21 @@ def test_integers_pass_one_gate(path):
     assert not lines, f"{path.name}: builtin int() on lines {lines}; use scalars.exact_int"
 
 
+VERDICTS = {"pass", "fail", "skip"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "report.py"],
+                         ids=lambda p: p.name)
+def test_verdicts_are_spelled_in_report_only(path):
+    # report.py names the verdicts once, as PASS, FAIL and SKIP; a verdict
+    # spelled out elsewhere drifts from them unseen
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in VERDICTS]
+    assert not lines, f"{path.name}: a verdict string on lines {lines}; use report.PASS/FAIL/SKIP"
+
+
 INFINITE_NAME = re.compile(r"(^|_)inf(inity)?($|_)", re.IGNORECASE)
 INFINITE_TEXT = {"inf", "+inf", "-inf", "infinity", "+infinity", "-infinity", "nan"}
 

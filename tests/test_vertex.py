@@ -1,9 +1,11 @@
 import pytest
 
+from mosva.checks import check_grading
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
 from mosva.graded import GradedSpace, Vec
-from mosva.vertex import (ALGEBRA, LEFT, ModuleInstance, VertexMap, mode_apply,
-                          validate_instance, vertex_series)
+from mosva.report import PASS
+from mosva.vertex import (ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap,
+                          mode_apply, validate_instance, vertex_series)
 
 
 def test_mode_apply_role_mismatch():
@@ -73,18 +75,42 @@ def test_validate_passes_on_shipped_instances():
     assert validate_instance(matrix_units_mosva(2)).passed
 
 
-def test_validate_flags_inhomogeneous_entry():
+def with_entry(alg, key, out):
+    """The algebra with the stored entry at key replaced by out."""
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, {**alg.Y.entries, key: out})
+    return AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1)
+
+
+def test_validate_flags_a_wrong_weight_entry():
     alg, _ = build_heisenberg(level=1, cutoff=3)
-    # hand-build a map with one wrong-weight output
-    entries = dict(alg.Y.entries)
-    entries[("a1", 0, "a1")] = alg.basis_vec("a3")  # weight 3, expected 1
-    bad = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries)
-    from mosva.vertex import AlgebraInstance
-    inst = AlgebraInstance(alg.space, bad, alg.vacuum, alg.D, alg.L1)
-    rep = validate_instance(inst)
+    # one wrong-weight output: weight 3, expected 1
+    rep = validate_instance(with_entry(alg, ("a1", 0, "a1"), alg.basis_vec("a3")))
     assert not rep.passed
-    [failure] = [r for r in rep.records if r.verdict == "fail"]
+    [failure] = rep.failures()
     assert failure.inputs == "(a1, 0, a1)" and "weight 3 != 1" in failure.witness
+
+
+def test_validate_flags_an_inhomogeneous_entry():
+    # Y_{-1}(a1)a1 has weight 2; a1.a1 + a1 has a weight-1 part
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    inst = with_entry(alg, ("a1", -1, "a1"), alg.basis_vec("a1.a1") + alg.basis_vec("a1"))
+    for rep in (validate_instance(inst), check_grading(inst)):
+        [homogeneity] = [r for r in rep.failures() if r.check == "Y: homogeneity"]
+        assert homogeneity.inputs == "(a1, -1, a1)" and homogeneity.witness == "weight 1 != 2"
+    [commutator] = [r for r in rep.failures() if r.check == "Y: grading commutator"]
+    assert commutator.witness == "(a1, -1, a1)"
+
+
+def test_a_zero_stored_beyond_the_cutoff_breaks_homogeneity_only():
+    # Y_{-5}(a1)a1 would have weight 6, above the cutoff 4; as a zero vector
+    # it still commutes with d
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    rep = check_grading(with_entry(alg, ("a1", -5, "a1"), Vec(alg.space)))
+    [failure] = rep.failures()
+    assert (failure.check, failure.inputs, failure.witness) == (
+        "Y: homogeneity", "(a1, -5, a1)", "stored beyond cutoff")
+    [commutator] = [r for r in rep.records if r.check == "Y: grading commutator"]
+    assert commutator.verdict == PASS
 
 
 def test_module_side_requirements():
