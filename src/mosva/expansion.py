@@ -12,25 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping
 
 from .laurent import LaurentPoly
 from .scalars import binomial, exact_int
-
-
-def _divisible_by_var(poly: LaurentPoly, var: str) -> bool:
-    rng = poly.exponent_range(var)
-    return rng is not None and rng[0] >= 1
-
-
-def _divide_by_var(poly: LaurentPoly, var: str) -> LaurentPoly:
-    i = poly.variables.index(var)
-    terms = {}
-    for e, c in poly.terms.items():
-        new = list(e)
-        new[i] -= 1
-        terms[tuple(new)] = c
-    return LaurentPoly(poly.variables, terms)
 
 
 def _divisible_by_diff(poly: LaurentPoly, vi: str, vj: str) -> bool:
@@ -139,22 +126,21 @@ class RationalFn:
         changed = True
         while changed and not numerator.is_zero():
             changed = False
-            for v in list(axis):
-                if axis[v] > 0 and _divisible_by_var(numerator, v):
-                    numerator = _divide_by_var(numerator, v)
+            for v in axis:
+                if axis[v] > 0 and numerator.exponent_range(v)[0] >= 1:
+                    i = vs.index(v)
+                    numerator = LaurentPoly._wrap(vs, {e[:i] + (e[i] - 1,) + e[i + 1:]: c
+                                                       for e, c in numerator.terms.items()})
                     axis[v] -= 1
-                    if axis[v] == 0:
-                        del axis[v]
                     changed = True
-            for key in list(diag):
+            for key in diag:
                 if diag[key] > 0 and _divisible_by_diff(numerator, *key):
                     numerator = _divide_by_diff(numerator, *key)
                     diag[key] -= 1
-                    if diag[key] == 0:
-                        del diag[key]
                     changed = True
-        if numerator.is_zero():
-            axis, diag = {}, {}
+        zero = numerator.is_zero()
+        axis = {v: p for v, p in axis.items() if p and not zero}
+        diag = {key: p for key, p in diag.items() if p and not zero}
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "pole_axis", axis)
@@ -222,28 +208,53 @@ class ExpandedSeries:
     window: dict = field(default_factory=dict)
 
 
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two integer term dicts; cancelled terms stay as zeros."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _sum_powers(n: int, positions, depth: int) -> list[dict]:
+    """(sum of the variables at ``positions``)^k for k = 0..depth, each an
+    integer term dict over n variables holding the multinomial coefficients."""
+    step = {(0,) * p + (1,) + (0,) * (n - p - 1): 1 for p in positions}
+    powers = [{(0,) * n: 1}]
+    for _ in range(depth):
+        powers.append(_mul(powers[-1], step))
+    return powers
+
+
+def _box(terms: dict) -> list[tuple[int, int]]:
+    """(min, max) of each exponent over the support of a nonzero term dict."""
+    return [(min(col), max(col)) for col in zip(*terms)]
+
+
 def _geometric_tail(variables, front: tuple[str, ...], big: str, pole: int,
-                    sign: int, front_sign: int, depth: int) -> LaurentPoly:
-    """sign * (big + front_sign*sum(front))^(-pole), expanded to front degree <= depth."""
-    out = LaurentPoly.zero(variables)
-    front_sum = LaurentPoly.zero(variables)
-    for v in front:
-        front_sum = front_sum + LaurentPoly.variable(v, variables).scale(front_sign)
-    front_pow = LaurentPoly.constant(variables, 1)
-    for k in range(depth + 1):
-        coeff = binomial(-pole, k) * sign
-        term = front_pow * LaurentPoly.monomial(variables, {big: -pole - k}, coeff)
-        out = out + term
-        front_pow = front_pow * front_sum
+                    sign: int, front_sign: int, depth: int) -> dict:
+    """sign * (big + front_sign*sum(front))^(-pole), expanded to front degree
+    <= depth, as an integer term dict over ``variables``."""
+    b = variables.index(big)
+    out = {}
+    powers = _sum_powers(len(variables), [variables.index(v) for v in front], depth)
+    for k, layer in enumerate(powers):
+        c = binomial(-pole, k) * sign * front_sign ** k
+        for e, m in layer.items():
+            out[e[:b] + (-pole - k,) + e[b + 1:]] = c * m
     return out
 
 
 def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries:
     """The unique Laurent expansion of ``f`` in ``region``, windowed by ``order``.
 
-    The head is the numerator times every one-variable factor; each other
-    factor is a geometric tail in its big variable.  The certified window
-    is the box [head_lo - poles - order, head_hi - poles + order] per
+    The head is the numerator, scaled to integers by the lcm of its
+    denominators, times every one-variable factor; each other factor is an
+    integer geometric tail in its big variable, and each coefficient of the
+    integer product is divided by the lcm once at the end.  The certified
+    window is the box [head_lo - poles - order, head_hi - poles + order] per
     variable, where head_* are the head's exponents and poles the orders of
     the tails whose big variable it is; every true monomial inside the box
     is returned exactly.
@@ -251,48 +262,52 @@ def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries
     order = exact_int(order, "order")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    num = f.numerator.terms
+    den = lcm(*(c.denominator for c in num.values()))
+    head = {e: c.numerator * (den // c.denominator) for e, c in num.items()}
     if region.kind == "product":
         if set(region.chain) != set(f.variables):
             raise ValueError("region chain must mention exactly the function's variables")
         out_vars = f.variables
         specs = _chain_factor_specs(f, region.chain, out_vars)
-        head = f.numerator
     elif region.kind == "iterate":
         if region.chain != f.variables:
             raise ValueError("iterate region must be built on the function's variables in order")
         out_vars = region.out_names
         specs = _iterate_factor_specs(f, out_vars)
-        head = _substitute_partial_sums(f.numerator, f.variables, out_vars)
+        head = _substitute_partial_sums(head, f.variables, out_vars)
     else:
         raise ValueError(f"unsupported region kind: {region.kind}")
-    if head.is_zero():
+    if not head:
         return ExpandedSeries(LaurentPoly.zero(out_vars), {v: (0, 0) for v in out_vars})
 
-    tails = []
+    tails, shift, head_sign = [], [0] * len(out_vars), 1
     for front, big, pole, sign, front_sign in specs:
         if front:
             tails.append((front, big, pole, sign, front_sign))
         else:
-            head = head * LaurentPoly.monomial(out_vars, {big: -pole}, sign)
+            shift[out_vars.index(big)] -= pole
+            head_sign *= sign
+    head = {tuple(map(add, e, shift)): c * head_sign for e, c in head.items()}
     width, window = {}, {}
-    for v in out_vars:
-        lo, hi = head.exponent_range(v)
+    for v, (lo, hi) in zip(out_vars, _box(head)):
         poles = sum(t[2] for t in tails if t[1] == v)
         width[v] = hi - lo + order
         window[v] = (lo - poles - order, hi - poles + order)
 
     factors = [head] + [_geometric_tail(out_vars, *t, depth)
                         for t, depth in zip(tails, _tail_depths(tails, width))]
-    ranges = [{v: g.exponent_range(v) for v in out_vars} for g in factors]
-    product = LaurentPoly.constant(out_vars, 1)
+    ranges = [_box(g) for g in factors]
+    product = {(0,) * len(out_vars): 1}
     for i, g in enumerate(factors):
-        product = product * g
         rest = ranges[i + 1:]
         # keep only the terms that the remaining factors can still carry into the window
-        product = product.restricted({
-            v: (lo - sum(max(0, r[v][1]) for r in rest), hi - sum(min(0, r[v][0]) for r in rest))
-            for v, (lo, hi) in window.items()})
-    return ExpandedSeries(product, window)
+        box = [(lo - sum(max(0, r[j][1]) for r in rest), hi - sum(min(0, r[j][0]) for r in rest))
+               for j, (lo, hi) in enumerate(window.values())]
+        product = {e: c for e, c in _mul(product, g).items()
+                   if c and all(lo <= x <= hi for x, (lo, hi) in zip(e, box))}
+    terms = {e: Fraction(c, den) for e, c in product.items()}
+    return ExpandedSeries(LaurentPoly._wrap(out_vars, terms), window)
 
 
 def _tail_depths(tails, width) -> list[int]:
@@ -338,9 +353,7 @@ def _tail_depths(tails, width) -> list[int]:
 
 def _chain_factor_specs(f: RationalFn, chain, out_vars):
     rank = {v: i for i, v in enumerate(chain)}
-    specs = []
-    for v, p in sorted(f.pole_axis.items()):
-        specs.append(((), v, p, 1, 1))
+    specs = [((), v, p, 1, 1) for v, p in sorted(f.pole_axis.items())]
     for (a, b), p in sorted(f.pole_diag.items()):
         if rank[a] < rank[b]:
             specs.append(((b,), a, p, 1, -1))           # |a| > |b|: (a-b), expand in b/a
@@ -366,23 +379,21 @@ def _iterate_factor_specs(f: RationalFn, out_vars):
     return specs
 
 
-def _substitute_partial_sums(poly: LaurentPoly, variables, out_vars) -> LaurentPoly:
-    """Rewrite a polynomial in z_i as a polynomial in the difference variables."""
-    zero = LaurentPoly.zero(out_vars)
-    sums = [sum((LaurentPoly.variable(w, out_vars) for w in out_vars[i:]), zero)
-            for i in range(len(variables))]
-    # each power sums[i] ** x once, and every term summed into one dict
-    one, powers, acc = LaurentPoly.constant(out_vars, 1), {}, {}
-    for e, c in poly.terms.items():
-        term = one
-        for i, x in enumerate(e):
-            if x < 0:
-                raise ValueError("numerator must be a polynomial")
+def _substitute_partial_sums(terms: dict, variables, out_vars) -> dict:
+    """Rewrite an integer term dict in z_i as one in the difference
+    variables, z_i = w_i + ... + w_n; each power of a partial sum is built
+    once and every term is summed into one dict."""
+    if any(x < 0 for e in terms for x in e):
+        raise ValueError("numerator must be a polynomial")
+    n = len(out_vars)
+    powers = [_sum_powers(n, range(i, n), max((e[i] for e in terms), default=0))
+              for i in range(len(variables))]
+    acc: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        term = {(0,) * n: c}
+        for p, x in zip(powers, e):
             if x:
-                p = powers.get((i, x))
-                if p is None:
-                    p = powers[(i, x)] = sums[i] ** x
-                term = term * p
-        for mono, v in term.terms.items():
-            acc[mono] = acc.get(mono, 0) + c * v
-    return LaurentPoly._wrap(out_vars, {mono: v for mono, v in acc.items() if v})
+                term = _mul(term, p[x])
+        for mono, v in term.items():
+            acc[mono] = acc.get(mono, 0) + v
+    return {mono: v for mono, v in acc.items() if v}

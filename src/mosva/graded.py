@@ -239,12 +239,13 @@ class GradedOp:
         shift = exact_scalar(weight_shift, "weight shift")
         act = {}
         for lbl, out in action.items():
-            w = space.weight_of(lbl)
+            want = space.weight_of(lbl) + shift
             _same_space(out.space, space)
-            got = out.weight()
-            if got is not None and got != w + shift:
-                raise ValueError(
-                    f"action on {lbl!r} lands in weight {got}, expected {w + shift}")
+            for hit in out.entries:
+                got = space.label_weights[hit]
+                if got != want:
+                    raise ValueError(f"action on {lbl!r} lands in weight {got} at {hit!r}, "
+                                     f"expected {want}")
             act[lbl] = out
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weight_shift", shift)

@@ -420,10 +420,8 @@ def validate_instance(inst) -> Report:
     weight, grading operator, lower bound of weights."""
     rep = Report("structural")
     space = inst.space
-    if space.components and min(space.components) > space.cutoff:
-        rep.fail("weights bounded below")  # unreachable by construction
-    else:
-        rep.ok("weights bounded below", inputs=f"min weight {space.min_weight}")
+    # GradedSpace rejects a component above its cutoff, so this always holds
+    rep.ok("weights bounded below", inputs=f"min weight {space.min_weight}")
     if inst.algebra is inst:
         rep.judge("integer grading", any(w.denominator != 1 for w in space.components)
                   and "algebra weights must be integers")

@@ -11,13 +11,19 @@ expansion and its tail depths against this one wherever it returns.
 ``_substitute_partial_sums`` is kept as it stood before each power of a
 partial sum was computed once: it recomputes ``sums[i] ** x`` per term and
 adds the terms one polynomial at a time.
+
+``fraction_expand_rational``, ``_fraction_geometric_tail`` and
+``_fraction_substitute_partial_sums`` are ``expand_rational`` and its two
+helpers as they stood before the expansion ran on cleared integer
+denominators, kept verbatim apart from their names: every factor a
+``LaurentPoly`` over ``Fraction`` and every product a polynomial product.
 """
 
 from mosva.errors import WindowError
 from mosva.expansion import (ExpandedSeries, RationalFn, Region, _chain_factor_specs,
-                             _iterate_factor_specs)
+                             _iterate_factor_specs, _tail_depths)
 from mosva.laurent import LaurentPoly
-from mosva.scalars import binomial
+from mosva.scalars import binomial, exact_int
 
 _INF = float("inf")
 
@@ -197,3 +203,100 @@ def _tail_reach_bound(fac, factors, window):
         raise WindowError("expansion window cannot be certified for this region")
     return k_hi
 
+
+# -- the Fraction expansion with the exact chain bound --------------------------
+
+
+def _fraction_geometric_tail(variables, front: tuple[str, ...], big: str, pole: int,
+                    sign: int, front_sign: int, depth: int) -> LaurentPoly:
+    """sign * (big + front_sign*sum(front))^(-pole), expanded to front degree <= depth."""
+    out = LaurentPoly.zero(variables)
+    front_sum = LaurentPoly.zero(variables)
+    for v in front:
+        front_sum = front_sum + LaurentPoly.variable(v, variables).scale(front_sign)
+    front_pow = LaurentPoly.constant(variables, 1)
+    for k in range(depth + 1):
+        coeff = binomial(-pole, k) * sign
+        term = front_pow * LaurentPoly.monomial(variables, {big: -pole - k}, coeff)
+        out = out + term
+        front_pow = front_pow * front_sum
+    return out
+
+
+def fraction_expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries:
+    """The unique Laurent expansion of ``f`` in ``region``, windowed by ``order``.
+
+    The head is the numerator times every one-variable factor; each other
+    factor is a geometric tail in its big variable.  The certified window
+    is the box [head_lo - poles - order, head_hi - poles + order] per
+    variable, where head_* are the head's exponents and poles the orders of
+    the tails whose big variable it is; every true monomial inside the box
+    is returned exactly.
+    """
+    order = exact_int(order, "order")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if region.kind == "product":
+        if set(region.chain) != set(f.variables):
+            raise ValueError("region chain must mention exactly the function's variables")
+        out_vars = f.variables
+        specs = _chain_factor_specs(f, region.chain, out_vars)
+        head = f.numerator
+    elif region.kind == "iterate":
+        if region.chain != f.variables:
+            raise ValueError("iterate region must be built on the function's variables in order")
+        out_vars = region.out_names
+        specs = _iterate_factor_specs(f, out_vars)
+        head = _fraction_substitute_partial_sums(f.numerator, f.variables, out_vars)
+    else:
+        raise ValueError(f"unsupported region kind: {region.kind}")
+    if head.is_zero():
+        return ExpandedSeries(LaurentPoly.zero(out_vars), {v: (0, 0) for v in out_vars})
+
+    tails = []
+    for front, big, pole, sign, front_sign in specs:
+        if front:
+            tails.append((front, big, pole, sign, front_sign))
+        else:
+            head = head * LaurentPoly.monomial(out_vars, {big: -pole}, sign)
+    width, window = {}, {}
+    for v in out_vars:
+        lo, hi = head.exponent_range(v)
+        poles = sum(t[2] for t in tails if t[1] == v)
+        width[v] = hi - lo + order
+        window[v] = (lo - poles - order, hi - poles + order)
+
+    factors = [head] + [_fraction_geometric_tail(out_vars, *t, depth)
+                        for t, depth in zip(tails, _tail_depths(tails, width))]
+    ranges = [{v: g.exponent_range(v) for v in out_vars} for g in factors]
+    product = LaurentPoly.constant(out_vars, 1)
+    for i, g in enumerate(factors):
+        product = product * g
+        rest = ranges[i + 1:]
+        # keep only the terms that the remaining factors can still carry into the window
+        product = product.restricted({
+            v: (lo - sum(max(0, r[v][1]) for r in rest), hi - sum(min(0, r[v][0]) for r in rest))
+            for v, (lo, hi) in window.items()})
+    return ExpandedSeries(product, window)
+
+
+def _fraction_substitute_partial_sums(poly: LaurentPoly, variables, out_vars) -> LaurentPoly:
+    """Rewrite a polynomial in z_i as a polynomial in the difference variables."""
+    zero = LaurentPoly.zero(out_vars)
+    sums = [sum((LaurentPoly.variable(w, out_vars) for w in out_vars[i:]), zero)
+            for i in range(len(variables))]
+    # each power sums[i] ** x once, and every term summed into one dict
+    one, powers, acc = LaurentPoly.constant(out_vars, 1), {}, {}
+    for e, c in poly.terms.items():
+        term = one
+        for i, x in enumerate(e):
+            if x < 0:
+                raise ValueError("numerator must be a polynomial")
+            if x:
+                p = powers.get((i, x))
+                if p is None:
+                    p = powers[(i, x)] = sums[i] ** x
+                term = term * p
+        for mono, v in term.terms.items():
+            acc[mono] = acc.get(mono, 0) + c * v
+    return LaurentPoly._wrap(out_vars, {mono: v for mono, v in acc.items() if v})

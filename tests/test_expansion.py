@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,24 +314,83 @@ def numerators(draw):
 @given(numerators())
 def test_partial_sums_match_the_oracle(poly):
     # each power of a partial sum is computed once and the terms are summed
-    # into one dict; the polynomial must be that of the per-term loop
+    # into one dict; on the numerator cleared by the lcm of its denominators
+    # and divided by it afterwards, that is the polynomial of the per-term loop
     vs = poly.variables
     out_vars = Region.iterate(vs).out_names
-    got = expansion._substitute_partial_sums(poly, vs, out_vars)
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    ints = expansion._substitute_partial_sums(
+        {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}, vs, out_vars)
+    assert all(type(c) is int and c for c in ints.values())
+    got = {e: Fraction(c, den) for e, c in ints.items()}
     want = oracle_expansion._substitute_partial_sums(poly, vs, out_vars)
-    assert got.variables == want.variables == out_vars
-    assert got.terms == want.terms
-    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert want.variables == out_vars
+    assert got == want.terms
+    assert all(type(c) is Fraction and c for c in got.values())
 
 
 def test_partial_sums_cancel_and_reject_negative_exponents():
     # z1 - z2 = (z1-z2): the z2 terms of the two partial sums cancel
-    got = expansion._substitute_partial_sums(LaurentPoly(Z2, {(1, 0): 1, (0, 1): -1}), Z2, W2)
-    assert got.terms == {(1, 0): 1}
-    for substitute in (expansion._substitute_partial_sums,
-                       oracle_expansion._substitute_partial_sums):
+    assert expansion._substitute_partial_sums({(1, 0): 1, (0, 1): -1}, Z2, W2) == {(1, 0): 1}
+    with pytest.raises(ValueError):
+        expansion._substitute_partial_sums({(1, -1): 1}, Z2, W2)
+    for substitute in (oracle_expansion._substitute_partial_sums,
+                       oracle_expansion._fraction_substitute_partial_sums):
         with pytest.raises(ValueError):
             substitute(LaurentPoly(Z2, {(1, -1): 1}), Z2, W2)
+
+
+def _random_function(rng, vs):
+    """A function over ``vs`` with a rational numerator (denominators up to
+    6), sometimes zero and sometimes sharing a factor with its divisor, and
+    the total pole order it was asked for.  Pole orders go up to 2, diagonal
+    ones up to 1 in four variables, where order 2 makes the Fraction
+    expansion slow."""
+    num = LaurentPoly(vs, {tuple(rng.randint(0, 2) for _ in vs):
+                           Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                           for _ in range(rng.randint(1, 4))})
+    kind = rng.randrange(4)
+    if kind == 0:
+        num = num - num
+    elif kind == 1 and len(vs) > 1:
+        a, b = sorted(rng.sample(range(len(vs)), 2))
+        num = num * (LaurentPoly.variable(vs[a], vs) - LaurentPoly.variable(vs[b], vs))
+    elif kind == 2:
+        num = num * LaurentPoly.variable(rng.choice(vs), vs)
+    axis = {v: rng.randint(0, 2) for v in vs}
+    diag = {key: rng.randint(0, 2 if len(vs) < 4 else 1) for key in combinations(vs, 2)}
+    return RationalFn(vs, num, axis, diag), sum(axis.values()) + sum(diag.values())
+
+
+def _assert_same_expansion(f, region, order):
+    got = expand_rational(f, region, order)
+    want = oracle_expansion.fraction_expand_rational(f, region, order)
+    assert got.poly.variables == want.poly.variables
+    assert got.poly.terms == want.poly.terms and got.window == want.window
+    assert all(type(c) is Fraction for c in got.poly.terms.values())
+    return got
+
+
+def test_the_integer_kernel_matches_the_fraction_expansion():
+    # seeded random functions in 1-4 variables at orders 0-6, in the natural
+    # chain, a permuted chain and the iterate region: the expansion on
+    # cleared denominators equals the Fraction one term for term
+    rng = random.Random(20)
+    fractional = reduced = zero = 0
+    for _ in range(250):
+        vs = tuple(f"z{i + 1}" for i in range(rng.randint(1, 4)))
+        f, poles = _random_function(rng, vs)
+        region = rng.choice([Region.product(vs), Region.product(rng.sample(vs, len(vs))),
+                             Region.iterate(vs)])
+        got = _assert_same_expansion(f, region, rng.randint(0, 6))
+        fractional += any(c.denominator > 1 for c in got.poly.terms.values())
+        zero += f.is_zero()
+        reduced += not f.is_zero() and sum(f.pole_axis.values()) + sum(f.pole_diag.values()) < poles
+    assert fractional > 80 and zero > 40 and reduced > 80
+    z4 = ("z1", "z2", "z3", "z4")
+    f = RationalFn(z4, one(z4), pole_diag={key: 2 for key in combinations(z4, 2)})
+    for region in (Region.product(z4), Region.product(z4[::-1]), Region.iterate(z4)):
+        _assert_same_expansion(f, region, 2)
 
 
 def test_every_diagonal_pole_expands_in_the_product_region():

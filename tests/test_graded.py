@@ -73,6 +73,19 @@ def test_graded_op_homogeneity_enforced(space):
         GradedOp(space, 1, {"e1": Vec(space, {"e1": 1})})
 
 
+def test_graded_op_rejects_an_inhomogeneous_action_vector():
+    # a2 has the weight D must land in and a1.a1.a1 does not; a stored zero
+    # vector has no weight to get wrong
+    from mosva.factory import build_heisenberg
+
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    sp, a1 = alg.space, alg.basis_vec("a1")
+    bad = {**alg.D.action, "a1": alg.basis_vec("a2") + alg.basis_vec("a1.a1.a1")}
+    with pytest.raises(ValueError, match=r"'a1' lands in weight 3 at 'a1.a1.a1', expected 2"):
+        GradedOp(sp, 1, bad)
+    assert GradedOp(sp, 1, {**alg.D.action, "a1": Vec(sp)}).apply(a1) == (Vec(sp), True)
+
+
 def test_apply_absent_poisons_exactness(space):
     # raising operator stored everywhere except the top component
     action = {"e0": Vec(space, {"e1": 1}), "e1": Vec(space, {"e2a": 2})}
