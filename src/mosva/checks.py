@@ -24,7 +24,7 @@ from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, basis_dual, basis_
 from .laurent import LaurentPoly, taylor_shift
 from .report import FAIL, PASS, SKIP, Report
 from .scalars import binomial, format_scalar
-from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _weight_faults, chain_maps,
+from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _validate, chain_maps,
                      mode_apply, module_position, validate_instance, vertex_series)
 
 COMPAT = "compat"
@@ -233,9 +233,10 @@ def check_grading(inst) -> Report:
     each label by its weight, so the commutator fails exactly at the nonzero
     entries that the homogeneity test faults."""
     rep = Report("grading")
-    rep.extend(validate_instance(inst))
+    structural, walks = _validate(inst)
+    rep.extend(structural)
     for name, vmap in inst.vertex_maps().items():
-        faults, nonzero = _weight_faults(vmap)
+        faults, nonzero = walks[name]
         bad = min((key for key in nonzero if key in faults), default=None)
         rep.judge(f"{name}: grading commutator", bad and "({}, {}, {})".format(*bad),
                   inputs=f"{len(vmap.entries)} entries")

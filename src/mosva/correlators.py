@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import add, ge, sub
 
 from .expansion import RationalFn, Region, divisor_terms
 from .graded import DualVec, Vec
@@ -48,7 +49,8 @@ class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
     __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_lower",
-                 "_upper", "_holes", "_trivial", "_certified", "_reconstructed")
+                 "_upper", "_holes", "_trivial", "_certified", "_reconstructed",
+                 "_diagonal")
 
     def __init__(self, variables, coefficients, mode, op_weights, ket_weight,
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
@@ -83,6 +85,8 @@ class CorrelationSeries:
         object.__setattr__(self, "_certified", {})  # monomial -> is_certified
         # normalized pole orders -> ReconstructionResult
         object.__setattr__(self, "_reconstructed", {})
+        # normalized diagonal pole orders -> their divisor_terms
+        object.__setattr__(self, "_diagonal", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrelationSeries is immutable")
@@ -276,7 +280,9 @@ def reconstruct_rational(series: CorrelationSeries,
     once, as a sparse convolution in (stored coefficient, divisor term)
     order: its values there are the numerator, and at every other exact
     monomial it reaches it must vanish.  The first nonzero remainder in
-    convolution order is reported.
+    convolution order is reported.  The convolution runs on the series
+    cleared by the lcm of its denominators, and each numerator coefficient
+    is divided by that lcm once.
 
     The result depends only on the series and the normalized pole orders,
     so it is kept on the series under them: asking again with an equivalent
@@ -291,11 +297,26 @@ def reconstruct_rational(series: CorrelationSeries,
     return hit
 
 
+def _divisor(series: CorrelationSeries, p_axis: dict, p_diag: dict) -> dict:
+    """divisor_terms(series.variables, p_axis, p_diag), in its term order.
+
+    The diagonal factors are expanded once per series and normalized
+    diagonal orders; the axis orders only shift every exponent, which keeps
+    the order and the cancellations of the diagonal expansion."""
+    vs = series.variables
+    key = tuple(p_diag.items())
+    diagonal = series._diagonal.get(key)
+    if diagonal is None:
+        diagonal = series._diagonal[key] = divisor_terms(vs, {}, p_diag)
+    shift = [p_axis.get(v, 0) for v in vs]
+    return {tuple(map(add, e, shift)): c for e, c in diagonal.items()}
+
+
 def _reconstruct(series: CorrelationSeries, p_axis: dict,
                  p_diag: dict) -> ReconstructionResult:
     vs = series.variables
     n = len(vs)
-    divisor = divisor_terms(vs, p_axis, p_diag)
+    divisor = _divisor(series, p_axis, p_diag)
     deg_f = sum(p_axis.values()) + sum(p_diag.values()) + series.degree_sum
     if deg_f.denominator != 1:
         return ReconstructionResult(None, False, None, NONINTEGER_DEGREE,
@@ -311,7 +332,7 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
     certified = series.is_certified
 
     def exact(mono):
-        return all(certified(tuple(a - b for a, b in zip(mono, t))) for t in divisor)
+        return all(certified(tuple(map(sub, mono, t))) for t in divisor)
 
     top = []
     for mono in _compositions(deg, n):
@@ -322,13 +343,17 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
                 f"a larger cutoff is needed")
         top.append(mono)
 
-    product: dict[tuple, Fraction] = {}
-    for m, c in series.coefficients.items():
+    # convolve the cleared series; the divisor terms are ints already
+    coefficients = series.coefficients
+    den = math.lcm(*(c.denominator for c in coefficients.values()))
+    product: dict[tuple, int] = {}
+    for m, c in coefficients.items():
+        c = c.numerator * (den // c.denominator)
         for t, d in divisor.items():
-            key = tuple(a + b for a, b in zip(m, t))
-            acc = product.get(key)
-            product[key] = c * d if acc is None else acc + c * d
-    numerator_terms = {mono: product[mono] for mono in top if product.get(mono)}
+            key = tuple(map(add, m, t))
+            product[key] = product.get(key, 0) + c * d
+    numerator_terms = {mono: Fraction(product[mono], den)
+                       for mono in top if product.get(mono)}
 
     # remainder: the product must vanish away from the numerator support,
     # checked at every exact monomial reachable from the stored series
@@ -340,7 +365,7 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
                 None, False, deg, REMAINDER,
                 f"nonzero remainder at {cand}: these pole orders do not "
                 f"reduce the series to a polynomial")
-    fn = RationalFn(vs, LaurentPoly(vs, numerator_terms), p_axis, p_diag)
+    fn = RationalFn(vs, LaurentPoly._wrap(vs, numerator_terms), p_axis, p_diag)
     return ReconstructionResult(fn, True, deg, CERTIFIED)
 
 
@@ -393,6 +418,13 @@ def estimate_pole_orders(inst, bra, ops, ket,
 
     Extra poles only raise the predicted degree and never help a
     window-limited case, so the first certifying vector is total-minimal.
+    A bump vector >= one whose trial was window-limited or had a
+    non-integer degree, in every component, is skipped: bumping z_v
+    multiplies the divisor by z_v and raises the degree by one, so the
+    numerator monomial m + e_v needs exactly the shifts m needed, and no
+    integer bump makes a degree integral.  A skipped trial can neither
+    certify nor be the first window-limited one, so the witness is the one
+    the full search returns.
     When nothing certifies the first window-limited trial is returned so
     callers can report the honest obstruction.  With one operator there is
     nothing to bump and the base orders are tried once."""
@@ -402,9 +434,12 @@ def estimate_pole_orders(inst, bra, ops, ket,
     interior = series.variables[:-1]
     window_limited = None
     last = None
+    dead = []  # bumps whose trial, and every trial above it, cannot certify
     # with no interior variable every bump total gives the same trial
     for total in range(0, (max_bump if interior else 0) + 1):
         for bumps in _compositions(total, max(1, len(interior))):
+            if any(all(map(ge, bumps, low)) for low in dead):
+                continue
             p_axis = dict(base_axis)
             for v, b in zip(interior, bumps):
                 if b:
@@ -415,8 +450,9 @@ def estimate_pole_orders(inst, bra, ops, ket,
                 return trial
             # wrong pole orders are no obstruction; a non-integer degree,
             # which no bump changes, is kept like a window limit
-            if (res.reason not in (REMAINDER, NEGATIVE_DEGREE)
-                    and window_limited is None):
-                window_limited = trial
+            if res.reason not in (REMAINDER, NEGATIVE_DEGREE):
+                dead.append(bumps)
+                if window_limited is None:
+                    window_limited = trial
             last = trial
     return window_limited or last

@@ -1,5 +1,6 @@
-"""Rational reconstruction against the per-monomial reference, its typed
-reasons, the divisor term order and the pole-order search trial count."""
+"""Rational reconstruction against the per-monomial reference and the
+Fraction convolution, its typed reasons, the divisor term order, and the
+pole-order search against the search that runs every bump vector."""
 
 import itertools
 from fractions import Fraction
@@ -10,8 +11,8 @@ from mosva import correlators
 from mosva.checks import check_region_consistency
 from mosva.correlators import (CERTIFIED, NEGATIVE_DEGREE, NONINTEGER_DEGREE,
                                PRODUCT, REMAINDER, WINDOW_LIMITED, ZERO_FUNCTION,
-                               CorrelationSeries, PoleOrderWitness, correlate,
-                               estimate_pole_orders, reconstruct_rational,
+                               CorrelationSeries, PoleOrderWitness, _normalize_witness,
+                               correlate, estimate_pole_orders, reconstruct_rational,
                                truncation_pole_orders)
 from mosva.errors import WindowError
 from mosva.expansion import divisor_terms
@@ -21,11 +22,18 @@ from mosva.laurent import LaurentPoly
 from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
 
 import oracle_reconstruct
+from test_acceptance import _correlator_family
 
 
 @pytest.fixture(scope="module")
 def heis4():
     alg, _ = build_heisenberg(level=1, cutoff=4)
+    return alg
+
+
+@pytest.fixture(scope="module")
+def heis5():
+    alg, _ = build_heisenberg(level=1, cutoff=5)
     return alg
 
 
@@ -36,10 +44,38 @@ def _matrix_with_hole():
     return AlgebraInstance(m.space, Y, m.vacuum, m.D, m.L1)
 
 
+def _same_as_convolution(series, witness, res):
+    """res equals the Fraction convolution's result field by field, with the
+    numerator terms in the same order and every coefficient a Fraction."""
+    want = oracle_reconstruct.fraction_reconstruct(
+        series, *_normalize_witness(witness, series.variables))
+    assert res == want, (series, witness)
+    if res.fn is not None:
+        terms = res.fn.numerator.terms
+        assert list(terms.items()) == list(want.fn.numerator.terms.items())
+        assert all(type(c) is Fraction for c in terms.values())
+
+
 def _same_as_oracle(series, witness):
     res = reconstruct_rational(series, witness)
     want = oracle_reconstruct.reconstruct_rational(series, witness)
     assert (res.fn, res.certified, res.degree, res.detail) == want, (series, witness)
+    _same_as_convolution(series, witness, res)
+    return res
+
+
+def _same_search(inst, bra, ops, ket, max_bump=6):
+    """The pruned search returns the exhaustive search's witness, and the
+    witness reconstructs as the Fraction convolution does."""
+    series = correlate(inst, bra, ops, ket)
+    got = estimate_pole_orders(inst, bra, ops, ket, series, max_bump=max_bump)
+    want = oracle_reconstruct.exhaustive_estimate_pole_orders(inst, bra, ops, ket, series,
+                                                              max_bump=max_bump)
+    assert got == want, (ops, ket, bra)
+    assert (list(got.p_axis.items()), list(got.p_diag.items())) == \
+        (list(want.p_axis.items()), list(want.p_diag.items()))
+    res = reconstruct_rational(series, got)
+    _same_as_convolution(series, got, res)
     return res
 
 
@@ -214,15 +250,68 @@ def test_one_operator_search_tries_once(monkeypatch):
     assert (witness.p_axis, witness.p_diag) == (trials[0].p_axis, trials[0].p_diag)
 
 
-def test_bump_search_still_tries_every_total(monkeypatch):
+def test_bump_search_skips_trials_a_window_limit_decides(monkeypatch):
     inst = _matrix_with_hole()
     ops = [(inst.basis_vec("E12"), "z1"), (inst.basis_vec("E12"), "z2")]
     ket = inst.basis_vec("E12")
+    bra = basis_dual(inst.space, "E12")
     trials = _count_trials(monkeypatch)
-    estimate_pole_orders(inst, basis_dual(inst.space, "E12"), ops, ket, max_bump=3)
-    # every trial is window-limited; z1 is the only interior variable, so
-    # there is one trial per bump total 0..3
-    assert [t.p_axis.get("z1", 0) for t in trials] == [0, 1, 2, 3]
+    witness = estimate_pole_orders(inst, bra, ops, ket, max_bump=3)
+    # the first trial is window-limited; z1 is the only interior variable,
+    # so every later bump dominates it and none is tried
+    assert [t.p_axis.get("z1", 0) for t in trials] == [0]
+    assert witness == oracle_reconstruct.exhaustive_estimate_pole_orders(
+        inst, bra, ops, ket, max_bump=3)
+
+
+def test_bump_search_passes_a_window_limit_it_does_not_dominate(heis5, monkeypatch):
+    # <a1.a1| Y(a1,z1) Y(a1.a1,z2) Y(vac,z3) |a1>: the window-limited trial
+    # z1+3 dominates none of the trials before the certifying one, so the
+    # search still tries every bump vector of totals 0-3 and three of total 4
+    alg = heis5
+    ops = [(alg.basis_vec("a1"), "z1"), (alg.basis_vec("a1.a1"), "z2"), (alg.vacuum, "z3")]
+    ket = alg.basis_vec("a1")
+    bra = basis_dual(alg.space, "a1.a1")
+    series = correlate(alg, bra, ops, ket)
+    trials = _count_trials(monkeypatch)
+    witness = estimate_pole_orders(alg, bra, ops, ket, series)
+    assert [(t.p_axis.get("z1", 0), t.p_axis.get("z2", 0)) for t in trials] == [
+        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0),
+        (0, 4), (1, 3), (2, 2)]
+    reasons = [reconstruct_rational(series, t).reason for t in trials]
+    assert reasons == [REMAINDER] * 9 + [WINDOW_LIMITED] + [REMAINDER] * 2 + [CERTIFIED]
+    assert (witness.p_axis, witness.p_diag) == ({"z1": 2, "z2": 2}, {("z1", "z2"): 2})
+    assert witness == oracle_reconstruct.exhaustive_estimate_pole_orders(alg, bra, ops, ket)
+
+
+@pytest.mark.parametrize("level, max_bump", [(Fraction(3, 2), 6), (1, 3), (-2, 3)])
+def test_search_matches_the_exhaustive_search_on_acceptance_7(level, max_bump):
+    # the acceptance-7 family at cutoff 5, every bra, as test_correlate_oracle
+    # builds it
+    alg = build_heisenberg(level=level, cutoff=5)[0]
+    reasons = set()
+    for n_ops in (2, 3):
+        for op_labels, ket_lbl in _correlator_family(alg, n_ops, 4):
+            ops = [(alg.basis_vec(l), f"z{i + 1}") for i, l in enumerate(op_labels)]
+            ket = alg.basis_vec(ket_lbl)
+            for bra_lbl in alg.space.labels():
+                res = _same_search(alg, basis_dual(alg.space, bra_lbl), ops, ket, max_bump)
+                reasons.add(res.reason)
+    assert {CERTIFIED, WINDOW_LIMITED, ZERO_FUNCTION} <= reasons
+
+
+def test_search_matches_the_exhaustive_search_with_an_absent_entry():
+    inst = _matrix_with_hole()
+    labels = inst.space.labels()
+    reasons = set()
+    for n in (2, 3):
+        for op_labels in itertools.product(labels, repeat=n):
+            ops = [(inst.basis_vec(lbl), f"z{i + 1}") for i, lbl in enumerate(op_labels)]
+            for ket_lbl, bra_lbl in itertools.product(labels, repeat=2):
+                res = _same_search(inst, basis_dual(inst.space, bra_lbl), ops,
+                                   inst.basis_vec(ket_lbl))
+                reasons.add(res.reason)
+    assert {CERTIFIED, WINDOW_LIMITED} <= reasons
 
 
 def test_equivalent_witnesses_share_one_result(heis4):

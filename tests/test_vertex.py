@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from mosva.checks import check_grading
+from mosva.constructions import contragredient_module
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
 from mosva.graded import GradedSpace, Vec
 from mosva.report import PASS
 from mosva.vertex import (ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap,
                           mode_apply, validate_instance, vertex_series)
+
+from test_assoc_oracle import shifted
 
 
 def test_mode_apply_role_mismatch():
@@ -73,6 +78,20 @@ def test_validate_passes_on_shipped_instances():
     assert validate_instance(alg).passed
     assert validate_instance(fock).passed
     assert validate_instance(matrix_units_mosva(2)).passed
+
+
+def test_d_acts_by_weight_on_every_label():
+    # validate_instance records "d grading" without applying d, because
+    # every instance builds d from its space's weights; this holds it to that
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    for inst in (alg, fock, matrix_units_mosva(2),
+                 contragredient_module(shifted(fock, Fraction(1, 2)))):
+        space = inst.space
+        for lbl in space.labels():
+            out, exact = inst.d.apply(inst.basis_vec(lbl))
+            assert exact and out == inst.basis_vec(lbl).scale(space.weight_of(lbl)), lbl
+        [record] = [r for r in validate_instance(inst).records if r.check == "d grading"]
+        assert (record.verdict, record.inputs) == (PASS, f"{len(space.labels())} labels")
 
 
 def with_entry(alg, key, out):
