@@ -111,9 +111,16 @@ def check_vacuum(inst) -> Report:
 # -- shift operator ----------------------------------------------------------
 
 
+def _known(result):
+    """The value of a (value, exact) pair, or None when it is not exact."""
+    value, exact = result
+    return value if exact else None
+
+
 def check_derivative(inst) -> Report:
     """d/dx Y(u,x) = Y(Du,x) = [D, Y(u,x)] as exact mode identities, plus a
-    shift-conjugation spot check through taylor_shift."""
+    shift-conjugation spot check through taylor_shift.  Both identities
+    read -n Y_{n-1}(u)v; where it is unknown they count as one skip."""
     rep = Report("derivative")
     for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
@@ -121,41 +128,31 @@ def check_derivative(inst) -> Report:
         bad = None
         for f in vmap.first_space.labels():
             fv = Vec(vmap.first_space, {f: 1})
-            dfv, df_ok = own_f.D.apply(fv)
+            dfv = _known(own_f.D.apply(fv))
             for s in vmap.second_space.labels():
                 sv = Vec(vmap.second_space, {s: 1})
-                dsv, ds_ok = own_s.D.apply(sv)
+                dsv = _known(own_s.D.apply(sv))
                 for n in vmap.mode_range(f, s):
-                    below, ok0 = vmap.basis_entry(f, n - 1, s)
-                    if not ok0:
+                    below = _known(vmap.basis_entry(f, n - 1, s))
+                    if below is None:
                         skipped += 1
                         continue
+                    # Y_n(Du)v, and D Y_n(u)v - Y_n(u)Dv
+                    derivative = None if dfv is None else _known(mode_apply(vmap, dfv, n, sv))
+                    commutator = None
+                    here = _known(vmap.basis_entry(f, n, s))
+                    d_here = None if here is None else _known(own_o.D.apply(here))
+                    if d_here is not None and dsv is not None:
+                        tail = _known(mode_apply(vmap, fv, n, dsv))
+                        commutator = None if tail is None else d_here - tail
                     lhs = below.scale(-n)
-                    if df_ok:
-                        rhs, ok1 = mode_apply(vmap, dfv, n, sv)
-                        if ok1:
-                            checked += 1
-                            if lhs != rhs:
-                                bad = bad or f"derivative at ({f}, {n}, {s})"
-                        else:
+                    for what, rhs in (("derivative", derivative), ("commutator", commutator)):
+                        if rhs is None:
                             skipped += 1
-                    else:
-                        skipped += 1
-                    here, ok2 = vmap.basis_entry(f, n, s)
-                    if not ok2:
-                        skipped += 1
-                        continue
-                    d_here, ok3 = own_o.D.apply(here)
-                    if not (ok3 and ds_ok):
-                        skipped += 1
-                        continue
-                    tail, ok4 = mode_apply(vmap, fv, n, dsv)
-                    if not ok4:
-                        skipped += 1
-                        continue
-                    checked += 1
-                    if lhs != d_here - tail:
-                        bad = bad or f"commutator at ({f}, {n}, {s})"
+                            continue
+                        checked += 1
+                        if lhs != rhs:
+                            bad = bad or f"{what} at ({f}, {n}, {s})"
         rep.judge(f"{name}: derivative and commutator", bad,
                   inputs=f"{checked} identities", window=f"{skipped} skipped at cutoff")
     _conjugation_spot_check(inst, rep)
@@ -417,26 +414,24 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     P_inner: dict = {}  # b -> Y_{-b-1}(second) ket
     I_inner: dict = {}  # a -> Y_{-a-1}(first) second
 
-    def known(vmap, u, n, v):
-        out, ok = mode_apply(vmap, u, n, v)
-        return out if ok else None
-
     def P(a, b):
         key = (a, b)
         if key not in P_memo:
             if b not in P_inner:
-                P_inner[b] = known(inner_P, second, -b - 1, ket)
+                P_inner[b] = _known(mode_apply(inner_P, second, -b - 1, ket))
             innerv = P_inner[b]
-            P_memo[key] = None if innerv is None else known(outer_P, first, -a - 1, innerv)
+            P_memo[key] = (None if innerv is None
+                           else _known(mode_apply(outer_P, first, -a - 1, innerv)))
         return P_memo[key]
 
     def I(a, b):
         key = (a, b)
         if key not in I_memo:
             if a not in I_inner:
-                I_inner[a] = known(inner_I, first, -a - 1, second)
+                I_inner[a] = _known(mode_apply(inner_I, first, -a - 1, second))
             innerv = I_inner[a]
-            I_memo[key] = None if innerv is None else known(outer_I, innerv, -b - 1, ket)
+            I_memo[key] = (None if innerv is None
+                           else _known(mode_apply(outer_I, innerv, -b - 1, ket)))
         return I_memo[key]
 
     def P_shifted(c, d):

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import add, ge, sub
 
-from .expansion import RationalFn, Region, divisor_terms
+from .expansion import RationalFn, Region, divisor_terms, pole_orders
 from .graded import DualVec, Vec
-from .laurent import LaurentPoly
-from .scalars import exact_int, exact_scalar
+from .laurent import LaurentPoly, _mul
+from .scalars import exact_scalar
 from .vertex import BI, chain_maps, joining_map, mode_apply, mode_pair, module_position
 
 PRODUCT = "product"
@@ -253,22 +253,6 @@ class ReconstructionResult:
     detail: str = ""
 
 
-def _normalize_witness(witness: PoleOrderWitness, variables):
-    """The nonzero pole orders of a witness keyed by variable name, per
-    variable and per ordered variable pair."""
-    p_axis = {}
-    for v in variables:
-        p = exact_int(witness.p_axis.get(v, 0), "pole order")
-        if p:
-            p_axis[v] = p
-    p_diag = {}
-    for pair in combinations(variables, 2):
-        p = exact_int(witness.p_diag.get(pair, 0), "pole order")
-        if p:
-            p_diag[pair] = p
-    return p_axis, p_diag
-
-
 def reconstruct_rational(series: CorrelationSeries,
                          witness: PoleOrderWitness) -> ReconstructionResult:
     """Multiply the series by the pole divisor and read off the numerator.
@@ -284,11 +268,12 @@ def reconstruct_rational(series: CorrelationSeries,
     cleared by the lcm of its denominators, and each numerator coefficient
     is divided by that lcm once.
 
-    The result depends only on the series and the normalized pole orders,
-    so it is kept on the series under them: asking again with an equivalent
-    witness returns the same result object.
+    The result depends only on the series and the pole orders that
+    ``expansion.pole_orders`` reads from the witness, so it is kept on the
+    series under them: asking again with an equivalent witness returns the
+    same result object.
     """
-    p_axis, p_diag = _normalize_witness(witness, series.variables)
+    p_axis, p_diag = pole_orders(series.variables, witness.p_axis, witness.p_diag)
     key = (tuple(p_axis.items()), tuple(p_diag.items()))
     memo = series._reconstructed
     hit = memo.get(key)
@@ -346,12 +331,8 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
     # convolve the cleared series; the divisor terms are ints already
     coefficients = series.coefficients
     den = math.lcm(*(c.denominator for c in coefficients.values()))
-    product: dict[tuple, int] = {}
-    for m, c in coefficients.items():
-        c = c.numerator * (den // c.denominator)
-        for t, d in divisor.items():
-            key = tuple(map(add, m, t))
-            product[key] = product.get(key, 0) + c * d
+    product = _mul({m: c.numerator * (den // c.denominator)
+                    for m, c in coefficients.items()}, divisor)
     numerator_terms = {mono: Fraction(product[mono], den)
                        for mono in top if product.get(mono)}
 

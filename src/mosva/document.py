@@ -285,6 +285,8 @@ def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
     D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D", scalars)
     _expect(D is not None, "algebra needs the shift operator D", f"{path}.operators.D")
     L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1", scalars)
+    _expect(ops.get("N0") is None, "an algebra has no N0; its L(0) is its grading",
+            f"{path}.operators.N0")
     Y = _parse_vertex(doc.get("vertex"), ALGEBRA, space, space, space,
                       doc.get("absent"), f"{path}.vertex", scalars)
     _expect(Y is not None, "algebra needs a vertex table", f"{path}.vertex")

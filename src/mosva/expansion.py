@@ -12,39 +12,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _mul
 from .scalars import binomial, exact_int
 
 
-def _divisible_by_diff(poly: LaurentPoly, vi: str, vj: str) -> bool:
-    """True iff poly vanishes under the substitution vi = vj."""
-    i = poly.variables.index(vi)
-    j = poly.variables.index(vj)
-    merged: dict[tuple[int, ...], Fraction] = {}
-    for e, c in poly.terms.items():
-        new = list(e)
-        new[j] += new[i]
-        new[i] = 0
-        key = tuple(new)
-        merged[key] = merged.get(key, Fraction(0)) + c
-    return all(v == 0 for v in merged.values())
-
-
-def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly:
-    """Exact division by (vi - vj); caller must have checked divisibility."""
+def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly | None:
+    """The quotient of a polynomial by (vi - vj), or None when it does not
+    vanish at vi = vj: long division then reaches a lead term free of vi."""
     i = poly.variables.index(vi)
     j = poly.variables.index(vj)
     rem = dict(poly.terms)
     quo: dict[tuple[int, ...], Fraction] = {}
     while rem:
         e = max(rem, key=lambda t: (t[i], t))
-        c = rem.pop(e)
         if e[i] <= 0:
-            raise ArithmeticError(f"not divisible by ({vi} - {vj})")
+            return None
+        c = rem.pop(e)
         q = list(e)
         q[i] -= 1
         qt = tuple(q)
@@ -70,6 +58,8 @@ def divisor_terms(variables, pole_axis: Mapping[str, int],
     key order, multiplies in its binomial expansion
     sum_k (-1)^k C(p, k) z_i^{p-k} z_j^k, outer loop over the terms so far
     and inner loop over k; terms that cancel are dropped after each factor.
+    It keeps this two-position loop: multiplying each factor in through
+    ``laurent._mul`` made the pole-order search's calls 1.3-1.4x slower.
     """
     pos = {v: i for i, v in enumerate(variables)}
     start = [0] * len(pos)
@@ -93,8 +83,37 @@ def divisor_terms(variables, pole_axis: Mapping[str, int],
     return terms
 
 
+def pole_orders(variables, pole_axis: Mapping, pole_diag: Mapping) -> tuple[dict, dict]:
+    """The nonzero pole orders as ints, per variable in variable order and
+    per pair (z_i, z_j), i < j, in pair order.  A negative order raises
+    ValueError, and so does a nonzero one at any other key; the caller's
+    dict is scanned only when it holds a key the walk did not read."""
+    read = []
+    for given, keys in ((pole_axis, variables), (pole_diag, combinations(variables, 2))):
+        out, seen = {}, 0
+        for key in keys:
+            p = given.get(key)
+            if p is not None:
+                seen += 1
+                p = exact_int(p, "pole order")
+                if p < 0:
+                    raise ValueError(f"pole order at {key!r} must be nonnegative, got {p}")
+                if p:
+                    out[key] = p
+        if seen < len(given):
+            for key, p in given.items():
+                if key not in out and exact_int(p, "pole order"):
+                    raise ValueError(f"pole order at {key!r}: no variable, nor a pair "
+                                     f"in variable order")
+        read.append(out)
+    return read[0], read[1]
+
+
 class RationalFn:
-    """g(z) over the pole divisor {z_i = 0, z_i = z_j}, stored reduced."""
+    """g(z) over the pole divisor {z_i = 0, z_i = z_j}, stored reduced, with
+    the pole orders as ``pole_orders`` reads them.  z_v and the z_i - z_j
+    are pairwise coprime primes, so one pass reduces: each z_v once by the
+    most it can, then each diagonal while it divides."""
 
     __slots__ = ("variables", "numerator", "pole_axis", "pole_diag")
 
@@ -107,40 +126,22 @@ class RationalFn:
             r = numerator.exponent_range(v)
             if r is not None and r[0] < 0:
                 raise ValueError(f"numerator has a negative power of {v}")
-        axis = {v: exact_int(p, "pole order") for v, p in (pole_axis or {}).items()}
+        axis, diag = pole_orders(vs, pole_axis or {}, pole_diag or {})
+        if numerator.is_zero():
+            axis, diag = {}, {}
+        for v, p in axis.items():
+            i = vs.index(v)
+            k = min(p, numerator.exponent_range(v)[0])
+            if k:
+                numerator = LaurentPoly._wrap(vs, {e[:i] + (e[i] - k,) + e[i + 1:]: c
+                                                   for e, c in numerator.terms.items()})
+                axis[v] = p - k
+        for key, p in diag.items():
+            while p and (quotient := _divide_by_diff(numerator, *key)) is not None:
+                numerator, p = quotient, p - 1
+            diag[key] = p
         axis = {v: p for v, p in axis.items() if p}
-        diag = {}
-        for (a, b), p in (pole_diag or {}).items():
-            p = exact_int(p, "pole order")
-            if not p:
-                continue
-            if a not in vs or b not in vs or vs.index(a) >= vs.index(b):
-                raise ValueError(f"diagonal pole key ({a}, {b}) must follow variable order")
-            diag[(a, b)] = p
-        if any(p < 0 for p in axis.values()) or any(p < 0 for p in diag.values()):
-            raise ValueError("pole orders must be nonnegative")
-        for v in axis:
-            if v not in vs:
-                raise ValueError(f"unknown pole variable {v}")
-        # reduce: strip common factors with the divisor
-        changed = True
-        while changed and not numerator.is_zero():
-            changed = False
-            for v in axis:
-                if axis[v] > 0 and numerator.exponent_range(v)[0] >= 1:
-                    i = vs.index(v)
-                    numerator = LaurentPoly._wrap(vs, {e[:i] + (e[i] - 1,) + e[i + 1:]: c
-                                                       for e, c in numerator.terms.items()})
-                    axis[v] -= 1
-                    changed = True
-            for key in diag:
-                if diag[key] > 0 and _divisible_by_diff(numerator, *key):
-                    numerator = _divide_by_diff(numerator, *key)
-                    diag[key] -= 1
-                    changed = True
-        zero = numerator.is_zero()
-        axis = {v: p for v, p in axis.items() if p and not zero}
-        diag = {key: p for key, p in diag.items() if p and not zero}
+        diag = {key: p for key, p in diag.items() if p}
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "pole_axis", axis)
@@ -206,16 +207,6 @@ class ExpandedSeries:
 
     poly: LaurentPoly
     window: dict = field(default_factory=dict)
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """The product of two integer term dicts; cancelled terms stay as zeros."""
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
 
 
 def _sum_powers(n: int, positions, depth: int) -> list[dict]:

@@ -9,6 +9,7 @@ byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .scalars import binomial, exact_int, exact_scalar, format_scalar
@@ -17,6 +18,17 @@ from .scalars import binomial, exact_int, exact_scalar, format_scalar
 def _nonzero(terms: dict) -> dict:
     """The terms whose accumulated coefficient did not cancel to zero."""
     return {e: c for e, c in terms.items() if c}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two term dicts, outer loop over ``a`` and inner loop
+    over ``b``; terms that cancel stay as zeros."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 class LaurentPoly:
@@ -182,14 +194,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = LaurentPoly.align(self, other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                acc = terms.get(e)
-                prod = c1 * c2
-                terms[e] = prod if acc is None else acc + prod
-        return LaurentPoly._wrap(a.variables, _nonzero(terms))
+        return LaurentPoly._wrap(a.variables, _nonzero(_mul(a.terms, b.terms)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -296,6 +301,6 @@ def taylor_shift(p: LaurentPoly, var: str, first: str, second: str,
             new[i_big] += n - k
             key = tuple(new)
             acc = terms.get(key)
-            add = c * b
-            terms[key] = add if acc is None else acc + add
+            term = c * b
+            terms[key] = term if acc is None else acc + term
     return LaurentPoly._wrap(out_vars, _nonzero(terms))

@@ -7,20 +7,73 @@ power goes through ``op_power_apply``.
 ``check_weak_associativity`` recomputes ``Y_{-b-1}(second) ket`` for every
 ``a`` and ``Y_{-a-1}(first) second`` for every ``b``; ``_assoc_sweep``
 filters the whole label cube; ``check_mobius`` runs the loop over ``f``
-once per commutator formula.  Tests compare results and machine-report
-bytes against these.
+once per commutator formula.  ``check_derivative`` is the derivative check
+as it stood before it read exactness through ``checks._known``, with one
+``okN`` flag per lookup.  Tests compare results and machine-report bytes
+against these.
 """
 
 import math
 from fractions import Fraction
 
-from mosva.checks import (_SIDE_FLAVORS, WeakAssocResult, _assoc_position, _owners,
-                          _sl2_of)
+from mosva.checks import (_SIDE_FLAVORS, WeakAssocResult, _assoc_position,
+                          _conjugation_spot_check, _owners, _sl2_of)
 from mosva.errors import WindowError
 from mosva.graded import Vec, _accumulate, op_power_apply
 from mosva.report import SKIP, Report
 from mosva.scalars import binomial
 from mosva.vertex import chain_maps, mode_apply
+
+
+def check_derivative(inst) -> Report:
+    """d/dx Y(u,x) = Y(Du,x) = [D, Y(u,x)] as exact mode identities, plus a
+    shift-conjugation spot check through taylor_shift."""
+    rep = Report("derivative")
+    for name, vmap in inst.vertex_maps().items():
+        own_f, own_s, own_o = _owners(inst, vmap)
+        checked = skipped = 0
+        bad = None
+        for f in vmap.first_space.labels():
+            fv = Vec(vmap.first_space, {f: 1})
+            dfv, df_ok = own_f.D.apply(fv)
+            for s in vmap.second_space.labels():
+                sv = Vec(vmap.second_space, {s: 1})
+                dsv, ds_ok = own_s.D.apply(sv)
+                for n in vmap.mode_range(f, s):
+                    below, ok0 = vmap.basis_entry(f, n - 1, s)
+                    if not ok0:
+                        skipped += 1
+                        continue
+                    lhs = below.scale(-n)
+                    if df_ok:
+                        rhs, ok1 = mode_apply(vmap, dfv, n, sv)
+                        if ok1:
+                            checked += 1
+                            if lhs != rhs:
+                                bad = bad or f"derivative at ({f}, {n}, {s})"
+                        else:
+                            skipped += 1
+                    else:
+                        skipped += 1
+                    here, ok2 = vmap.basis_entry(f, n, s)
+                    if not ok2:
+                        skipped += 1
+                        continue
+                    d_here, ok3 = own_o.D.apply(here)
+                    if not (ok3 and ds_ok):
+                        skipped += 1
+                        continue
+                    tail, ok4 = mode_apply(vmap, fv, n, dsv)
+                    if not ok4:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    if lhs != d_here - tail:
+                        bad = bad or f"commutator at ({f}, {n}, {s})"
+        rep.judge(f"{name}: derivative and commutator", bad,
+                  inputs=f"{checked} identities", window=f"{skipped} skipped at cutoff")
+    _conjugation_spot_check(inst, rep)
+    return rep
 
 
 def check_mobius(inst) -> Report:
@@ -294,7 +347,9 @@ def _assoc_suite(inst, max_weight: int, p1_max: int | None) -> Report:
 
 
 def run_suite(inst, suite: str, max_weight: int = 4, p1_max: int | None = None) -> Report:
-    """The "assoc" and "mobius" suites of ``mosva.checks.run_suite``."""
+    """The "assoc", "mobius" and "D" suites of ``mosva.checks.run_suite``."""
+    if suite == "D":
+        return check_derivative(inst)
     if suite == "mobius":
         return check_mobius(inst)
     if suite == "assoc":

@@ -17,7 +17,17 @@ adds the terms one polynomial at a time.
 helpers as they stood before the expansion ran on cleared integer
 denominators, kept verbatim apart from their names: every factor a
 ``LaurentPoly`` over ``Fraction`` and every product a polynomial product.
+
+``_divisible_by_diff``, ``_divide_by_diff`` and ``fixpoint_reduce`` are the
+divisibility test, the division that raises when it does not divide, and
+the reduction of ``RationalFn`` as they stood before the reduction became
+one pass: each round shifts every axis variable down by one and divides by
+every diagonal once, until a round changes nothing.  ``fixpoint_reduce``
+is the reading and reduction part of the old ``RationalFn.__init__``,
+verbatim, returning ``(numerator, pole_axis, pole_diag)``.
 """
+
+from fractions import Fraction
 
 from mosva.errors import WindowError
 from mosva.expansion import (ExpandedSeries, RationalFn, Region, _chain_factor_specs,
@@ -300,3 +310,88 @@ def _fraction_substitute_partial_sums(poly: LaurentPoly, variables, out_vars) ->
         for mono, v in term.terms.items():
             acc[mono] = acc.get(mono, 0) + c * v
     return LaurentPoly._wrap(out_vars, {mono: v for mono, v in acc.items() if v})
+
+
+def _divisible_by_diff(poly: LaurentPoly, vi: str, vj: str) -> bool:
+    """True iff poly vanishes under the substitution vi = vj."""
+    i = poly.variables.index(vi)
+    j = poly.variables.index(vj)
+    merged: dict[tuple[int, ...], Fraction] = {}
+    for e, c in poly.terms.items():
+        new = list(e)
+        new[j] += new[i]
+        new[i] = 0
+        key = tuple(new)
+        merged[key] = merged.get(key, Fraction(0)) + c
+    return all(v == 0 for v in merged.values())
+
+
+def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly:
+    """Exact division by (vi - vj); caller must have checked divisibility."""
+    i = poly.variables.index(vi)
+    j = poly.variables.index(vj)
+    rem = dict(poly.terms)
+    quo: dict[tuple[int, ...], Fraction] = {}
+    while rem:
+        e = max(rem, key=lambda t: (t[i], t))
+        c = rem.pop(e)
+        if e[i] <= 0:
+            raise ArithmeticError(f"not divisible by ({vi} - {vj})")
+        q = list(e)
+        q[i] -= 1
+        qt = tuple(q)
+        quo[qt] = quo.get(qt, Fraction(0)) + c
+        # subtract c * q * (vi - vj): the vi part cancels the lead, keep the vj part
+        low = list(q)
+        low[j] += 1
+        lt = tuple(low)
+        acc = rem.get(lt, Fraction(0)) + c
+        if acc == 0:
+            rem.pop(lt, None)
+        else:
+            rem[lt] = acc
+    return LaurentPoly(poly.variables, quo)
+
+
+def fixpoint_reduce(variables, numerator: LaurentPoly, pole_axis=None, pole_diag=None):
+    vs = tuple(variables)
+    numerator = numerator.extended(vs)
+    for v in vs:
+        r = numerator.exponent_range(v)
+        if r is not None and r[0] < 0:
+            raise ValueError(f"numerator has a negative power of {v}")
+    axis = {v: exact_int(p, "pole order") for v, p in (pole_axis or {}).items()}
+    axis = {v: p for v, p in axis.items() if p}
+    diag = {}
+    for (a, b), p in (pole_diag or {}).items():
+        p = exact_int(p, "pole order")
+        if not p:
+            continue
+        if a not in vs or b not in vs or vs.index(a) >= vs.index(b):
+            raise ValueError(f"diagonal pole key ({a}, {b}) must follow variable order")
+        diag[(a, b)] = p
+    if any(p < 0 for p in axis.values()) or any(p < 0 for p in diag.values()):
+        raise ValueError("pole orders must be nonnegative")
+    for v in axis:
+        if v not in vs:
+            raise ValueError(f"unknown pole variable {v}")
+    # reduce: strip common factors with the divisor
+    changed = True
+    while changed and not numerator.is_zero():
+        changed = False
+        for v in axis:
+            if axis[v] > 0 and numerator.exponent_range(v)[0] >= 1:
+                i = vs.index(v)
+                numerator = LaurentPoly._wrap(vs, {e[:i] + (e[i] - 1,) + e[i + 1:]: c
+                                                   for e, c in numerator.terms.items()})
+                axis[v] -= 1
+                changed = True
+        for key in diag:
+            if diag[key] > 0 and _divisible_by_diff(numerator, *key):
+                numerator = _divide_by_diff(numerator, *key)
+                diag[key] -= 1
+                changed = True
+    zero = numerator.is_zero()
+    axis = {v: p for v, p in axis.items() if p and not zero}
+    diag = {key: p for key, p in diag.items() if p and not zero}
+    return numerator, axis, diag

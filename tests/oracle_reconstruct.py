@@ -15,16 +15,40 @@ dominated trials and the convolution moved to cleared integers.  They are
 verbatim apart from their names and the search calling
 ``fraction_reconstruct`` directly instead of the memoized
 ``reconstruct_rational``, so no result of the code under test enters it.
+
+``_normalize_witness`` is the witness reader that ``reconstruct_rational``
+used before ``expansion.pole_orders``, kept verbatim so that the references
+read a witness independently of the code under test.  It reads only the
+variables and the ordered pairs, so callers give it witnesses that
+``pole_orders`` accepts.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from mosva.correlators import (CERTIFIED, NEGATIVE_DEGREE, NONINTEGER_DEGREE, PRODUCT,
                                REMAINDER, WINDOW_LIMITED, ZERO_FUNCTION, PoleOrderWitness,
-                               ReconstructionResult, _compositions, _normalize_witness,
-                               correlate, truncation_pole_orders)
+                               ReconstructionResult, _compositions, correlate,
+                               truncation_pole_orders)
 from mosva.expansion import RationalFn, divisor_terms
 from mosva.laurent import LaurentPoly
+from mosva.scalars import exact_int
+
+
+def _normalize_witness(witness: PoleOrderWitness, variables):
+    """The nonzero pole orders of a witness keyed by variable name, per
+    variable and per ordered variable pair."""
+    p_axis = {}
+    for v in variables:
+        p = exact_int(witness.p_axis.get(v, 0), "pole order")
+        if p:
+            p_axis[v] = p
+    p_diag = {}
+    for pair in combinations(variables, 2):
+        p = exact_int(witness.p_diag.get(pair, 0), "pole order")
+        if p:
+            p_diag[pair] = p
+    return p_axis, p_diag
 
 
 def divisor_poly(variables, pole_axis, pole_diag):

@@ -1,8 +1,9 @@
-"""The weak-associativity and Mobius checks against the verbatim copies of
-their previous loops (``oracle_assoc``): every ``WeakAssocResult`` field of
-every sweep triple, and the machine-report bytes of the "assoc" and
-"mobius" suites, on algebras, modules of every side, a contragredient,
-tables with absent entries and every fault of the suite benchmark."""
+"""The weak-associativity, Mobius and derivative checks against the verbatim
+copies of their previous loops (``oracle_assoc``): every ``WeakAssocResult``
+field of every sweep triple, and the machine-report bytes of the "assoc",
+"mobius" and "D" suites, on algebras, modules of every side, a
+contragredient, tables with absent entries and every fault of the suite
+benchmark."""
 
 from fractions import Fraction
 
@@ -108,7 +109,7 @@ def test_weak_associativity_results_match_the_oracle(instances, name):
     assert any(not isinstance(r, tuple) and r.compared for r in results)
 
 
-@pytest.mark.parametrize("suite", ["assoc", "mobius"])
+@pytest.mark.parametrize("suite", ["assoc", "mobius", "D"])
 @pytest.mark.parametrize("name", NAMES)
 def test_suite_reports_match_the_oracle(instances, name, suite):
     inst = instances[name]
@@ -116,7 +117,7 @@ def test_suite_reports_match_the_oracle(instances, name, suite):
     assert got == oracle_assoc.run_suite(inst, suite, max_weight=MAX_WEIGHT).to_json()
 
 
-@pytest.mark.parametrize("suite", ["assoc", "mobius"])
+@pytest.mark.parametrize("suite", ["assoc", "mobius", "D"])
 @pytest.mark.parametrize("example, key, max_weight", FAULTS)
 def test_fault_reports_match_the_oracle(instances, example, key, max_weight, suite):
     inst = instances["heisenberg 1" if example == "heisenberg" else "matrix"]

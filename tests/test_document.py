@@ -312,6 +312,10 @@ LOADER_ROWS = [
      "expected [first, mode, second]", "$.vertex-absent[0]"),
     ("stored and absent", _absent_of("vertex", 5),
      "a key cannot be both stored and absent", "$.vertex"),
+    ("algebra N0", _set("operators", "N0", {"E11": [["E12", "1"]]}),
+     "an algebra has no N0; its L(0) is its grading", "$.operators.N0"),
+    ("algebra N0 malformed", _set("operators", "N0", "garbage"),
+     "an algebra has no N0; its L(0) is its grading", "$.operators.N0"),
 ]
 
 MODULE_ROWS = [

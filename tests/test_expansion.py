@@ -403,3 +403,82 @@ def test_every_diagonal_pole_expands_in_the_product_region():
     exp = expand_rational(f, Region.product(z4), 2)
     assert exp.window == {"z1": (-8, -4), "z2": (-6, -2), "z3": (-4, 0), "z4": (-2, 2)}
     assert exp.poly.coefficient((-6, -4, -2, 0)) == 1
+
+
+def _diff(vs, a, b):
+    return LaurentPoly.variable(a, vs) - LaurentPoly.variable(b, vs)
+
+
+def test_one_pass_reduction_matches_the_fixpoint():
+    # seeded numerators times axis powers and diagonal factors, so that the
+    # reduction fires, against the fixpoint loop it replaced
+    rng = random.Random(22)
+    stripped_axis = stripped_diag = zero = 0
+    for _ in range(240):
+        vs = tuple(f"z{i + 1}" for i in range(rng.randint(1, 4)))
+        pairs = list(combinations(vs, 2))
+        num = LaurentPoly(vs, {tuple(rng.randint(0, 2) for _ in vs):
+                               Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                               for _ in range(rng.randint(1, 3))})
+        if rng.randrange(5) == 0:
+            num = num - num
+        num = num * LaurentPoly.monomial(vs, {v: rng.randint(0, 3) for v in vs})
+        for key in rng.sample(pairs, min(len(pairs), rng.randint(0, 2))):
+            num = num * _diff(vs, *key) ** rng.randint(1, 3)
+        axis = {v: rng.randint(0, 3) for v in vs}
+        diag = {key: rng.randint(0, 3) for key in pairs}
+        f = RationalFn(vs, num, axis, diag)
+        want_num, want_axis, want_diag = oracle_expansion.fixpoint_reduce(vs, num, axis, diag)
+        assert f.numerator.terms == want_num.terms
+        assert list(f.pole_axis.items()) == list(want_axis.items())
+        assert list(f.pole_diag.items()) == list(want_diag.items())
+        zero += f.is_zero()
+        if not f.is_zero():
+            stripped_axis += sum(f.pole_axis.values()) < sum(axis.values())
+            stripped_diag += sum(f.pole_diag.values()) < sum(diag.values())
+    assert zero > 20 and stripped_axis > 100 and stripped_diag > 60
+
+
+def test_divide_by_diff_returns_none_exactly_when_it_does_not_divide():
+    rng = random.Random(23)
+    divided = 0
+    for _ in range(300):
+        vs = tuple(f"z{i + 1}" for i in range(rng.randint(2, 4)))
+        a, b = rng.sample(vs, 2)
+        poly = LaurentPoly(vs, {tuple(rng.randint(0, 3) for _ in vs): rng.randint(-3, 3)
+                                for _ in range(rng.randint(1, 4))})
+        if rng.randrange(2):
+            poly = poly * _diff(vs, a, b) ** rng.randint(1, 2)
+        quotient = expansion._divide_by_diff(poly, a, b)
+        assert (quotient is None) == (not oracle_expansion._divisible_by_diff(poly, a, b))
+        if quotient is not None:
+            assert quotient * _diff(vs, a, b) == poly
+            divided += not poly.is_zero()
+    assert divided > 100
+
+
+@pytest.mark.parametrize("axis, diag", [
+    ({"z1": -1}, {("z1", "z2"): 3}),
+    ({}, {("z1", "z2"): -1}),
+    ({}, {("z2", "z1"): 2}),
+    ({"z9": 1}, {}),
+    ({"z9": 1}, {("z1", "z2"): 2}),
+    ({}, {("z1", "z9"): 1}),
+    ({}, {("z1", "z1"): 1}),
+])
+def test_pole_orders_reject_negative_orders_and_unplaced_poles(axis, diag):
+    with pytest.raises(ValueError, match="pole order at"):
+        expansion.pole_orders(Z2, axis, diag)
+    with pytest.raises(ValueError, match="pole order at"):
+        RationalFn(Z2, one(Z2), axis, diag)
+
+
+def test_pole_orders_keep_variable_and_pair_order_and_drop_zeros():
+    axis = {"z3": 1, "z9": 0, "z1": Fraction(4, 2), "z2": 0}
+    diag = {("z2", "z3"): 1, ("z3", "z1"): 0, ("z1", "z3"): "3", ("z1", "z2"): 0}
+    got = expansion.pole_orders(Z3, axis, diag)
+    assert [list(d.items()) for d in got] == [[("z1", 2), ("z3", 1)],
+                                              [(("z1", "z3"), 3), (("z2", "z3"), 1)]]
+    assert all(type(p) is int for d in got for p in d.values())
+    with pytest.raises(TypeError, match="pole order must be exact"):
+        expansion.pole_orders(Z2, {"z9": 0.0}, {})

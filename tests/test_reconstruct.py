@@ -11,8 +11,8 @@ from mosva import correlators
 from mosva.checks import check_region_consistency
 from mosva.correlators import (CERTIFIED, NEGATIVE_DEGREE, NONINTEGER_DEGREE,
                                PRODUCT, REMAINDER, WINDOW_LIMITED, ZERO_FUNCTION,
-                               CorrelationSeries, PoleOrderWitness, _normalize_witness,
-                               correlate, estimate_pole_orders, reconstruct_rational,
+                               CorrelationSeries, PoleOrderWitness, correlate,
+                               estimate_pole_orders, reconstruct_rational,
                                truncation_pole_orders)
 from mosva.errors import WindowError
 from mosva.expansion import divisor_terms
@@ -48,7 +48,7 @@ def _same_as_convolution(series, witness, res):
     """res equals the Fraction convolution's result field by field, with the
     numerator terms in the same order and every coefficient a Fraction."""
     want = oracle_reconstruct.fraction_reconstruct(
-        series, *_normalize_witness(witness, series.variables))
+        series, *oracle_reconstruct._normalize_witness(witness, series.variables))
     assert res == want, (series, witness)
     if res.fn is not None:
         terms = res.fn.numerator.terms
@@ -370,6 +370,24 @@ def test_pole_orders_must_be_integers(heis4):
         res = reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): order}))
         assert res.certified and res.fn.pole_diag == {("z1", "z2"): 2}
         assert str(res.fn) == "(1) / ((z1-z2)^2)"
+
+
+@pytest.mark.parametrize("p_axis, p_diag", [
+    ({"z1": -1}, {("z1", "z2"): 3}),
+    ({}, {("z2", "z1"): 2}),
+    ({"z9": 1}, {}),
+    ({"z9": 1}, {("z1", "z2"): 2}),
+])
+def test_witnesses_that_place_no_pole_are_rejected(heis4, p_axis, p_diag):
+    # a reader that walks only the variables and ordered pairs gives
+    # REMAINDER, NEGATIVE_DEGREE (the reversed pair read as zero),
+    # NEGATIVE_DEGREE and CERTIFIED (the z9 pole ignored)
+    a1 = heis4.basis_vec("a1")
+    series = correlate(heis4, basis_dual(heis4.space, "vac"),
+                       [(a1, "z1"), (a1, "z2")], heis4.vacuum)
+    with pytest.raises(ValueError, match="pole order at"):
+        reconstruct_rational(series, PoleOrderWitness(p_axis, p_diag))
+    assert not series._reconstructed
 
 
 @pytest.mark.parametrize("value", [0.1, 0.0, True])
