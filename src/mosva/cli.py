@@ -98,6 +98,10 @@ def _build_parser() -> _Parser:
     return p
 
 
+# built once per process: parsing reads the parser and leaves it unchanged
+_PARSER = _build_parser()
+
+
 def _emit(report: Report, style: str, command: str) -> None:
     text = report.to_json() if style == "machine" else report.to_text() + "\n"
     sys.stdout.write(text)
@@ -241,9 +245,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

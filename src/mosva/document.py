@@ -5,6 +5,12 @@ operator is implicit in the weights.  Field and entry order is canonical, so
 serialization is byte-stable.  Parsing is strict: unknown fields and
 malformed scalars are rejected with the offending path; semantic problems
 (like an inhomogeneous vertex entry) are left for validate_instance.
+
+Vertex tables, the bulk of a file, take one pass each way.  The loader reads
+each table in one walk, taking a well-formed vector inline and handing any
+other to _parse_vec, the one place that describes a vector's errors.  The
+writer renders each table as text in one flat walk over its sorted entries
+(_Table), with the same bytes as the nested lists of to_document.
 """
 
 from __future__ import annotations
@@ -66,6 +72,12 @@ def _meta_doc(meta: dict):
 
 
 def to_document(inst) -> dict:
+    return _document(inst, _vertex_doc)
+
+
+def _document(inst, vertex) -> dict:
+    """The one statement of the field layout; ``vertex`` gives the node of
+    each vertex table."""
     if isinstance(inst, AlgebraInstance):
         return {
             "format_version": FORMAT_VERSION,
@@ -77,7 +89,7 @@ def to_document(inst) -> dict:
             "vacuum": _vec_doc(inst.vacuum),
             "operators": {"D": _op_doc(inst.D), "L1": _op_doc(inst.L1),
                           "N0": None},
-            "vertex": _vertex_doc(inst.Y),
+            "vertex": vertex(inst.Y),
             "absent": _absent_doc(inst.Y),
         }
     if isinstance(inst, ModuleInstance):
@@ -86,14 +98,14 @@ def to_document(inst) -> dict:
             "kind": "module",
             "side": inst.side,
             "metadata": _meta_doc(inst.meta),
-            "algebra": to_document(inst.algebra),
+            "algebra": _document(inst.algebra, vertex),
             "cutoff": _fmt_weight(inst.cutoff),
             "complete": inst.space.complete,
             "weights": _space_doc(inst.space),
             "operators": {"D": _op_doc(inst.D), "L1": _op_doc(inst.L1),
                           "N0": _op_doc(inst.N0)},
-            "vertex_left": _vertex_doc(inst.YL),
-            "vertex_right": _vertex_doc(inst.YR),
+            "vertex_left": vertex(inst.YL),
+            "vertex_right": vertex(inst.YR),
             "absent_left": _absent_doc(inst.YL),
             "absent_right": _absent_doc(inst.YR),
         }
@@ -105,8 +117,8 @@ def _emit(node, newline_indent) -> str:
     ``newline_indent`` (a line break and the node's depth in spaces).
     Strings, ints, bools, None and lists and str-keyed dicts of them are
     written here, each container joined from its children's texts rather
-    than kept as one chunk per token until the end.  Any other node is
-    handed to json.dumps, whose output shifts to any depth because a JSON
+    than kept as one chunk per token until the end.  A _Table writes itself
+    at this depth.  Any other node is handed to json.dumps, whose output shifts to any depth because a JSON
     text has line breaks only between its tokens."""
     kind = type(node)
     if kind is str:
@@ -117,9 +129,6 @@ def _emit(node, newline_indent) -> str:
         if not node:
             return "[]"
         inner = newline_indent + " "
-        if len(node) == 2 and type(node[0]) is str and type(node[1]) is str:
-            # the [label, scalar] pair of a vector
-            return f"[{inner}{_quote(node[0])},{inner}{_quote(node[1])}{newline_indent}]"
         items = [_emit(item, inner) for item in node]
         return f"[{inner}{(',' + inner).join(items)}{newline_indent}]"
     if kind is dict and all(type(key) is str for key in node):
@@ -134,13 +143,59 @@ def _emit(node, newline_indent) -> str:
         return "true"
     if node is False:
         return "false"
+    if kind is _Table:
+        return node.text(newline_indent)
     return json.dumps(node, indent=1).replace("\n", newline_indent)
+
+
+class _Table:
+    """A vertex table that _emit writes in one flat walk, at its depth."""
+
+    __slots__ = ("vmap",)
+
+    def __init__(self, vmap: VertexMap | None):
+        self.vmap = vmap
+
+    def text(self, nl) -> str:
+        """``_emit(_vertex_doc(vmap), nl)``: the entries sorted by key and
+        each vector's pairs sorted by label, as the nested lists are."""
+        vmap = self.vmap
+        if vmap is None:
+            return "null"
+        if not vmap.entries:
+            return "[]"
+        i1 = nl + " "
+        i2, i3, i4 = i1 + " ", i1 + "  ", i1 + "   "
+        between = "," + i3
+        quoted = {lbl: _quote(lbl) for space in (vmap.first_space, vmap.second_space,
+                                                 vmap.out_space)
+                  for lbl in space.labels()}
+        parts = []
+        add = parts.append
+        lead = "[" + i1
+        for (f, n, s), out in sorted(vmap.entries.items()):
+            add(f"{lead}[{i2}{quoted[f]},{i2}{n},{i2}{quoted[s]},{i2}")
+            lead = "," + i1
+            pairs = out.entries.items()
+            if not pairs:
+                add(f"[]{i1}]")
+                continue
+            if len(pairs) > 1:
+                pairs = sorted(pairs)
+            sep = "[" + i3
+            for lbl, c in pairs:
+                add(f'{sep}[{i4}{quoted[lbl]},{i4}"{c!s}"{i3}]')
+                sep = between
+            add(f"{i2}]{i1}]")
+        add(nl + "]")
+        return "".join(parts)
 
 
 def serialize(inst) -> str:
     """``json.dumps(to_document(inst), indent=1)`` and a final newline, byte
-    for byte, without the pure-Python encoder that ``indent`` selects."""
-    return _emit(to_document(inst), "\n") + "\n"
+    for byte, without the pure-Python encoder that ``indent`` selects.  The
+    vertex tables are written by _Table, not built as nested lists."""
+    return _emit(_document(inst, _Table), "\n") + "\n"
 
 
 # -- parsing -----------------------------------------------------------------
@@ -224,7 +279,11 @@ def _parse_op(doc, space, shift, path, scalars) -> GradedOp | None:
 def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, path,
                   scalars):
     """Each entry and each absent key is checked once here, so the map is
-    built without a second check."""
+    built without a second check.  The table is read in one walk: a key of
+    two known string labels and an int mode, and a vector of [label, text]
+    pairs whose labels are known and whose texts this document has already
+    parsed to nonzero scalars, are taken inline.  Anything else is handed to
+    _key_problem or _parse_vec, which raise or decide as for any vector."""
     if doc is None:
         if absent_doc:
             raise SchemaError("absent keys without a vertex table", f"{path}-absent")
@@ -232,17 +291,40 @@ def _parse_vertex(doc, kind, first_space, second_space, out_space, absent_doc, p
     if not isinstance(doc, list):
         raise SchemaError("expected a list of entries", path)
     firsts, seconds = first_space.label_weights, second_space.label_weights
+    known, wrap = out_space.label_weights, Vec._wrap
     entries = {}
     for i, item in enumerate(doc):
         if not (isinstance(item, list) and len(item) == 4):
             raise SchemaError("expected [first, mode, second, vector]", f"{path}[{i}]")
         f, n, s, out = item
-        problem = _key_problem(f, n, s, firsts, seconds)
-        if problem is None and (f, n, s) in entries:
-            problem = "duplicate entry"
-        if problem is not None:
-            raise SchemaError(problem, f"{path}[{i}]")
-        entries[(f, n, s)] = _parse_vec(out, out_space, f"{path}[{i}]", scalars)
+        key = (f, n, s)
+        if not (type(f) is str and f in firsts and type(n) is int
+                and type(s) is str and s in seconds) or key in entries:
+            problem = _key_problem(f, n, s, firsts, seconds)
+            if problem is None and key in entries:
+                problem = "duplicate entry"
+            if problem is not None:
+                raise SchemaError(problem, f"{path}[{i}]")
+        if type(out) is list:
+            vec = {}
+            try:
+                for pair in out:
+                    if type(pair) is not list:
+                        break
+                    lbl, sc = pair
+                    # a memo miss is a new or malformed text; only a str
+                    # equals a label or a memo key
+                    c = scalars.get(sc)
+                    if c is None or not c or lbl not in known:
+                        break
+                    vec[lbl] = c
+                else:
+                    entries[key] = wrap(out_space, vec)
+                    continue
+            except (TypeError, ValueError):
+                # an unhashable label or text, or a pair of another length
+                pass
+        entries[key] = _parse_vec(out, out_space, f"{path}[{i}]", scalars)
     if absent_doc is None:
         absent_doc = []
     if not isinstance(absent_doc, list):
@@ -346,12 +428,18 @@ def deserialize(text: str):
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON at line {e.lineno} column {e.colno}: "
                           f"{e.msg}", "$") from None
+    except ValueError as e:
+        # valid JSON that Python cannot hold, such as an integer literal
+        # longer than the int string conversion limit
+        raise SchemaError(str(e), "$") from None
     return from_document(doc)
 
 
 def save(inst, path) -> None:
+    """Serialize first, so that a failure leaves the file as it was."""
+    text = serialize(inst)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(inst))
+        fh.write(text)
 
 
 def load(path):

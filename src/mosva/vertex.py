@@ -142,9 +142,12 @@ class VertexMap:
     def __eq__(self, other):
         if not isinstance(other, VertexMap):
             return NotImplemented
-        a = {k: v for k, v in self.entries.items() if not v.is_zero()}
-        b = {k: v for k, v in other.entries.items() if not v.is_zero()}
-        return self.kind == other.kind and a == b and self.absent == other.absent
+        # every stored vector lives in out_space, so the spaces are compared
+        # once, not once per vector
+        a = {k: v.entries for k, v in self.entries.items() if v.entries}
+        b = {k: v.entries for k, v in other.entries.items() if v.entries}
+        return (self.kind == other.kind and self.absent == other.absent and a == b
+                and (not a or self.out_space == other.out_space))
 
 
 def _check_arguments(vmap: VertexMap, first: Vec, second: Vec) -> None:

@@ -99,6 +99,25 @@ def test_inhomogeneous_entry_parses_but_fails_validation():
     assert any("homogeneity" in r.check for r in rep.failures())
 
 
+def test_overlong_integer_literal_is_a_schema_error():
+    # json.loads raises a bare ValueError, not JSONDecodeError, for an int
+    # literal beyond the int string conversion limit
+    with pytest.raises(SchemaError, match="integer string conversion") as err:
+        deserialize('{"kind": 1' + "0" * 5000 + "}")
+    assert err.value.path == "$"
+
+
+def test_failed_save_leaves_the_file_as_it_was(tmp_path):
+    from mosva.document import save
+
+    path = tmp_path / "m.mosva"
+    save(matrix_units_mosva(2), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="cannot serialize"):
+        save(object(), path)
+    assert path.read_bytes() == before
+
+
 def test_format_version_guard():
     doc = to_document(matrix_units_mosva(2))
     doc["format_version"] = 99

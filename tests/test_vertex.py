@@ -160,6 +160,29 @@ def test_map_equality_sees_absent_entries():
                              absent=[key])
 
 
+def _over(vmap, space):
+    """The same table with every space replaced by ``space``."""
+    return VertexMap(vmap.kind, space, space, space,
+                     {k: Vec(space, v.entries) for k, v in vmap.entries.items()},
+                     vmap.absent)
+
+
+def test_map_equality_compares_spaces_by_value_once():
+    alg, _ = build_heisenberg(level="3/2", cutoff=4)
+    twin = GradedSpace(alg.space.components, alg.space.cutoff, alg.space.complete)
+    assert twin is not alg.space and twin == alg.space
+    same = _over(alg.Y, twin)
+    assert same == alg.Y and alg.Y == same
+    # equal entry dicts over a space with another cutoff: not the same map
+    taller = GradedSpace(alg.space.components, alg.space.cutoff + 1, alg.space.complete)
+    other = _over(alg.Y, taller)
+    assert {k: v.entries for k, v in other.entries.items()} == \
+        {k: v.entries for k, v in alg.Y.entries.items()}
+    assert other != alg.Y and alg.Y != other
+    # with nothing stored there is no vector whose space could differ
+    assert VertexMap(ALGEBRA, taller, taller, taller) == VertexMap(ALGEBRA, twin, twin, twin)
+
+
 @pytest.mark.parametrize("entries, absent, problem", [
     ({("E11", 1.5, "E12"): "E12"}, (), "mode must be an integer"),
     ({("E11", True, "E11"): "E11"}, (), "mode must be an integer"),
