@@ -19,13 +19,15 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, basis_dual, basis_vec,
-                     exp_op_series, op_power_apply, pair)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _cleared,
+                     _lcm_of_denominators, _op_step, basis_dual, exp_op_series,
+                     op_power_apply, pair)
 from .laurent import LaurentPoly, taylor_shift
 from .report import FAIL, PASS, SKIP, Report
 from .scalars import binomial, format_scalar
-from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _validate, chain_maps,
-                     mode_apply, module_position, validate_instance, vertex_series)
+from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _check_arguments,
+                     _mode_ints, _validate, chain_maps, mode_apply, module_position,
+                     validate_instance, vertex_series)
 
 COMPAT = "compat"
 
@@ -111,41 +113,62 @@ def check_vacuum(inst) -> Report:
 # -- shift operator ----------------------------------------------------------
 
 
-def _known(result):
-    """The value of a (value, exact) pair, or None when it is not exact."""
-    value, exact = result
-    return value if exact else None
+def _entry(vmap, table, f: str, n: int, s: str):
+    """basis_entry on the cleared table of vmap: its integer dict, {} for an
+    exact zero, None when unknown.  The dict is the table's own; read it
+    only."""
+    hit = table.get((f, n, s))
+    if hit is not None:
+        return hit
+    return {} if vmap._miss_is_exact(f, n, s) else None
+
+
+def _common_rows(*ops):
+    """(d, rows per op): each operator's cleared rows brought to d, the lcm
+    of their denominators, so that their images add up on one scale."""
+    views = [op.cleared() for op in ops]
+    d = math.lcm(*(dv for dv, _ in views))
+    return d, [rows if dv == d else {lbl: {k: c * (d // dv) for k, c in row.items()}
+                                     for lbl, row in rows.items()}
+               for dv, rows in views]
 
 
 def check_derivative(inst) -> Report:
     """d/dx Y(u,x) = Y(Du,x) = [D, Y(u,x)] as exact mode identities, plus a
     shift-conjugation spot check through taylor_shift.  Both identities
-    read -n Y_{n-1}(u)v; where it is unknown they count as one skip."""
+    read -n Y_{n-1}(u)v; where it is unknown they count as one skip.
+
+    The identities are compared on integers: the table cleared by d_Y and
+    the D of each slot's owner by the lcm d_D of their denominators, so
+    that both sides carry d_Y d_D."""
     rep = Report("derivative")
     for name, vmap in inst.vertex_maps().items():
-        own_f, own_s, own_o = _owners(inst, vmap)
+        _, table = vmap.cleared()
+        d_d, (f_rows, s_rows, o_rows) = _common_rows(*(own.D for own in _owners(inst, vmap)))
         checked = skipped = 0
         bad = None
         for f in vmap.first_space.labels():
-            fv = Vec(vmap.first_space, {f: 1})
-            dfv = _known(own_f.D.apply(fv))
+            fv = {f: 1}
+            dfv = f_rows.get(f)
             for s in vmap.second_space.labels():
-                sv = Vec(vmap.second_space, {s: 1})
-                dsv = _known(own_s.D.apply(sv))
+                sv = {s: 1}
+                dsv = s_rows.get(s)
                 for n in vmap.mode_range(f, s):
-                    below = _known(vmap.basis_entry(f, n - 1, s))
+                    below = _entry(vmap, table, f, n - 1, s)
                     if below is None:
                         skipped += 1
                         continue
                     # Y_n(Du)v, and D Y_n(u)v - Y_n(u)Dv
-                    derivative = None if dfv is None else _known(mode_apply(vmap, dfv, n, sv))
+                    derivative = None if dfv is None else _mode_ints(vmap, table, dfv, n, sv)
                     commutator = None
-                    here = _known(vmap.basis_entry(f, n, s))
-                    d_here = None if here is None else _known(own_o.D.apply(here))
+                    here = _entry(vmap, table, f, n, s)
+                    d_here = None if here is None else _op_step(o_rows, here)
                     if d_here is not None and dsv is not None:
-                        tail = _known(mode_apply(vmap, fv, n, dsv))
-                        commutator = None if tail is None else d_here - tail
-                    lhs = below.scale(-n)
+                        tail = _mode_ints(vmap, table, fv, n, dsv)
+                        if tail is not None:
+                            _accumulate(d_here, -1, tail)
+                            commutator = d_here
+                    lhs = {lbl: -n * d_d * c for lbl, c in below.items()} if n else {}
                     for what, rhs in (("derivative", derivative), ("commutator", commutator)):
                         if rhs is None:
                             skipped += 1
@@ -299,47 +322,54 @@ def check_mobius(inst) -> Report:
         else:
             rep.record("N0 nilpotent")
 
+    # the vertex formulas on integers: the table cleared by d_Y and every
+    # sl(2) operator they read by the lcm of their denominators, so that
+    # both sides carry d_Y times that lcm
     for name, vmap in inst.vertex_maps().items():
         own_f, own_s, own_o = _owners(inst, vmap)
-        f_ops = _sl2_of(own_f)  # L(j) at index j + 1
         (_, s_0, s_1), (_, o_0, o_1) = _sl2_of(own_s), _sl2_of(own_o)
+        _, table = vmap.cleared()
+        _, (*f_rows, s0_rows, s1_rows, o0_rows, o1_rows) = _common_rows(
+            *_sl2_of(own_f), s_0, s_1, o_0, o_1)  # f_rows: L(j) at index j + 1
         # per formula: L(k) on the output and on the second slot, and the
         # (mode offset, j, scale) of each L(j) first-slot term
-        formulas = (("L(0)", o_0, s_0, ((0, 0, 1), (1, -1, 1))),
-                    ("L(1)", o_1, s_1, ((0, 1, 1), (1, 0, 2), (2, -1, 1))))
+        formulas = (("L(0)", o0_rows, s0_rows, ((0, 0, 1), (1, -1, 1))),
+                    ("L(1)", o1_rows, s1_rows, ((0, 1, 1), (1, 0, 2), (2, -1, 1))))
         tally = [[0, 0, None] for _ in formulas]  # checked, skipped, witness
-        s_basis = [(s, basis_vec(vmap.second_space, s)) for s in vmap.second_space.labels()]
-        seconds = [(s, sv, [sec.apply(sv) for _, _, sec, _ in formulas]) for s, sv in s_basis]
+        seconds = [(s, {s: 1}, [sec.get(s) for _, _, sec, _ in formulas])
+                   for s in vmap.second_space.labels()]
         for f in vmap.first_space.labels():
-            fv = Vec(vmap.first_space, {f: 1})
-            firsts = [op.apply(fv) for op in f_ops]
-            ok_first = [all(firsts[j + 1][1] for _, j, _ in shifts)
+            fv = {f: 1}
+            firsts = [rows.get(f) for rows in f_rows]  # None where unknown
+            ok_first = [all(firsts[j + 1] is not None for _, j, _ in shifts)
                         for *_, shifts in formulas]
-            terms: dict = {}  # (j, m, s) -> mode_apply(vmap, L(j) fv, m, sv)
+            terms: dict = {}  # (j, m, s) -> Y_m(L(j) f) s on integers, or None
             for s, sv, s_imgs in seconds:
                 for n in vmap.mode_range(f, s):
-                    here, okh = vmap.basis_entry(f, n, s)
-                    for t, (_, out_op, _, shifts), ok_f, (s_img, ok_s) in zip(
+                    here = _entry(vmap, table, f, n, s)
+                    for t, (_, out_rows, _, shifts), ok_f, s_img in zip(
                             tally, formulas, ok_first, s_imgs):
-                        if not (okh and ok_f and ok_s):
+                        if here is None or not ok_f or s_img is None:
                             t[1] += 1
                             continue
-                        out_img, oko = out_op.apply(here)
-                        tail, okt = mode_apply(vmap, fv, n, s_img)
-                        rhs: dict = {}
+                        out_img = _op_step(out_rows, here)
+                        tail = _mode_ints(vmap, table, fv, n, s_img)
+                        rhs: dict | None = {}
                         for off, j, scale in shifts:
                             key = (j, n + off, s)
                             if key not in terms:
-                                terms[key] = mode_apply(vmap, firsts[j + 1][0], n + off, sv)
-                            term, ok_rhs = terms[key]
-                            if not ok_rhs:
+                                terms[key] = _mode_ints(vmap, table, firsts[j + 1], n + off, sv)
+                            term = terms[key]
+                            if term is None:
+                                rhs = None
                                 break
-                            _accumulate(rhs, scale, term.entries)
-                        if not (oko and okt and ok_rhs):
+                            _accumulate(rhs, scale, term)
+                        if out_img is None or tail is None or rhs is None:
                             t[1] += 1
                             continue
                         t[0] += 1
-                        if (out_img - tail).entries != rhs:
+                        _accumulate(out_img, -1, tail)
+                        if out_img != rhs:
                             t[2] = t[2] or f"({f}, {n}, {s})"
         for (formula, *_), (checked, skipped, bad) in zip(formulas, tally):
             rep.judge(f"{name}: {formula} commutator formula", bad,
@@ -371,6 +401,13 @@ def _assoc_position(inst, flavor):
     if flavor not in _FLAVOR_SIDES:
         raise ValueError(f"unknown associativity flavor {flavor!r}")
     return module_position(inst, 2, _FLAVOR_SIDES[flavor], 1, "compatibility checks")
+
+
+def _scaled_equal(lhs: dict, l_factor: int, rhs: dict, r_factor: int) -> bool:
+    """l_factor lhs == r_factor rhs, for nonzero factors and dicts without
+    zero values."""
+    return lhs.keys() == rhs.keys() and all(
+        x * l_factor == rhs[lbl] * r_factor for lbl, x in lhs.items())
 
 
 def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
@@ -407,7 +444,18 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
             f"no certified comparison window at this cutoff; cutoff >= {needed} "
             f"would suffice", needed=needed)
 
-    # memos map a key to its vector, or to None when inexact (never to zero)
+    # the inputs and the four tables on cleared integers: P carries
+    # d_outerP d_innerP and I carries d_innerI d_outerI times the same input
+    # scalings, so the sides compare after each takes the other's factor
+    _check_arguments(inner_P, second, ket)
+    _check_arguments(inner_I, first, second)
+    u1, u2, u3 = (_cleared(v, _lcm_of_denominators([v])) for v in (first, second, ket))
+    (d_oP, t_oP), (d_iP, t_iP), (d_iI, t_iI), (d_oI, t_oI) = (
+        vmap.cleared() for vmap in (outer_P, inner_P, inner_I, outer_I))
+    g = math.gcd(d_oP * d_iP, d_iI * d_oI)
+    l_factor, r_factor = d_iI * d_oI // g, d_oP * d_iP // g
+
+    # memos map a key to its integer dict, or to None when inexact (never to zero)
     P_memo: dict = {}
     I_memo: dict = {}
     S_memo: dict = {}
@@ -418,20 +466,20 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
         key = (a, b)
         if key not in P_memo:
             if b not in P_inner:
-                P_inner[b] = _known(mode_apply(inner_P, second, -b - 1, ket))
+                P_inner[b] = _mode_ints(inner_P, t_iP, u2, -b - 1, u3)
             innerv = P_inner[b]
             P_memo[key] = (None if innerv is None
-                           else _known(mode_apply(outer_P, first, -a - 1, innerv)))
+                           else _mode_ints(outer_P, t_oP, u1, -a - 1, innerv))
         return P_memo[key]
 
     def I(a, b):
         key = (a, b)
         if key not in I_memo:
             if a not in I_inner:
-                I_inner[a] = _known(mode_apply(inner_I, first, -a - 1, second))
+                I_inner[a] = _mode_ints(inner_I, t_iI, u1, -a - 1, u2)
             innerv = I_inner[a]
             I_memo[key] = (None if innerv is None
-                           else _known(mode_apply(outer_I, innerv, -b - 1, ket)))
+                           else _mode_ints(outer_I, t_oI, innerv, -b - 1, u3))
         return I_memo[key]
 
     def P_shifted(c, d):
@@ -446,7 +494,7 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                 if term is None:
                     total = None
                     break
-                _accumulate(total, coeff, term.entries)
+                _accumulate(total, coeff, term)
             S_memo[key] = total
         return S_memo[key]
 
@@ -469,10 +517,10 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                     if l_term is None or r_term is None:
                         break  # an inexact term: the monomial is not compared
                     _accumulate(lhs, w, l_term)
-                    _accumulate(rhs, w, r_term.entries)
+                    _accumulate(rhs, w, r_term)
                 else:
                     compared += 1
-                    if lhs != rhs and diff is None:
+                    if diff is None and not _scaled_equal(lhs, l_factor, rhs, r_factor):
                         diff = f"x0^{c} x2^{d} at p1={p1}"
         if compared and diff is None:
             found = p1

@@ -19,30 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _same_space, dual_space,
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _cleared,
+                     _lcm_of_denominators, _op_step, _Quotients, _same_space, dual_space,
                      exp_op_series, transpose_op)
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
-                     VertexMap, mode_apply)
-
-
-def _lcm_of_denominators(vecs) -> int:
-    return math.lcm(*{c.denominator for v in vecs for c in v.entries.values()})
-
-
-def _cleared(vec: Vec, d: int) -> dict:
-    """The integer entries d * vec, for d a multiple of every denominator."""
-    return {lbl: c.numerator * (d // c.denominator) for lbl, c in vec.entries.items()}
-
-
-def _d_step(rows: dict, vec: dict) -> dict | None:
-    """D vec on the cleared rows of D; None when D does not know a label."""
-    out: dict = {}
-    for lbl, c in vec.items():
-        row = rows.get(lbl)
-        if row is None:
-            return None
-        _accumulate(out, c, row)
-    return out
+                     VertexMap, _mode_ints, mode_apply)
 
 
 def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
@@ -62,14 +43,14 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     first_space, second_space, out_space = source.second_space, source.first_space, source.out_space
     _same_space(D.space, out_space)
     minw = out_space.min_weight
-    d_src = _lcm_of_denominators(source.entries.values())
-    d_op = _lcm_of_denominators(D.action.values())
-    D_rows = {lbl: _cleared(out, d_op) for lbl, out in D.action.items()}
+    d_src, table = source.cleared()
+    d_op, D_rows = D.cleared()
     # weights[K][k] = (K!/k!) dD^(K-k) and scales[K] = dS dD^K K!
     reach = range(math.floor(out_space.cutoff - minw) + 1)
     weights = [[math.perm(K, K - k) * d_op ** (K - k) for k in range(K + 1)] for K in reach]
     scales = [d_src * d_op ** K * math.factorial(K) for K in reach]
-    table, gaps = source.entries, source.absent
+    gaps = source.absent
+    quotients = _Quotients()
     entries: dict[tuple, Vec] = {}
     absent = set()
     for wf, firsts in first_space.components.items():
@@ -90,14 +71,14 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                             if (s, m, f) in gaps:
                                 cut = m + 1
                             continue
-                        power, n = _cleared(base, d_src), m
+                        power, n = base, m
                         while power:
                             c = weights[top - n][m - n]
                             _accumulate(totals[n - lo], c if m % 2 else -c, power)
                             n -= 1
                             if n < cut:
                                 break
-                            power = _d_step(D_rows, power)
+                            power = _op_step(D_rows, power)
                             if power is None:
                                 cut = n + 1
                     absent.update((f, n, s) for n in range(lo, cut))
@@ -106,7 +87,7 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                         if total:
                             scale = scales[top - n]
                             entries[(f, n, s)] = Vec._wrap(out_space, {
-                                lbl: Fraction(c, scale) for lbl, c in total.items()})
+                                lbl: quotients[c, scale] for lbl, c in total.items()})
     return VertexMap._wrap(out_kind, first_space, second_space, out_space, entries,
                            frozenset(absent))
 
@@ -210,27 +191,23 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
 
 
 def _dual_rows(YL: VertexMap, table: dict, terms: list, n: int, sources,
-               scale: int) -> dict | None:
+               scale: int, quotients: _Quotients) -> dict | None:
     """The dual rows b -> {g': coefficient of b in (Y^o)_n(u) g} that the
     source labels g feed, where terms lists (2h - 2 - m, the signed
-    coefficients of L(1)^m u / m!) and table the entries of YL, both on
-    integers whose products are ``scale`` times the rational ones; None when
-    some source touches an absent entry of YL, by the rule ``mode_apply`` uses."""
+    coefficients of L(1)^m u / m!) and table is YL.cleared()'s, both on
+    integers whose products are ``scale`` times the rational ones, divided
+    back through ``quotients``; None when some source touches an absent
+    entry of YL, by the rule ``mode_apply`` uses."""
     rows: dict[str, dict] = {}
     for g in sources:
         image: dict = {}
+        unit = {g: 1}
         for base, coeffs in terms:
-            mode = base - n
-            for a, c in coeffs:
-                hit = table.get((a, mode, g))
-                if hit is None:
-                    if not YL._miss_is_exact(a, mode, g):
-                        return None
-                elif hit:
-                    _accumulate(image, c, hit)
+            if _mode_ints(YL, table, coeffs, base - n, unit, image) is None:
+                return None
         g_dual = g + DUAL_SUFFIX
         for b, c in image.items():
-            rows.setdefault(b, {})[g_dual] = Fraction(c, scale)
+            rows.setdefault(b, {})[g_dual] = quotients[c, scale]
     return rows
 
 
@@ -255,9 +232,7 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")
     algebra_op = opposite_mosva(W.algebra).result
     space, alg_space = W.space, W.algebra.space
-    # YL on cleared denominators, under YL's own keys
-    d_y = _lcm_of_denominators(W.YL.entries.values())
-    table = {key: _cleared(out, d_y) for key, out in W.YL.entries.items()}
+    d_y, table = W.YL.cleared()
     dual = dual_space(space)
     # (sources, targets) per pair of components, keyed by the integer
     # weight offset between them; in ascending source weight
@@ -266,6 +241,7 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         for tw, targets in space.components.items():
             if (tw - wv).denominator == 1:
                 links.setdefault((tw - wv).numerator, []).append((sources, targets))
+    quotients = _Quotients()
     entries: dict[tuple, Vec] = {}
     absent = set()
     for u_lbl in alg_space.labels():
@@ -277,14 +253,15 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         d_t = _lcm_of_denominators(powers.values())
         sign = -1 if h % 2 else 1
         # (2h - 2 - m, the coefficients of (-1)^h dT L(1)^m u / m!)
-        terms = [(2 * h - 2 - m, [(a, sign * c) for a, c in _cleared(um, d_t).items()])
+        terms = [(2 * h - 2 - m, {a: sign * c for a, c in _cleared(um, d_t).items()})
                  for m, um in powers.items()]
         # the union over module weights wt w of the windows of h + wt w
         for n in range(space.mode_window(h + space.min_weight).start,
                        space.mode_window(h + space.cutoff).stop):
             # sources of weight wv feed the rows of weight wv + n + 1 - h
             for sources, targets in links.get(n + 1 - h, ()):
-                rows = _dual_rows(W.YL, table, terms, n, sources, d_t * d_y) if known else None
+                rows = (_dual_rows(W.YL, table, terms, n, sources, d_t * d_y, quotients)
+                        if known else None)
                 for b in targets:
                     key = (u_lbl, n, b + DUAL_SUFFIX)
                     if rows is None:

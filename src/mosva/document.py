@@ -432,6 +432,9 @@ def deserialize(text: str):
         # valid JSON that Python cannot hold, such as an integer literal
         # longer than the int string conversion limit
         raise SchemaError(str(e), "$") from None
+    except RecursionError:
+        # json.loads recurses once per nested array or object
+        raise SchemaError("JSON nested too deeply", "$") from None
     return from_document(doc)
 
 

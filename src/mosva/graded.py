@@ -118,6 +118,41 @@ def _accumulate(acc: dict, c, entries: Mapping[str, Fraction]) -> None:
                 del acc[lbl]
 
 
+def _lcm_of_denominators(vecs) -> int:
+    """The lcm of the denominators of every coefficient of the vectors."""
+    return math.lcm(*{c.denominator for v in vecs for c in v.entries.values()})
+
+
+def _cleared(vec: Vec, d: int) -> dict:
+    """The integer entries d * vec, for d a multiple of every denominator."""
+    return {lbl: c.numerator * (d // c.denominator) for lbl, c in vec.entries.items()}
+
+
+class _Quotients(dict):
+    """(c, d) -> Fraction(c, d) for ints c and d != 0, each built once.  The
+    integer kernels divide many equal totals by the same scale on their way
+    back to Fractions; equal values then share one immutable object."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        q = self[key] = Fraction(*key)
+        return q
+
+
+def _op_step(rows: dict, vec: dict) -> dict | None:
+    """An operator applied to an integer dict through its cleared rows (see
+    GradedOp.cleared); None when it does not know a label, as apply's
+    exact=False.  The result is a new dict."""
+    out: dict = {}
+    for lbl, c in vec.items():
+        row = rows.get(lbl)
+        if row is None:
+            return None
+        _accumulate(out, c, row)
+    return out
+
+
 class _Entries:
     """Shared behaviour of Vec and DualVec: sparse label -> scalar maps."""
 
@@ -233,7 +268,7 @@ class GradedOp:
     which is different from an explicitly stored zero vector.
     """
 
-    __slots__ = ("space", "weight_shift", "action")
+    __slots__ = ("space", "weight_shift", "action", "_cleared_view")
 
     def __init__(self, space: GradedSpace, weight_shift, action: Mapping[str, Vec]):
         shift = exact_scalar(weight_shift, "weight shift")
@@ -250,6 +285,7 @@ class GradedOp:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weight_shift", shift)
         object.__setattr__(self, "action", act)
+        object.__setattr__(self, "_cleared_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedOp is immutable")
@@ -257,6 +293,16 @@ class GradedOp:
     @classmethod
     def zero(cls, space: GradedSpace, weight_shift=0) -> "GradedOp":
         return cls(space, weight_shift, {l: Vec(space) for l in space.labels()})
+
+    def cleared(self) -> tuple[int, dict]:
+        """(d, rows): d the lcm of the action's denominators and rows the
+        action times d on integers, label -> {label: int}.  A label the
+        action lacks is missing from rows too.  Built on first use."""
+        if self._cleared_view is None:
+            d = _lcm_of_denominators(self.action.values())
+            object.__setattr__(self, "_cleared_view", (d, {
+                lbl: _cleared(out, d) for lbl, out in self.action.items()}))
+        return self._cleared_view
 
     def knows(self, label: str) -> bool:
         return label in self.action

@@ -1,7 +1,12 @@
 """Exact rational scalars, their canonical text form, and binomial helpers.
 
-Every number in this package is a ``fractions.Fraction``.  No float ever
-enters a computation; results are exact or absent, never approximate.
+Every public value of this package is a ``fractions.Fraction``: stored
+entries, operator actions and the results of ``mode_apply``.  The hot
+kernels (region expansion, rational reconstruction, skew transport,
+contragredient rows and the axiom checks) run on integers cleared by a
+known common denominator, and turn back into Fractions, or into a verdict,
+before anything leaves them.  No float ever enters a computation; results
+are exact or absent, never approximate.
 """
 
 from __future__ import annotations

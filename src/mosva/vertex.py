@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .graded import DualVec, GradedOp, GradedSpace, Vec, _accumulate, weight_diagonal_op
+from .graded import (DualVec, GradedOp, GradedSpace, Vec, _accumulate, _cleared,
+                     _lcm_of_denominators, weight_diagonal_op)
 from .report import Report
 
 ALGEBRA = "algebra"
@@ -45,7 +46,7 @@ class VertexMap:
     """
 
     __slots__ = ("kind", "first_space", "second_space", "out_space", "entries",
-                 "absent", "_pair_tops", "_mode_starts")
+                 "absent", "_pair_tops", "_mode_starts", "_cleared_box")
 
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
@@ -69,16 +70,17 @@ class VertexMap:
         self._fill(kind, first_space, second_space, out_space, table, gaps)
 
     @classmethod
-    def _wrap(cls, kind, first_space, second_space, out_space, table, gaps):
+    def _wrap(cls, kind, first_space, second_space, out_space, table, gaps, box=None):
         """Take ownership of a table keyed (first, int mode, second) over
         labels of the first and second spaces, with Vec values in
         ``out_space``, and of a frozenset of absent keys disjoint from it,
-        without checking them again."""
+        without checking them again.  ``box`` is the cleared-view holder of
+        a map over the same table, to share."""
         self = object.__new__(cls)
-        self._fill(kind, first_space, second_space, out_space, table, gaps)
+        self._fill(kind, first_space, second_space, out_space, table, gaps, box)
         return self
 
-    def _fill(self, kind, first_space, second_space, out_space, table, gaps):
+    def _fill(self, kind, first_space, second_space, out_space, table, gaps, box=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "first_space", first_space)
         object.__setattr__(self, "second_space", second_space)
@@ -87,6 +89,9 @@ class VertexMap:
         object.__setattr__(self, "absent", gaps)
         object.__setattr__(self, "_pair_tops", None)
         object.__setattr__(self, "_mode_starts", {})
+        # [] until cleared() builds the view, then [(d, table)]; shared by
+        # every map with_kind makes from this one
+        object.__setattr__(self, "_cleared_box", [] if box is None else box)
 
     def with_kind(self, kind: str) -> "VertexMap":
         """The same table, absences included, under another kind.  The
@@ -95,7 +100,8 @@ class VertexMap:
         if kind not in ROLES:
             raise ValueError(f"unknown vertex map kind {kind!r}")
         return VertexMap._wrap(kind, self.first_space, self.second_space,
-                               self.out_space, self.entries, self.absent)
+                               self.out_space, self.entries, self.absent,
+                               self._cleared_box)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
@@ -107,6 +113,18 @@ class VertexMap:
         if hit is not None:
             return hit, True
         return Vec(self.out_space), self._miss_is_exact(first_label, n, second_label)
+
+    def cleared(self) -> tuple[int, dict]:
+        """(d, table): d the lcm of the denominators of the stored entries
+        and table each of them times d on integers, (first, n, second) ->
+        {label: int}, under the same keys; an absent or unstored key is
+        missing from table too.  Built on first use and shared with the maps
+        with_kind makes, whichever of them asks first."""
+        box = self._cleared_box
+        if not box:
+            d = _lcm_of_denominators(self.entries.values())
+            box.append((d, {key: _cleared(out, d) for key, out in self.entries.items()}))
+        return box[0]
 
     def _miss_is_exact(self, first_label: str, n: int, second_label: str) -> bool:
         """Whether an unstored entry reads as an exact zero: not when it is
@@ -174,6 +192,25 @@ def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, b
             elif hit.entries:
                 _accumulate(acc, cf * cs, hit.entries)
     return Vec._wrap(out_space, acc), exact
+
+
+def _mode_ints(vmap: VertexMap, table: dict, first: dict, n: int, second: dict,
+               acc: dict | None = None) -> dict | None:
+    """mode_apply on integers: table is vmap.cleared()'s, first and second
+    are integer dicts over labels of its first and second spaces, and the
+    products go into acc, a new dict when None, which is returned.  None
+    instead at the first miss mode_apply would call inexact."""
+    if acc is None:
+        acc = {}
+    for f, cf in first.items():
+        for s, cs in second.items():
+            hit = table.get((f, n, s))
+            if hit is None:
+                if not vmap._miss_is_exact(f, n, s):
+                    return None
+            elif hit:
+                _accumulate(acc, cf * cs, hit)
+    return acc
 
 
 def mode_pair(vmap: VertexMap, dual: DualVec, first: Vec, n: int, second: Vec):

@@ -2,9 +2,13 @@
 copies of their previous loops (``oracle_assoc``): every ``WeakAssocResult``
 field of every sweep triple, and the machine-report bytes of the "assoc",
 "mobius" and "D" suites, on algebras, modules of every side, a
-contragredient, tables with absent entries and every fault of the suite
-benchmark."""
+contragredient, tables with absent entries, every fault of the suite
+benchmark and a seeded sweep of entries scaled by 3/2.  The checks run on
+the tables' cleared integer views (``VertexMap.cleared``), which are tested
+here too."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,12 +62,41 @@ def shifted(mod, h):
     return ModuleInstance(LEFT, space, mod.algebra, YL=YL, D=op(mod.D), L1=op(mod.L1))
 
 
+def with_operator_gaps(alg, d_gap, l1_gap):
+    """The algebra with D unknown on d_gap and L(1) unknown on l1_gap."""
+    def drop(o, gap):
+        return GradedOp(alg.space, o.weight_shift,
+                        {l: v for l, v in o.action.items() if l != gap})
+
+    return AlgebraInstance(alg.space, alg.Y, alg.vacuum, drop(alg.D, d_gap),
+                           drop(alg.L1, l1_gap))
+
+
+def rescaled(alg):
+    """The algebra in the basis e'_l = lam_l e_l, lam_l in {1, 2, 3} by label
+    position and 1 on the vacuum: the same structure, with denominators 2
+    and 3 in Y, D and L(1)."""
+    lam = {l: Fraction(1 + i % 3) for i, l in enumerate(alg.space.labels())}
+    lam["vac"] = Fraction(1)
+
+    def move(v, c=1):
+        return Vec(alg.space, {l: c * x / lam[l] for l, x in v.entries.items()})
+
+    def op(o):
+        return GradedOp(alg.space, o.weight_shift,
+                        {l: move(v, lam[l]) for l, v in o.action.items()})
+
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space,
+                  {(f, n, s): move(v, lam[f] * lam[s]) for (f, n, s), v in alg.Y.entries.items()})
+    return AlgebraInstance(alg.space, Y, alg.vacuum, op(alg.D), op(alg.L1))
+
+
 @pytest.fixture(scope="module")
 def instances():
     alg, fock = build_heisenberg(level=1, cutoff=5)
     m = matrix_units_mosva(2)
     out = {f"heisenberg {lv}": build_heisenberg(level=Fraction(lv), cutoff=5)[0]
-           for lv in ("3/2", "-2")}
+           for lv in ("3/2", "-2", "1/3")}
     out.update({
         "heisenberg 1": alg,
         "fock": fock,
@@ -73,15 +106,17 @@ def instances():
         "matrix absent": with_absent(m, [("E12", -1, "E12")]),
         # inexact inner products on both sides: Y_{-1}(a1)a1 is unknown
         "heisenberg absent": with_absent(alg, [("a1", -1, "a1"), ("vac", -2, "vac")]),
+        "heisenberg rescaled": rescaled(alg),
+        "heisenberg operator gaps": with_operator_gaps(alg, "a1.a1", "a2.a1"),
         "contragredient fock": contragredient_module(fock),
         "contragredient shifted fock": contragredient_module(shifted(fock, Fraction(1, 2))),
     })
     return out
 
 
-NAMES = ["heisenberg 1", "heisenberg 3/2", "heisenberg -2", "fock", "right", "bi", "matrix",
-         "matrix absent", "heisenberg absent", "contragredient fock",
-         "contragredient shifted fock"]
+NAMES = ["heisenberg 1", "heisenberg 3/2", "heisenberg -2", "heisenberg 1/3", "fock", "right",
+         "bi", "matrix", "matrix absent", "heisenberg absent", "heisenberg rescaled",
+         "heisenberg operator gaps", "contragredient fock", "contragredient shifted fock"]
 
 
 def _outcome(check, inst, first, second, ket, flavor):
@@ -138,3 +173,68 @@ def test_absent_inner_products_are_skipped_not_zero(instances, labels):
     res = check_weak_associativity(m, *args)
     assert not res.passed and res.compared == 0 and res.p1 is None
     assert res == oracle_assoc.check_weak_associativity(m, *args)
+
+
+# 16 stored entries scaled by 3/2 at cutoff 4, on the algebra (even draws)
+# and on its Fock module (odd draws): each scaled table has denominator 2
+SCALED_SEED, SCALED_DRAWS = 7, 16
+
+
+@pytest.fixture(scope="module")
+def cutoff_4():
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    keys = random.Random(SCALED_SEED).sample(sorted(alg.Y.entries), SCALED_DRAWS)
+    return alg, fock, keys
+
+
+@pytest.mark.parametrize("draw", range(SCALED_DRAWS))
+def test_scaled_entry_reports_match_the_oracle(cutoff_4, draw):
+    alg, fock, keys = cutoff_4
+    bad = with_scaled_entry(fock if draw % 2 else alg, keys[draw], Fraction(3, 2))
+    for suite in ("D", "mobius", "assoc"):
+        got = run_suite(bad, suite, max_weight=3).to_json()
+        assert got == oracle_assoc.run_suite(bad, suite, max_weight=3).to_json(), suite
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cleared_view_is_the_table_times_its_denominator(instances, name):
+    for vmap in instances[name].vertex_maps().values():
+        d, table = vmap.cleared()
+        assert d == math.lcm(*(c.denominator for out in vmap.entries.values()
+                               for c in out.entries.values()))
+        # the same keys: absences and unstored modes stay missing, never zero
+        assert list(table) == list(vmap.entries)
+        assert not vmap.absent & table.keys()
+        for key, out in vmap.entries.items():
+            assert list(table[key]) == list(out.entries)
+            for lbl, c in out.entries.items():
+                assert type(table[key][lbl]) is int and table[key][lbl] == c * d
+        assert vmap.cleared() is vmap.cleared()
+        # the view is the checks' own: the stored values stay Fractions
+        assert all(type(c) is Fraction for out in vmap.entries.values()
+                   for c in out.entries.values())
+
+
+def test_cleared_view_is_shared_by_with_kind():
+    alg, fock = build_heisenberg(level=Fraction(1, 3), cutoff=4)
+    right = alg.Y.with_kind(RIGHT)
+    # whichever map asks first builds the view for all of them
+    view = fock.YL.cleared()
+    assert view[0] % 3 == 0
+    assert alg.Y.cleared() is view and right.cleared() is view
+    # a fault is a new table with a view of its own
+    bad = with_scaled_entry(alg, next(iter(alg.Y.entries)), Fraction(3, 2))
+    assert bad.Y.cleared() is not view and bad.Y.cleared()[0] % 2 == 0
+
+
+def test_cleared_operator_rows():
+    alg, _ = build_heisenberg(level=Fraction(1, 3), cutoff=4)
+    for op in (alg.D, alg.L1, alg.d):
+        d, rows = op.cleared()
+        assert list(rows) == list(op.action)
+        for lbl, out in op.action.items():
+            assert rows[lbl] == {k: c * d for k, c in out.entries.items()}
+        assert op.cleared() is op.cleared()
+    # D lacks the labels of the top weight: their rows are missing, not zero
+    top = alg.space.labels_at(alg.space.cutoff)
+    assert top and not any(lbl in alg.D.cleared()[1] for lbl in top)

@@ -389,16 +389,17 @@ def test_conjugation_spot_check_computes_each_series_once(monkeypatch):
 
 
 def _counting_mode_apply(monkeypatch):
+    # the checks apply modes through the integer kernel vertex._mode_ints
     from mosva import checks
 
     calls = [0]
-    apply = checks.mode_apply
+    apply = checks._mode_ints
 
     def counted(*args):
         calls[0] += 1
         return apply(*args)
 
-    monkeypatch.setattr(checks, "mode_apply", counted)
+    monkeypatch.setattr(checks, "_mode_ints", counted)
     return calls
 
 

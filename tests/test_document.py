@@ -107,6 +107,15 @@ def test_overlong_integer_literal_is_a_schema_error():
     assert err.value.path == "$"
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000])
+def test_deeply_nested_json_is_a_schema_error(text):
+    # json.loads raises RecursionError, neither a ValueError nor a
+    # JSONDecodeError, when the nesting outruns the interpreter's stack
+    with pytest.raises(SchemaError, match="nested too deeply") as err:
+        deserialize(text)
+    assert err.value.path == "$"
+
+
 def test_failed_save_leaves_the_file_as_it_was(tmp_path):
     from mosva.document import save
 
