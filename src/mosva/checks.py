@@ -447,8 +447,8 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     # the inputs and the four tables on cleared integers: P carries
     # d_outerP d_innerP and I carries d_innerI d_outerI times the same input
     # scalings, so the sides compare after each takes the other's factor
-    _check_arguments(inner_P, second, ket)
-    _check_arguments(inner_I, first, second)
+    _check_arguments(inner_P, second.space, ket.space)
+    _check_arguments(inner_I, first.space, second.space)
     u1, u2, u3 = (_cleared(v, _lcm_of_denominators([v])) for v in (first, second, ket))
     (d_oP, t_oP), (d_iP, t_iP), (d_iI, t_iI), (d_oI, t_oI) = (
         vmap.cleared() for vmap in (outer_P, inner_P, inner_I, outer_I))
@@ -504,14 +504,14 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     for p1 in range(0, p1_max + 1):
         compared = 0
         diff = None
+        row = [binomial(p1, i) for i in range(p1 + 1)]  # the same for every (s, c)
         for s in range(s_lo, s_hi + 1):
             c_lo = s + p1 - b_hi
             for c in range(c_lo, c_hi + 1):
                 d = s + p1 - c
                 lhs: dict = {}
                 rhs: dict = {}
-                for i in range(0, p1 + 1):
-                    w = binomial(p1, i)
+                for i, w in enumerate(row):
                     l_term = P_shifted(c - i, d - p1 + i)
                     r_term = I(c - i, d - p1 + i)
                     if l_term is None or r_term is None:

@@ -15,16 +15,17 @@ were never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, ge, sub
 
 from .expansion import RationalFn, Region, divisor_terms, pole_orders
-from .graded import DualVec, Vec
+from .graded import DualVec, Vec, _cleared, _lcm_of_denominators
 from .laurent import LaurentPoly, _mul
 from .scalars import exact_scalar
-from .vertex import BI, chain_maps, joining_map, mode_apply, mode_pair, module_position
+from .vertex import (BI, _check_arguments, _mode_ints, _pair_ints, _plain, chain_maps,
+                     joining_map, module_position)
 
 PRODUCT = "product"
 ITERATE = "iterate"
@@ -35,7 +36,9 @@ MIXED = "mixed"
 class PoleOrderWitness:
     """Recorded pole orders: p_axis per variable, p_diag per variable pair,
     the search bound that produced them, and (for audits) the minimal
-    constant making p1 <= wt u1 + Re(wt w) + C over the sample set."""
+    constant making p1 <= wt u1 + Re(wt w) + C over the sample set.
+    search_exhausted is set when estimate_pole_orders ran out of max_bump
+    with no trial certified or window-limited."""
 
     p_axis: dict
     p_diag: dict
@@ -43,6 +46,7 @@ class PoleOrderWitness:
     constant_C: Fraction | None = None
     note: str = ""
     pair_bounds: dict = field(default_factory=dict)
+    search_exhausted: bool = False
 
 
 class CorrelationSeries:
@@ -158,9 +162,9 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         raise ValueError(f"unknown correlator mode {mode!r}")
     if not ops:
         raise ValueError("need at least one operator")
-    for u, _ in ops:
-        if u.weight() is None and not u.is_zero():
-            raise ValueError("operators must be homogeneous")
+    weights = [u.weight() for u, _ in ops]
+    if any(w is None and not u.is_zero() for w, (u, _) in zip(weights, ops)):
+        raise ValueError("operators must be homogeneous")
     raw = names = [v for _, v in ops]
     if mode == ITERATE:
         names = Region.iterate(raw).out_names
@@ -169,16 +173,15 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         raise ValueError("operator variables must be distinct")
     position = _module_position(inst, len(ops), mode, module_at)
     chain = chain_maps(inst, position, len(ops), nested=mode == ITERATE)
-    op_weights = [u.weight() or Fraction(0) for u, _ in ops]
+    op_weights = [w or Fraction(0) for w in weights]
+    bw, kw = bra.weight(), ket.weight()
     zero_input = (bra.is_zero() or ket.is_zero() or any(u.is_zero() for u, _ in ops))
-    if not zero_input and (bra.weight() is None or ket.weight() is None):
+    if not zero_input and (bw is None or kw is None):
         raise ValueError("bra and ket must be homogeneous; decompose and sum")
     if zero_input:
         zeros = [Fraction(0)] * len(ops)
-        return CorrelationSeries(names, {}, mode, op_weights, ket.weight() or Fraction(0),
-                                 bra.weight() or Fraction(0), zeros, zeros,
-                                 trivially_zero=True)
-    bw, kw = bra.weight(), ket.weight()
+        return CorrelationSeries(names, {}, mode, op_weights, kw or Fraction(0),
+                                 bw or Fraction(0), zeros, zeros, trivially_zero=True)
     if bra.space != inst.space:
         raise ValueError("bra lives in the wrong space")
 
@@ -190,43 +193,51 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # -n-1 is appended.  Each state carries its weight, an int when integral.
     # The last step pairs each output with the bra without building it; a
     # nonzero pairing away from the mode of output weight wt(bra) breaks the
-    # degree invariant.
-    if mode == ITERATE:
-        start, prepend = ops[0][0], False
-        steps = list(zip(chain, [u for u, _ in ops[1:]] + [ket]))
-    else:
-        start, prepend = ket, True
-        steps = [(vmap, u) for vmap, (u, _) in zip(chain, ops)][::-1]
-    degree = bw - sum(op_weights) - kw
-    holes: set[tuple] = set()
-    cutoffs, minws = [], []
-    coefficients: dict[tuple, Fraction] = {}
-    sw = start.weight()
-    states = [((), start, sw.numerator if sw.denominator == 1 else sw)]
-    for i, (vmap, fixed) in enumerate(steps, 1):
+    # degree invariant.  The walk runs on integers cleared by the lcm of the
+    # denominators of the bra, the start, each fixed argument and each map's
+    # table; one scale per step, their product, divides each coefficient once.
+    vecs = [u for u, _ in ops] + [ket]
+    wts = [_plain(w) for w in op_weights + [kw]]
+    prepend = mode != ITERATE
+    order = range(len(ops), -1, -1) if prepend else range(len(ops) + 1)
+    chain = chain[::-1] if prepend else chain
+    dens = [_lcm_of_denominators([v]) for v in vecs]
+    ints = [_cleared(v, d) for v, d in zip(vecs, dens)]
+    scale = _lcm_of_denominators([bra])
+    bra_ints = list(_cleared(bra, scale).items())
+    scale *= dens[order[0]]
+    holes, cutoffs, minws, coefficients = set(), [], [], {}
+    states = [((), ints[order[0]], wts[order[0]])]
+    state_space = vecs[order[0]].space
+    for i, (vmap, j) in enumerate(zip(chain, order[1:]), 1):
         space = vmap.out_space
         cutoffs.append(space.cutoff)
         minws.append(space.min_weight)
-        wf = fixed.weight()
-        wf = wf.numerator if wf.denominator == 1 else wf
+        if states:  # the spaces are tested once per step that applies a mode
+            fs = vecs[j].space
+            _check_arguments(vmap, *((fs, state_space) if prepend else (state_space, fs)))
+        state_space = space
+        d, table = vmap.cleared()
+        scale *= d * dens[j]
+        wf, fixed = wts[j], ints[j]
         nxt = []
         for mono, vec, w in states:
             w += wf
             first, second = (fixed, vec) if prepend else (vec, fixed)
             for n in space.mode_window(w):
                 key = (-n - 1,) + mono if prepend else mono + (-n - 1,)
-                if i < len(steps):
-                    out, exact = mode_apply(vmap, first, n, second)
-                    if exact and out.entries:
+                if i < len(ops):
+                    out = _mode_ints(vmap, table, first, n, second)
+                    if out:
                         nxt.append((key, out, w - n - 1))
                 else:
-                    c, exact = mode_pair(vmap, bra, first, n, second)
-                    if exact and c:
+                    out = _pair_ints(vmap, table, bra_ints, first, n, second)
+                    if out:
                         if n != w - 1 - bw:
-                            raise ArithmeticError(f"degree invariant: monomial {key} "
-                                                  f"is off the hyperplane {degree}")
-                        coefficients[key] = c
-                if not exact:
+                            raise ArithmeticError(f"degree invariant: monomial {key} is off "
+                                                  f"the hyperplane {bw - sum(op_weights) - kw}")
+                        coefficients[key] = Fraction(out, scale)
+                if out is None:
                     holes.add(key)
         states = nxt
     if prepend:  # the product chain data is indexed by operator position
@@ -406,9 +417,9 @@ def estimate_pole_orders(inst, bra, ops, ket,
     integer bump makes a degree integral.  A skipped trial can neither
     certify nor be the first window-limited one, so the witness is the one
     the full search returns.
-    When nothing certifies the first window-limited trial is returned so
-    callers can report the honest obstruction.  With one operator there is
-    nothing to bump and the base orders are tried once."""
+    When nothing certifies the first window-limited trial is returned, so
+    callers can report the honest obstruction, else the last one, marked
+    search_exhausted.  With one operator the base orders are tried once."""
     if series is None:
         series = correlate(inst, bra, ops, ket, PRODUCT)
     base_axis, p_diag = truncation_pole_orders(inst, ops, ket)
@@ -436,4 +447,4 @@ def estimate_pole_orders(inst, bra, ops, ket,
                 if window_limited is None:
                     window_limited = trial
             last = trial
-    return window_limited or last
+    return window_limited or replace(last, search_exhausted=True)

@@ -2,9 +2,9 @@
 
 Every public value of this package is a ``fractions.Fraction``: stored
 entries, operator actions and the results of ``mode_apply``.  The hot
-kernels (region expansion, rational reconstruction, skew transport,
-contragredient rows and the axiom checks) run on integers cleared by a
-known common denominator, and turn back into Fractions, or into a verdict,
+kernels (region expansion, rational reconstruction, the correlator chain
+walk, skew transport, contragredient rows and the axiom checks) run on
+integers cleared by a known common denominator, and turn back into Fractions, or into a verdict,
 before anything leaves them.  No float ever enters a computation; results
 are exact or absent, never approximate.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .graded import (DualVec, GradedOp, GradedSpace, Vec, _accumulate, _cleared,
+from .graded import (GradedOp, GradedSpace, Vec, _accumulate, _cleared,
                      _lcm_of_denominators, weight_diagonal_op)
 from .report import Report
 
@@ -168,17 +168,17 @@ class VertexMap:
                 and (not a or self.out_space == other.out_space))
 
 
-def _check_arguments(vmap: VertexMap, first: Vec, second: Vec) -> None:
-    if first.space is not vmap.first_space and first.space != vmap.first_space:
+def _check_arguments(vmap: VertexMap, first: GradedSpace, second: GradedSpace) -> None:
+    if first is not vmap.first_space and first != vmap.first_space:
         raise ValueError(f"first argument lives in the wrong space for kind {vmap.kind!r}")
-    if second.space is not vmap.second_space and second.space != vmap.second_space:
+    if second is not vmap.second_space and second != vmap.second_space:
         raise ValueError(f"second argument lives in the wrong space for kind {vmap.kind!r}")
 
 
 def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, bool]:
     """Bilinear extension of the stored modes; exact=False if an absent
     (cutoff-overflow) entry was required."""
-    _check_arguments(vmap, first, second)
+    _check_arguments(vmap, first.space, second.space)
     out_space = vmap.out_space
     table = vmap.entries
     acc: dict = {}
@@ -213,24 +213,23 @@ def _mode_ints(vmap: VertexMap, table: dict, first: dict, n: int, second: dict,
     return acc
 
 
-def mode_pair(vmap: VertexMap, dual: DualVec, first: Vec, n: int, second: Vec):
-    """(<dual, output>, exact) for the output mode_apply would give, without
-    building it: each stored output is read only at the labels of dual."""
-    _check_arguments(vmap, first, second)
-    table, bra = vmap.entries, dual.entries.items()
-    total, exact = 0, True
-    for f, cf in first.entries.items():
-        for s, cs in second.entries.items():
+def _pair_ints(vmap: VertexMap, table: dict, bra: list, first: dict, n: int, second: dict):
+    """<bra, output> for the output _mode_ints would give, without building it:
+    bra is a list of (label, int) pairs, at whose labels alone each stored
+    output is read.  None instead where _mode_ints would answer None."""
+    total = 0
+    for f, cf in first.items():
+        for s, cs in second.items():
             hit = table.get((f, n, s))
             if hit is None:
-                exact = exact and vmap._miss_is_exact(f, n, s)
-                continue
-            out = hit.entries
-            for lbl, b in bra:
-                x = out.get(lbl)
-                if x is not None:
-                    total += cf * cs * b * x
-    return total, exact
+                if not vmap._miss_is_exact(f, n, s):
+                    return None
+            elif hit:
+                for lbl, b in bra:
+                    x = hit.get(lbl)
+                    if x is not None:
+                        total += cf * cs * b * x
+    return total
 
 
 def vertex_series(vmap: VertexMap, first: Vec, second: Vec):

@@ -7,6 +7,11 @@ states are then paired with the bra one by one.  Each state's weight is
 read back with ``Vec.weight()``.  Tests compare the projected walk against
 this one in coefficients, their order, holes, chain bounds and the
 certified set.
+
+It runs on ``Fraction`` coefficients throughout, so it is also the
+reference for the walk on cleared integers: the coefficients must come back
+as the same Fractions, and a ket, operator or bra from the wrong space must
+raise the same ``ValueError``.
 """
 
 from fractions import Fraction

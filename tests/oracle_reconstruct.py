@@ -14,7 +14,9 @@ that runs every bump vector, as they were before the search skipped
 dominated trials and the convolution moved to cleared integers.  They are
 verbatim apart from their names and the search calling
 ``fraction_reconstruct`` directly instead of the memoized
-``reconstruct_rational``, so no result of the code under test enters it.
+``reconstruct_rational``, so no result of the code under test enters it,
+and the search marking the last trial ``search_exhausted`` when it returns
+it because no trial certified or was window-limited.
 
 ``_normalize_witness`` is the witness reader that ``reconstruct_rational``
 used before ``expansion.pole_orders``, kept verbatim so that the references
@@ -23,6 +25,7 @@ variables and the ordered pairs, so callers give it witnesses that
 ``pole_orders`` accepts.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -209,4 +212,4 @@ def exhaustive_estimate_pole_orders(inst, bra, ops, ket,
                     and window_limited is None):
                 window_limited = trial
             last = trial
-    return window_limited or last
+    return window_limited or replace(last, search_exhausted=True)

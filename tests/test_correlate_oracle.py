@@ -1,19 +1,26 @@
-"""The bra-projected correlator walk against the full walk it replaced
-(``oracle_correlate``): coefficients in insertion order, the grading
-hyperplane, holes, chain bounds, and the certified set on every monomial of
-a box one step wider than the window the series reaches."""
+"""The correlator walk, on cleared integers and projected onto the bra,
+against the full Fraction walk it replaced (``oracle_correlate``):
+coefficients in insertion order and as Fractions, the grading hyperplane,
+holes, chain bounds, the certified set on every monomial of a box one step
+wider than the window the series reaches, and the wrong-space errors.  The
+inputs carry denominators: Heisenberg levels 1/3 and -2, a rescaled basis,
+non-basis vectors with Fraction coefficients, and seeded tables with one
+entry scaled by 3/2 or made absent."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from mosva.correlators import correlate
-from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
-from mosva.graded import basis_dual
+from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
+from mosva.graded import DualVec, Vec, basis_dual
 from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
 
 import oracle_correlate
 from test_acceptance import _correlator_family
+from test_assoc_oracle import rescaled, with_absent
 
 
 def _box(s):
@@ -36,6 +43,7 @@ def _assert_same(inst, bra, ops, ket, mode, module_at=None, hyperplane_only=Fals
     got = correlate(inst, bra, ops, ket, mode, module_at)
     want = oracle_correlate.correlate(inst, bra, ops, ket, mode, module_at)
     assert list(got.coefficients.items()) == list(want.coefficients.items())
+    assert all(type(c) is Fraction for c in got.coefficients.values())
     assert got.variables == want.variables
     assert got.degree_sum == want.degree_sum
     # holes and chain bounds decide the certified set everywhere
@@ -52,21 +60,27 @@ def heis5():
     return build_heisenberg(level=1, cutoff=5)[0]
 
 
+def _members(inst, bound):
+    """(bra, ops, ket) for every member of the acceptance-7 family with
+    op+ket weight <= bound, against every basis bra."""
+    for n_ops in (2, 3):
+        for op_labels, ket_lbl in _correlator_family(inst, n_ops, bound):
+            ops = [(inst.basis_vec(l), f"z{i + 1}") for i, l in enumerate(op_labels)]
+            for bra_lbl in inst.space.labels():
+                yield basis_dual(inst.space, bra_lbl), ops, inst.basis_vec(ket_lbl)
+
+
+def _family(inst, mode, bound):
+    """The family against the oracle on the grading hyperplane; the series."""
+    return [_assert_same(inst, bra, ops, ket, mode, hyperplane_only=True)
+            for bra, ops, ket in _members(inst, bound)]
+
+
 @pytest.mark.parametrize("mode", ["product", "iterate"])
 def test_acceptance_7_family_at_cutoff_5(heis5, mode):
-    alg = heis5
-    nonzero = 0
-    for n_ops in (2, 3):
-        for op_labels, ket_lbl in _correlator_family(alg, n_ops, 4):
-            ops = [(alg.basis_vec(l), f"z{i + 1}") for i, l in enumerate(op_labels)]
-            ket = alg.basis_vec(ket_lbl)
-            for bra_lbl in alg.space.labels():
-                # the box is taken on the grading hyperplane alone: off it
-                # only the holes, compared as sets, decide the certified set
-                s = _assert_same(alg, basis_dual(alg.space, bra_lbl), ops, ket, mode,
-                                 hyperplane_only=True)
-                nonzero += not s.is_zero()
-    assert nonzero > 1200
+    # the box is taken on the grading hyperplane alone: off it only the
+    # holes, compared as sets, decide the certified set
+    assert sum(not s.is_zero() for s in _family(heis5, mode, bound=4)) > 1200
 
 
 @pytest.mark.parametrize("mode", ["product", "iterate"])
@@ -121,3 +135,120 @@ def test_four_point_at_cutoff_6(mode):
     ops = [(a, f"z{i + 1}") for i in range(4)]
     s = _assert_same(alg, basis_dual(alg.space, "vac"), ops, alg.vacuum, mode)
     assert not s.is_zero()
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+@pytest.mark.parametrize("level", [Fraction(1, 3), Fraction(-2)])
+def test_acceptance_7_family_at_other_levels(level, mode):
+    # level 1/3 puts denominators up to 81 in the table
+    alg = build_heisenberg(level=level, cutoff=5)[0]
+    assert sum(not s.is_zero() for s in _family(alg, mode, bound=3)) > 200
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+def test_rescaled_basis(mode):
+    # the basis e'_l = lam_l e_l of test_assoc_oracle: denominators 2 and 3
+    alg = rescaled(build_heisenberg(level=1, cutoff=5)[0])
+    assert {c.denominator for v in alg.Y.entries.values() for c in v.entries.values()} \
+        >= {2, 3}
+    assert sum(not s.is_zero() for s in _family(alg, mode, bound=3)) > 200
+
+
+def _mixes(space, cls=Vec):
+    """Per weight, the non-basis combination of its labels with
+    coefficients (-1)^i (i + 1)/(i + 2)."""
+    return {w: cls(space, {l: Fraction((-1) ** i * (i + 1), i + 2)
+                           for i, l in enumerate(labels)})
+            for w, labels in space.components.items()}
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+def test_non_basis_vectors_with_fraction_coefficients(mode):
+    alg = build_heisenberg(level=Fraction(3, 2), cutoff=5)[0]
+    vecs, duals = _mixes(alg.space), _mixes(alg.space, DualVec)
+    nonzero = 0
+    for n_ops in (2, 3):
+        for ws in itertools.product(vecs, repeat=n_ops + 1):
+            if sum(ws) > 4:
+                continue
+            ops = [(vecs[w], f"z{i + 1}") for i, w in enumerate(ws[:-1])]
+            for bra in duals.values():
+                s = _assert_same(alg, bra, ops, vecs[ws[-1]], mode, hyperplane_only=True)
+                nonzero += not s.is_zero()
+    assert nonzero > 100
+
+
+def test_non_basis_vectors_on_a_bimodule():
+    alg = build_heisenberg(level=Fraction(1, 3), cutoff=5)[0]
+    vecs = _mixes(alg.space)
+    bi = self_module(alg, "bi")
+    ops = [(vecs[1], "z1"), (vecs[2], "z2"), (vecs[1], "z3")]
+    for bra in _mixes(alg.space, DualVec).values():
+        _assert_same(bi, bra, ops, vecs[0], "mixed", module_at=1)
+    s = _assert_same(bi, basis_dual(alg.space, "a2.a1"), ops, vecs[1], "mixed",
+                     module_at=1)
+    assert not s.is_zero()
+
+
+# 8 stored entries at cutoff 4 that the bound-3 family can read, those whose
+# two labels weigh 3 or less: even draws scaled by 3/2, odd draws absent
+SWEEP_SEED, SWEEP_DRAWS = 11, 8
+
+
+@pytest.fixture(scope="module")
+def cutoff_4():
+    alg = build_heisenberg(level=1, cutoff=4)[0]
+    w = alg.space.weight_of
+    pool = sorted(k for k in alg.Y.entries if w(k[0]) + w(k[2]) <= 3)
+    clean = {mode: [correlate(alg, *member, mode) for member in _members(alg, 3)]
+             for mode in ("product", "iterate")}
+    return alg, random.Random(SWEEP_SEED).sample(pool, SWEEP_DRAWS), clean
+
+
+@pytest.mark.parametrize("draw", range(SWEEP_DRAWS))
+def test_seeded_scaled_or_absent_entry(cutoff_4, draw):
+    alg, keys, clean = cutoff_4
+    key = keys[draw]
+    inst = (with_scaled_entry(alg, key, Fraction(3, 2)) if draw % 2 == 0
+            else with_absent(alg, [key]))
+    for mode in ("product", "iterate"):
+        got = _family(inst, mode, bound=3)
+        # the changed entry is read: some coefficient or hole moves
+        assert any((a.coefficients, a._holes) != (b.coefficients, b._holes)
+                   for a, b in zip(got, clean[mode]))
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+@pytest.mark.parametrize("wrong", ["ket", "op0", "op1", "op2", "bra"])
+def test_wrong_space_raises_the_same_error(heis5, mode, wrong):
+    # the same labels in the cutoff-4 space: the spaces differ by cutoff
+    alg, other = heis5, build_heisenberg(level=1, cutoff=4)[0]
+    labels = ["a1", "a2", "a1"]
+    ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(labels)]
+    ket, bra = alg.basis_vec("a1"), basis_dual(alg.space, "a2.a1.a1")
+    if wrong == "ket":
+        ket = other.basis_vec("a1")
+    elif wrong == "bra":
+        bra = basis_dual(other.space, "a2.a1.a1")
+    else:
+        at = int(wrong[-1])
+        ops[at] = (other.basis_vec(labels[at]), ops[at][1])
+    with pytest.raises(ValueError) as want:
+        oracle_correlate.correlate(alg, bra, ops, ket, mode)
+    with pytest.raises(ValueError) as got:
+        correlate(alg, bra, ops, ket, mode)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+def test_wrong_space_past_a_dead_chain_is_never_read(mode):
+    # E12 E12 = 0, so the chain dies at its first step and no mode is
+    # applied with the operator or ket from the 3x3 matrix units
+    m, other = matrix_units_mosva(2), matrix_units_mosva(3)
+    e12 = m.basis_vec("E12")
+    if mode == "product":
+        ops, ket = [(other.basis_vec("E11"), "z1"), (e12, "z2")], e12
+    else:
+        ops, ket = [(e12, "z1"), (e12, "z2")], other.basis_vec("E11")
+    s = _assert_same(m, basis_dual(m.space, "E11"), ops, ket, mode)
+    assert s.is_zero()

@@ -319,27 +319,31 @@ def test_wrong_weight_output_off_the_bra_mode_raises(mode, key):
 
 @pytest.mark.parametrize("mode", ["product", "iterate"])
 def test_outermost_step_builds_at_most_one_vector_per_state(heis, mode, monkeypatch):
+    # the walk applies inner steps through the integer kernel
+    # vertex._mode_ints and pairs the outermost step with the bra through
+    # vertex._pair_ints, which builds no output vector
     alg, _ = heis
     ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a1", "a2", "a1"])]
     ket = alg.basis_vec("a1")
-    # the fixed argument of the last step and of the one before it: an
-    # operator is the first argument of a product step, the second of an
-    # iterate step
     product = mode == "product"
-    last, before = (ops[0][0], ops[1][0]) if product else (ket, ops[2][0])
-    counts = {"built": 0, "states": 0}
-    real = correlators.mode_apply
+    built, paired = [], []
+    apply, pair = correlators._mode_ints, correlators._pair_ints
 
-    def counting(vmap, first, n, second):
-        out, exact = real(vmap, first, n, second)
-        fixed = first if product else second
-        if fixed is last:
-            counts["built"] += 1
-        elif fixed is before and exact and out.entries:
-            counts["states"] += 1
-        return out, exact
+    def counting_apply(*args):
+        out = apply(*args)
+        built.append((len(paired), out))
+        return out
 
-    monkeypatch.setattr(correlators, "mode_apply", counting)
+    def counting_pair(vmap, table, bra, first, n, second):
+        paired.append(second if product else first)
+        return pair(vmap, table, bra, first, n, second)
+
+    monkeypatch.setattr(correlators, "_mode_ints", counting_apply)
+    monkeypatch.setattr(correlators, "_pair_ints", counting_pair)
     s = correlate(alg, basis_dual(alg.space, "a1.a1"), ops, ket, mode)
-    assert not s.is_zero() and counts["states"] > 0
-    assert counts["built"] <= counts["states"]
+    assert not s.is_zero() and paired
+    # no vector is built once the outermost step has begun
+    assert all(at == 0 for at, _ in built)
+    # and every state it pairs is one an inner step built, read as it is
+    states = {id(out) for _, out in built if out}
+    assert {id(state) for state in paired} <= states

@@ -300,6 +300,31 @@ def test_search_matches_the_exhaustive_search_on_acceptance_7(level, max_bump):
     assert {CERTIFIED, WINDOW_LIMITED, ZERO_FUNCTION} <= reasons
 
 
+@pytest.mark.parametrize("max_bump, exhausted", [(1, 116), (6, 0)])
+def test_a_search_that_runs_out_of_bumps_says_so(heis5, max_bump, exhausted):
+    # the acceptance-7 family at cutoff 5, every bra: with one bump the
+    # search runs out on 56 series whose last trial leaves a remainder and
+    # 60 whose last trial has a negative degree, and only those witnesses
+    # are marked; the default bound certifies or meets a window limit on all
+    alg = heis5
+    reasons = {REMAINDER: 0, NEGATIVE_DEGREE: 0}
+    for n_ops in (2, 3):
+        for op_labels, ket_lbl in _correlator_family(alg, n_ops, 4):
+            ops = [(alg.basis_vec(l), f"z{i + 1}") for i, l in enumerate(op_labels)]
+            ket = alg.basis_vec(ket_lbl)
+            for bra_lbl in alg.space.labels():
+                bra = basis_dual(alg.space, bra_lbl)
+                series = correlate(alg, bra, ops, ket)
+                witness = estimate_pole_orders(alg, bra, ops, ket, series, max_bump)
+                reason = reconstruct_rational(series, witness).reason
+                assert witness.search_exhausted == (reason in reasons), (ops, ket, bra)
+                if reason in reasons:
+                    reasons[reason] += 1
+    assert sum(reasons.values()) == exhausted
+    if exhausted:
+        assert reasons == {REMAINDER: 56, NEGATIVE_DEGREE: 60}
+
+
 def test_search_matches_the_exhaustive_search_with_an_absent_entry():
     inst = _matrix_with_hole()
     labels = inst.space.labels()
