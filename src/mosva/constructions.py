@@ -39,7 +39,17 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
     dS S_m(second) first and apply dD D, and term k of T_n enters as
     (-1)^(n+k+1) (K!/k!) dD^(K-k), K = top - n, so each total is
     dS dD^K K! times the rational one, divided out once.
+
+    The result is computed once per (table, D): it is kept in the memo that
+    the source shares with every map with_kind makes over its table, keyed
+    by the D object itself, not by an equal one.  A later call with the same
+    table and the same D returns the kept map under out_kind, so the skew of
+    a self-module's table is also its algebra's opposite table.
     """
+    skews = source._memo.skews
+    kept = skews.get(id(D))
+    if kept is not None:
+        return kept[1].with_kind(out_kind)
     first_space, second_space, out_space = source.second_space, source.first_space, source.out_space
     _same_space(D.space, out_space)
     minw = out_space.min_weight
@@ -88,8 +98,10 @@ def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
                             scale = scales[top - n]
                             entries[(f, n, s)] = Vec._wrap(out_space, {
                                 lbl: quotients[c, scale] for lbl, c in total.items()})
-    return VertexMap._wrap(out_kind, first_space, second_space, out_space, entries,
-                           frozenset(absent))
+    result = VertexMap._wrap(out_kind, first_space, second_space, out_space, entries,
+                             frozenset(absent))
+    skews[id(D)] = (D, result)
+    return result
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,9 @@ def transport_module(W: ModuleInstance, direction: str) -> ModuleInstance:
     A right module becomes a left module for the opposite algebra via
     Y(v,x)w = exp(xD_W) Y^R(w,-x)v, a left module a right one via
     Y(w,x)v = exp(xD_W) Y^L(v,-x)w; the same formulas invert themselves.
-    Grading and sl(2) operators are carried over unchanged.
+    Grading and sl(2) operators are carried over unchanged.  For a
+    self-module, whose table and D are its algebra's, the opposite algebra
+    reads the skew this call already made (see _skew_map).
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"unknown transport direction {direction!r}")

@@ -377,6 +377,14 @@ def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
     return AlgebraInstance(space, Y, vacuum, D, L1, meta=meta)
 
 
+def _repeats(node, alg_node) -> bool:
+    """Whether a module's vertex or absent node repeats the algebra's, which
+    has parsed.  JSON values compare equal in Python where true or 1.0
+    stands for 1, so each key's mode must also be an int, as the algebra's
+    are."""
+    return node == alg_node and all(type(key[1]) is int for key in node or ())
+
+
 def _parse_module(doc, path, scalars) -> ModuleInstance:
     _check_keys(doc, _MODULE_KEYS, path)
     _expect(doc.get("format_version") == FORMAT_VERSION,
@@ -384,22 +392,39 @@ def _parse_module(doc, path, scalars) -> ModuleInstance:
             f"{path}.format_version")
     side = doc.get("side")
     _expect(side in (LEFT, RIGHT, BI), f"unknown side {side!r}", f"{path}.side")
-    algebra = _parse_algebra(doc.get("algebra"), f"{path}.algebra", scalars)
+    alg_doc = doc.get("algebra")
+    algebra = _parse_algebra(alg_doc, f"{path}.algebra", scalars)
     cutoff = _parse_scalar_at(doc.get("cutoff"), f"{path}.cutoff")
     complete = doc.get("complete", False)
     _expect(isinstance(complete, bool), "complete must be a boolean",
             f"{path}.complete")
     space = _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
+    # a part that repeats the algebra's over the algebra's space is taken
+    # from the algebra: its parse would run the same checks on the same
+    # keys, labels and scalar texts, and it shares the algebra's objects
+    shared = space == algebra.space
+    if shared:
+        space = algebra.space
     ops = doc.get("operators")
     _check_keys(ops, _OPERATOR_KEYS, f"{path}.operators")
-    D = _parse_op(ops.get("D"), space, 1, f"{path}.operators.D", scalars)
+    alg_ops = alg_doc["operators"]
+    D = (algebra.D if shared and ops.get("D") == alg_ops.get("D")
+         else _parse_op(ops.get("D"), space, 1, f"{path}.operators.D", scalars))
     _expect(D is not None, "module needs the shift operator D", f"{path}.operators.D")
-    L1 = _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1", scalars)
+    L1 = (algebra.L1 if shared and ops.get("L1") == alg_ops.get("L1")
+          else _parse_op(ops.get("L1"), space, -1, f"{path}.operators.L1", scalars))
     N0 = _parse_op(ops.get("N0"), space, 0, f"{path}.operators.N0", scalars)
-    YL = _parse_vertex(doc.get("vertex_left"), LEFT, algebra.space, space, space,
-                       doc.get("absent_left"), f"{path}.vertex_left", scalars)
-    YR = _parse_vertex(doc.get("vertex_right"), RIGHT, space, algebra.space, space,
-                       doc.get("absent_right"), f"{path}.vertex_right", scalars)
+
+    def table(name, absent_name, kind, first_space, second_space):
+        node, absent_node = doc.get(name), doc.get(absent_name)
+        if (shared and _repeats(node, alg_doc.get("vertex"))
+                and _repeats(absent_node, alg_doc.get("absent"))):
+            return algebra.Y.with_kind(kind)
+        return _parse_vertex(node, kind, first_space, second_space, space,
+                             absent_node, f"{path}.{name}", scalars)
+
+    YL = table("vertex_left", "absent_left", LEFT, algebra.space, space)
+    YR = table("vertex_right", "absent_right", RIGHT, space, algebra.space)
     meta = doc.get("metadata") or {}
     _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
     try:

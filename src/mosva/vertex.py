@@ -37,6 +37,20 @@ def _key_problem(f, n, s, first_labels, second_labels):
     return None
 
 
+class _TableMemo:
+    """What is derived from one stored table, kept for every map that
+    with_kind makes over it: the cleared view, built on first use, and the
+    skew maps of constructions._skew_map, one per D operator, keyed by the
+    operator's id.  Each skew is kept beside its operator, so the id names
+    no other object while the entry lives."""
+
+    __slots__ = ("cleared", "skews")
+
+    def __init__(self):
+        self.cleared = None
+        self.skews = {}
+
+
 class VertexMap:
     """Sparse mode table for one vertex operator map.
 
@@ -46,7 +60,7 @@ class VertexMap:
     """
 
     __slots__ = ("kind", "first_space", "second_space", "out_space", "entries",
-                 "absent", "_pair_tops", "_mode_starts", "_cleared_box")
+                 "absent", "_pair_tops", "_mode_starts", "_memo")
 
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
@@ -70,17 +84,17 @@ class VertexMap:
         self._fill(kind, first_space, second_space, out_space, table, gaps)
 
     @classmethod
-    def _wrap(cls, kind, first_space, second_space, out_space, table, gaps, box=None):
+    def _wrap(cls, kind, first_space, second_space, out_space, table, gaps, memo=None):
         """Take ownership of a table keyed (first, int mode, second) over
         labels of the first and second spaces, with Vec values in
         ``out_space``, and of a frozenset of absent keys disjoint from it,
-        without checking them again.  ``box`` is the cleared-view holder of
-        a map over the same table, to share."""
+        without checking them again.  ``memo`` is the _TableMemo of a map
+        over the same table and spaces, to share."""
         self = object.__new__(cls)
-        self._fill(kind, first_space, second_space, out_space, table, gaps, box)
+        self._fill(kind, first_space, second_space, out_space, table, gaps, memo)
         return self
 
-    def _fill(self, kind, first_space, second_space, out_space, table, gaps, box=None):
+    def _fill(self, kind, first_space, second_space, out_space, table, gaps, memo=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "first_space", first_space)
         object.__setattr__(self, "second_space", second_space)
@@ -89,9 +103,8 @@ class VertexMap:
         object.__setattr__(self, "absent", gaps)
         object.__setattr__(self, "_pair_tops", None)
         object.__setattr__(self, "_mode_starts", {})
-        # [] until cleared() builds the view, then [(d, table)]; shared by
-        # every map with_kind makes from this one
-        object.__setattr__(self, "_cleared_box", [] if box is None else box)
+        # shared by every map with_kind makes from this one
+        object.__setattr__(self, "_memo", _TableMemo() if memo is None else memo)
 
     def with_kind(self, kind: str) -> "VertexMap":
         """The same table, absences included, under another kind.  The
@@ -101,7 +114,7 @@ class VertexMap:
             raise ValueError(f"unknown vertex map kind {kind!r}")
         return VertexMap._wrap(kind, self.first_space, self.second_space,
                                self.out_space, self.entries, self.absent,
-                               self._cleared_box)
+                               self._memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexMap is immutable")
@@ -120,11 +133,11 @@ class VertexMap:
         {label: int}, under the same keys; an absent or unstored key is
         missing from table too.  Built on first use and shared with the maps
         with_kind makes, whichever of them asks first."""
-        box = self._cleared_box
-        if not box:
+        memo = self._memo
+        if memo.cleared is None:
             d = _lcm_of_denominators(self.entries.values())
-            box.append((d, {key: _cleared(out, d) for key, out in self.entries.items()}))
-        return box[0]
+            memo.cleared = (d, {key: _cleared(out, d) for key, out in self.entries.items()})
+        return memo.cleared
 
     def _miss_is_exact(self, first_label: str, n: int, second_label: str) -> bool:
         """Whether an unstored entry reads as an exact zero: not when it is

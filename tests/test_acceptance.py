@@ -245,9 +245,13 @@ def test_criterion_9_pole_order_audit(heis6, matrix):
                for a, b, c in _triples(alg.space, 4)]
     wit, rep = audit_pole_order(alg, samples)
     assert rep.passed
-    assert wit.constant_C is not None and wit.constant_C >= 0
-    for (f_key, k_key), p1 in wit.pair_bounds.items():
-        pass  # aggregated bound checked below through constant_C
+    # the values measured on this sample: C = 0, with max p1 4 over 38 pairs
+    assert wit.constant_C == 0
+    assert max(wit.pair_bounds.values()) == 4 and len(wit.pair_bounds) == 38
+    pairs = {(repr(first), repr(ket)): (first, ket) for first, _, ket in samples}
+    for key, p1 in wit.pair_bounds.items():
+        first, ket = pairs[key]
+        assert p1 <= first.weight() + ket.weight() + wit.constant_C, key
     for first, second, ket in samples:
         res = check_weak_associativity(alg, first, second, ket)
         assert Fraction(res.p1) <= first.weight() + ket.weight() + wit.constant_C

@@ -264,6 +264,53 @@ def test_transported_modules_pass_the_axiom_suites():
                                 [r.line() for r in rep.failures()])
 
 
+def _left_self_modules(level):
+    """The left self-module of Heisenberg at cutoff 4, and the same module
+    over a second build of the algebra whose YL is made by the public
+    constructor on a copied table, so that it shares no memo with Y."""
+    alg = build_heisenberg(level=level, cutoff=4)[0]
+    shared = self_module(alg, LEFT)
+    other = build_heisenberg(level=level, cutoff=4)[0]
+    YL = VertexMap(LEFT, other.space, other.space, other.space,
+                   dict(other.Y.entries), other.Y.absent)
+    copied = ModuleInstance(LEFT, other.space, other, YL=YL, D=other.D, L1=other.L1,
+                            meta=shared.meta)
+    return shared, copied
+
+
+@pytest.mark.parametrize("level", [1, Fraction(3, 2)])
+def test_kept_skews_give_the_bytes_of_unshared_tables(level):
+    # transport there and back, then the contragredient, which reads the
+    # opposite algebra that the first transport kept
+    shared, copied = _left_self_modules(level)
+    out = {}
+    for name, W in (("shared", shared), ("copied", copied)):
+        there = transport_module(W, "left_to_right_op")
+        back = transport_module(there, "right_op_to_left")
+        out[name] = [serialize(m) for m in (there, back, contragredient_module(W))]
+    assert out["shared"] == out["copied"]
+
+
+@pytest.mark.parametrize("level", [1, Fraction(3, 2)])
+def test_a_self_module_transport_reads_one_skew(level):
+    shared, copied = _left_self_modules(level)
+    there = transport_module(shared, "left_to_right_op")
+    # the opposite algebra is the transport's own skew, under the algebra kind
+    assert there.algebra.Y.entries is there.YR.entries
+    assert opposite_mosva(shared.algebra).result.Y == there.algebra.Y
+    assert (opposite_mosva(copied.algebra).result.Y
+            == transport_module(copied, "left_to_right_op").algebra.Y)
+    # the copied table keeps its own skew; an equal D that is another object
+    # makes a new one, with the same entries
+    assert transport_module(copied, "left_to_right_op").YR.entries is not there.YR.entries
+    again = transport_module(ModuleInstance(LEFT, shared.space, shared.algebra,
+                                            YL=shared.YL, D=GradedOp(
+                                                shared.space, 1, shared.D.action),
+                                            L1=shared.L1, meta=shared.meta),
+                             "left_to_right_op")
+    assert again.YR.entries is not there.YR.entries and again.YR == there.YR
+
+
 def _matrix_left_with_absent_key():
     # one in-window key explicitly unknown, so its dual rows must be absent
     m = matrix_units_mosva(2)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mosva.constructions import contragredient_module, opposite_mosva
-from mosva.document import deserialize, from_document, serialize, to_document
+from mosva.document import deserialize, from_document, load, save, serialize, to_document
 from mosva.errors import SchemaError
-from mosva.factory import build_heisenberg, matrix_units_mosva, self_module
-from mosva.vertex import validate_instance
+from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
+from mosva.vertex import BI, LEFT, RIGHT, validate_instance
 
 
 def same_algebra(a, b):
@@ -496,3 +496,97 @@ def test_serialize_is_json_dumps_indent_one(level):
                      contragredient_module(fock)]
     for inst in instances:
         assert serialize(inst) == json.dumps(to_document(inst), indent=1) + "\n"
+
+
+# -- a module file that repeats its algebra's table loads as a self-module -----
+
+
+def _saved_and_loaded(inst, tmp_path):
+    path = tmp_path / "inst.mosva"
+    save(inst, path)
+    return load(path)
+
+
+def _shares_the_table(vmap, alg):
+    return (vmap.entries is alg.Y.entries and vmap.absent is alg.Y.absent
+            and vmap.cleared() is alg.Y.cleared())
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_self_module_file_loads_as_a_self_module(tmp_path, side):
+    alg, _ = build_heisenberg(level="3/2", cutoff=4)
+    W = _saved_and_loaded(self_module(alg, side), tmp_path)
+    A = W.algebra
+    assert W.space is A.space and W.D is A.D and W.L1 is A.L1
+    assert _shares_the_table(W.YL if side == LEFT else W.YR, A)
+    assert same_module(W, self_module(alg, side))
+
+
+def test_bi_self_module_file_shares_both_tables(tmp_path):
+    m = matrix_units_mosva(2)
+    W = _saved_and_loaded(self_module(m, BI), tmp_path)
+    A = W.algebra
+    assert W.space is A.space and W.D is A.D and W.L1 is A.L1
+    assert _shares_the_table(W.YL, A) and _shares_the_table(W.YR, A)
+    assert W.YL.kind == LEFT and W.YR.kind == RIGHT
+    assert same_module(W, self_module(m, BI))
+
+
+def test_a_faulty_self_module_file_is_parsed_and_caught(tmp_path):
+    from mosva.checks import run_suite
+
+    alg, fock = build_heisenberg(level="3/2", cutoff=4)
+    bad = with_scaled_entry(fock, ("a1", 1, "a1"), 2)
+    W = _saved_and_loaded(bad, tmp_path)
+    assert W.YL.entries is not W.algebra.Y.entries
+    assert same_module(W, bad)
+    rep = run_suite(W, "all", max_weight=3)
+    assert not rep.passed
+    assert run_suite(_saved_and_loaded(fock, tmp_path), "all", max_weight=3).passed
+
+
+def test_a_module_file_with_its_own_absent_list_is_parsed():
+    alg, fock = build_heisenberg(level="3/2", cutoff=4)
+    doc = to_document(fock)
+    key = ["a1", 7, "a1"]
+    doc["absent_left"] = [key]
+    W = from_document(doc)
+    assert W.YL.entries is not W.algebra.Y.entries
+    assert W.YL.entries == W.algebra.Y.entries
+    assert W.YL.absent == {tuple(key)} and not W.algebra.Y.absent
+
+
+def test_a_module_file_with_its_own_d_is_parsed():
+    from mosva.constructions import transport_module
+    from mosva.vertex import ModuleInstance, VertexMap
+
+    alg, fock = build_heisenberg(level="3/2", cutoff=4)
+    doc = to_document(fock)
+    row = doc["operators"]["D"]["a1"]
+    assert row == [["a2", "1"]]
+    row[0][1] = "2"
+    W = from_document(doc)
+    A = W.algebra
+    assert W.D is not A.D and W.D != A.D and W.L1 is A.L1
+    # the table is still the algebra's, but its skews under the two Ds are
+    # kept apart: the transport equals the one made on an unshared copy
+    assert _shares_the_table(W.YL, A)
+    copy = ModuleInstance(LEFT, A.space, A, D=W.D, L1=W.L1, meta=W.meta,
+                          YL=VertexMap(LEFT, A.space, A.space, A.space,
+                                       dict(W.YL.entries), W.YL.absent))
+    there = transport_module(W, "left_to_right_op")
+    assert serialize(there) == serialize(transport_module(copy, "left_to_right_op"))
+    assert there.YR != there.algebra.Y.with_kind(RIGHT)
+    assert there.algebra.Y == opposite_mosva(alg).result.Y
+
+
+@pytest.mark.parametrize("mode", [True, 1.0])
+def test_a_repeated_table_with_a_mode_that_only_equals_an_int_is_rejected(mode):
+    # true == 1 and 1.0 == 1 in Python, so JSON equality with the algebra's
+    # table is not enough to take it
+    doc = to_document(build_heisenberg(level=1, cutoff=3)[1])
+    i = next(i for i, rec in enumerate(doc["vertex_left"]) if rec[1] == 1)
+    doc["vertex_left"][i][1] = mode
+    assert doc["vertex_left"] == doc["algebra"]["vertex"]
+    assert _raised(doc) == (f"$.vertex_left[{i}]: mode must be an integer",
+                            f"$.vertex_left[{i}]")
