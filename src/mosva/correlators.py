@@ -52,7 +52,7 @@ class PoleOrderWitness:
 class CorrelationSeries:
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
-    __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_lower",
+    __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_plane", "_lower",
                  "_upper", "_holes", "_trivial", "_certified", "_reconstructed",
                  "_diagonal")
 
@@ -62,15 +62,20 @@ class CorrelationSeries:
         object.__setattr__(self, "variables", tuple(variables))
         exact = {}
         for k, v in coefficients.items():
-            v = exact_scalar(v, "coefficient")
+            if type(v) is not Fraction:
+                v = exact_scalar(v, "coefficient")
             if v:
                 exact[tuple(k)] = v
         object.__setattr__(self, "coefficients", exact)
         object.__setattr__(self, "mode", mode)
-        op_weights = tuple(op_weights)
+        # weights and bounds as ints where integral, so that the bounds below
+        # and the hyperplane test of _decide_certified skip Fraction
+        op_weights = [_plain(w) for w in op_weights]
+        ket_weight = _plain(ket_weight)
         # the grading hyperplane: sum of exponents of any nonzero monomial
-        object.__setattr__(self, "degree_sum",
-                           bra_weight - sum(op_weights, Fraction(0)) - ket_weight)
+        plane = _plain(_plain(bra_weight) - sum(op_weights) - ket_weight)
+        object.__setattr__(self, "degree_sum", Fraction(plane))
+        object.__setattr__(self, "_plane", plane)
         # Chain position j holds the weight B_j + S_j, where B_j sums the
         # weights of the operators (and the ket) applied so far and S_j the
         # exponents of the monomial that go with them.  S_j is an integer,
@@ -81,9 +86,9 @@ class CorrelationSeries:
         else:  # B_j = ket + op_j + ... + op_{n-1}
             weights = list(accumulate(reversed(op_weights), initial=ket_weight))[:0:-1]
         object.__setattr__(self, "_lower", tuple(
-            math.ceil(m - b) for m, b in zip(chain_minw, weights)))
+            math.ceil(_plain(m) - b) for m, b in zip(chain_minw, weights)))
         object.__setattr__(self, "_upper", tuple(
-            math.floor(c - b) for c, b in zip(chain_cutoffs, weights)))
+            math.floor(_plain(c) - b) for c, b in zip(chain_cutoffs, weights)))
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
         object.__setattr__(self, "_certified", {})  # monomial -> is_certified
@@ -124,7 +129,7 @@ class CorrelationSeries:
         for h in self._holes:
             if (mono[n - len(h):] if product else mono[: len(h)]) == h:
                 return False
-        if sum(mono) != self.degree_sum:
+        if sum(mono) != self._plane:
             return True  # off the grading hyperplane: exactly zero
         lower, upper = self._lower, self._upper
         total = 0
@@ -193,11 +198,18 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # -n-1 is appended.  Each state carries its weight, an int when integral.
     # The last step pairs each output with the bra without building it; a
     # nonzero pairing away from the mode of output weight wt(bra) breaks the
-    # degree invariant.  The walk runs on integers cleared by the lcm of the
-    # denominators of the bra, the start, each fixed argument and each map's
-    # table; one scale per step, their product, divides each coefficient once.
+    # degree invariant.  When every map of the chain is graded without gaps
+    # (VertexMap.graded_without_gaps) every state is homogeneous, and every
+    # other mode of its window has an output of another weight than the bra
+    # and no miss: it pairs to exactly zero, so the last step reads the bra's
+    # mode alone, with the same coefficients, holes and order.  The walk runs
+    # on integers cleared by the lcm of the denominators of the bra, the
+    # start, each fixed argument and each map's table; one scale per step,
+    # their product, divides each coefficient once.
+    at_bra = all(vmap.graded_without_gaps() for vmap in chain)
     vecs = [u for u, _ in ops] + [ket]
     wts = [_plain(w) for w in op_weights + [kw]]
+    top = _plain(bw + 1)  # w - top is the bra's mode for a state of weight w
     prepend = mode != ITERATE
     order = range(len(ops), -1, -1) if prepend else range(len(ops) + 1)
     chain = chain[::-1] if prepend else chain
@@ -221,19 +233,24 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         scale *= d * dens[j]
         wf, fixed = wts[j], ints[j]
         nxt = []
+        last = i == len(ops)
         for mono, vec, w in states:
             w += wf
             first, second = (fixed, vec) if prepend else (vec, fixed)
-            for n in space.mode_window(w):
+            modes = space.mode_window(w)
+            if last and at_bra:
+                n = _plain(w - top)
+                modes = (n,) if type(n) is int and n in modes else ()
+            for n in modes:
                 key = (-n - 1,) + mono if prepend else mono + (-n - 1,)
-                if i < len(ops):
+                if not last:
                     out = _mode_ints(vmap, table, first, n, second)
                     if out:
                         nxt.append((key, out, w - n - 1))
                 else:
                     out = _pair_ints(vmap, table, bra_ints, first, n, second)
                     if out:
-                        if n != w - 1 - bw:
+                        if n != w - top:
                             raise ArithmeticError(f"degree invariant: monomial {key} is off "
                                                   f"the hyperplane {bw - sum(op_weights) - kw}")
                         coefficients[key] = Fraction(out, scale)

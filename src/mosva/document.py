@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemaError
 from .graded import GradedOp, GradedSpace, Vec
+from .report import Chunk, _emit
 from .scalars import format_scalar, parse_scalar
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap, _key_problem)
@@ -112,43 +113,7 @@ def _document(inst, vertex) -> dict:
     raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
-def _emit(node, newline_indent) -> str:
-    """``json.dumps(node, indent=1)`` for a node whose lines are indented by
-    ``newline_indent`` (a line break and the node's depth in spaces).
-    Strings, ints, bools, None and lists and str-keyed dicts of them are
-    written here, each container joined from its children's texts rather
-    than kept as one chunk per token until the end.  A _Table writes itself
-    at this depth.  Any other node is handed to json.dumps, whose output shifts to any depth because a JSON
-    text has line breaks only between its tokens."""
-    kind = type(node)
-    if kind is str:
-        return _quote(node)
-    if kind is int:
-        return int.__repr__(node)
-    if kind is list:
-        if not node:
-            return "[]"
-        inner = newline_indent + " "
-        items = [_emit(item, inner) for item in node]
-        return f"[{inner}{(',' + inner).join(items)}{newline_indent}]"
-    if kind is dict and all(type(key) is str for key in node):
-        if not node:
-            return "{}"
-        inner = newline_indent + " "
-        items = [f"{_quote(key)}: {_emit(value, inner)}" for key, value in node.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{newline_indent}}}"
-    if node is None:
-        return "null"
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
-    if kind is _Table:
-        return node.text(newline_indent)
-    return json.dumps(node, indent=1).replace("\n", newline_indent)
-
-
-class _Table:
+class _Table(Chunk):
     """A vertex table that _emit writes in one flat walk, at its depth."""
 
     __slots__ = ("vmap",)

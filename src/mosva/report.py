@@ -1,13 +1,18 @@
-"""Check reports: one record per obligation, renderable as text or JSON.
+"""Check reports: one record per obligation, renderable as text or JSON,
+and the one JSON text writer of the package.
 
 Reports are deterministic: records appear in the order the checks generated
-them, and identical inputs produce byte-identical output.
+them, and identical inputs produce byte-identical output.  _emit writes what
+``json.dumps(node, indent=k)`` writes, for any indent step k, without the
+pure-Python encoder that ``indent`` selects; it serves Report.to_json (step
+2, the keys laid out in sorted order) and document.serialize (step 1).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,18 +87,62 @@ class Report:
                      f"({c[PASS]} passed, {c[FAIL]} failed, {c[SKIP]} skipped)")
         return "\n".join(lines)
 
-    def to_doc(self) -> dict:
-        return {
-            "suite": self.suite,
+    def to_json(self) -> str:
+        """The report as JSON with an indent of 2 and sorted keys, and a final
+        newline; the keys are laid out here in sorted order."""
+        doc = {
+            "counts": dict(sorted(self.counts.items())),
+            "notes": self.notes,
             "passed": self.passed,
-            "counts": self.counts,
             "records": [
-                {"check": r.check, "inputs": r.inputs, "window": r.window,
-                 "verdict": r.verdict, "witness": r.witness}
+                {"check": r.check, "inputs": r.inputs, "verdict": r.verdict,
+                 "window": r.window, "witness": r.witness}
                 for r in self.records
             ],
-            "notes": list(self.notes),
+            "suite": self.suite,
         }
+        return _emit(doc, "\n", "  ") + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+
+class Chunk:
+    """A node that _emit does not descend into: its text(newline_indent)
+    writes it at the depth it is given."""
+
+    __slots__ = ()
+
+
+def _emit(node, newline_indent: str, step: str = " ") -> str:
+    """``json.dumps(node, indent=len(step))`` for a node whose lines are
+    indented by ``newline_indent`` (a line break and the node's depth in
+    spaces); each level of nesting adds ``step``.  Strings, ints, bools, None
+    and lists and str-keyed dicts of them are written here, each container
+    joined from its children's texts rather than kept as one chunk per token
+    until the end.  A Chunk writes itself at this depth.  Any other node is
+    handed to json.dumps, whose output shifts to any depth because a JSON
+    text has line breaks only between its tokens."""
+    kind = type(node)
+    if kind is str:
+        return _quote(node)
+    if kind is int:
+        return int.__repr__(node)
+    if kind is list:
+        if not node:
+            return "[]"
+        inner = newline_indent + step
+        items = [_emit(item, inner, step) for item in node]
+        return f"[{inner}{(',' + inner).join(items)}{newline_indent}]"
+    if kind is dict and all(type(key) is str for key in node):
+        if not node:
+            return "{}"
+        inner = newline_indent + step
+        items = [f"{_quote(key)}: {_emit(value, inner, step)}" for key, value in node.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline_indent}}}"
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, Chunk):
+        return node.text(newline_indent)
+    return json.dumps(node, indent=len(step)).replace("\n", newline_indent)

@@ -39,15 +39,21 @@ def _key_problem(f, n, s, first_labels, second_labels):
 
 class _TableMemo:
     """What is derived from one stored table, kept for every map that
-    with_kind makes over it: the cleared view, built on first use, and the
-    skew maps of constructions._skew_map, one per D operator, keyed by the
-    operator's id.  Each skew is kept beside its operator, so the id names
-    no other object while the entry lives."""
+    with_kind makes over it, each part built on first use: the cleared view;
+    whether every entry is homogeneous (the _weight_faults walk finds no
+    fault); the mode window start per (first, second) label pair; the top
+    nonzero nonnegative mode per pair; and the skew maps of
+    constructions._skew_map, one per D operator, keyed by the operator's
+    id.  Each skew is kept beside its operator, so the id names no other
+    object while the entry lives."""
 
-    __slots__ = ("cleared", "skews")
+    __slots__ = ("cleared", "graded", "mode_starts", "pair_tops", "skews")
 
     def __init__(self):
         self.cleared = None
+        self.graded = None
+        self.mode_starts = {}
+        self.pair_tops = None
         self.skews = {}
 
 
@@ -60,7 +66,7 @@ class VertexMap:
     """
 
     __slots__ = ("kind", "first_space", "second_space", "out_space", "entries",
-                 "absent", "_pair_tops", "_mode_starts", "_memo")
+                 "absent", "_memo")
 
     def __init__(self, kind: str, first_space: GradedSpace, second_space: GradedSpace,
                  out_space: GradedSpace, entries: Mapping | None = None,
@@ -101,8 +107,6 @@ class VertexMap:
         object.__setattr__(self, "out_space", out_space)
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "absent", gaps)
-        object.__setattr__(self, "_pair_tops", None)
-        object.__setattr__(self, "_mode_starts", {})
         # shared by every map with_kind makes from this one
         object.__setattr__(self, "_memo", _TableMemo() if memo is None else memo)
 
@@ -148,22 +152,34 @@ class VertexMap:
             return False
         if self.out_space.complete:
             return True
-        start = self._mode_starts.get((first_label, second_label))
+        starts = self._memo.mode_starts
+        start = starts.get((first_label, second_label))
         if start is None:
-            start = self.mode_range(first_label, second_label).start
-            self._mode_starts[(first_label, second_label)] = start
+            start = starts[(first_label, second_label)] = self.mode_range(
+                first_label, second_label).start
         return n >= start
 
     def pair_top_modes(self) -> dict:
         """(first, second) -> the top nonnegative mode n with a nonzero stored
         entry; pairs without one are missing.  Built on first use."""
-        if self._pair_tops is None:
+        memo = self._memo
+        if memo.pair_tops is None:
             tops: dict[tuple[str, str], int] = {}
             for (f, n, s), out in self.entries.items():
                 if n >= 0 and n > tops.get((f, s), -1) and not out.is_zero():
                     tops[(f, s)] = n
-            object.__setattr__(self, "_pair_tops", tops)
-        return self._pair_tops
+            memo.pair_tops = tops
+        return memo.pair_tops
+
+    def graded_without_gaps(self) -> bool:
+        """Whether no key is absent and every stored entry obeys the grading
+        axiom wt(u_n v) = wt u + wt v - n - 1 under the cutoff (_weight_faults
+        finds no fault).  The walk runs once per table, here or in
+        validate_instance, whichever comes first."""
+        memo = self._memo
+        if memo.graded is None:
+            memo.graded = not _weight_faults(self)[0]
+        return memo.graded and not self.absent
 
     def mode_range(self, first_label: str, second_label: str):
         """All modes n whose output weight the truncated space can represent."""
@@ -455,6 +471,7 @@ def _validate_map(vmap: VertexMap, name: str, rep: Report):
     """Record homogeneity and lower truncation of one map; returns its
     _weight_faults walk."""
     faults, nonzero = walk = _weight_faults(vmap)
+    vmap._memo.graded = not faults
     if faults:
         key = min(faults)
         rep.fail(f"{name}: homogeneity", inputs="({}, {}, {})".format(*key),

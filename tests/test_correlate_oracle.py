@@ -9,14 +9,17 @@ entry scaled by 3/2 or made absent."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from mosva.correlators import correlate
+from mosva import correlators
+from mosva.correlators import _module_position, correlate
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
 from mosva.graded import DualVec, Vec, basis_dual
-from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
+from mosva.vertex import (ALGEBRA, AlgebraInstance, ModuleInstance, VertexMap, chain_maps,
+                          validate_instance)
 
 import oracle_correlate
 from test_acceptance import _correlator_family
@@ -252,3 +255,121 @@ def test_wrong_space_past_a_dead_chain_is_never_read(mode):
         ops, ket = [(e12, "z1"), (e12, "z2")], other.basis_vec("E11")
     s = _assert_same(m, basis_dual(m.space, "E11"), ops, ket, mode)
     assert s.is_zero()
+
+
+def _inhomogeneous(alg, key, extra):
+    """The algebra with the label ``extra`` added to the entry at ``key``."""
+    entries = dict(alg.Y.entries)
+    entries[key] = entries.get(key, Vec(alg.space)) + alg.basis_vec(extra)
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries)
+    return AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1)
+
+
+def _inner_gap_bimodule(alg, key):
+    """A bimodule over alg whose right map alone has ``key`` absent: a
+    mixed chain at module_at=1 reads it on an inner step only."""
+    right = with_absent(alg, [key]).Y.with_kind("right")
+    return ModuleInstance("bi", alg.space, alg, YL=alg.Y.with_kind("left"), YR=right,
+                          D=alg.D, L1=alg.L1)
+
+
+def _one_fault(alg, case):
+    """The algebra, or a bimodule over it, with one absent key or one
+    inhomogeneous entry that a chain of a2, a1, a1 reads."""
+    if case == "gap":
+        return with_absent(alg, [("a1", 1, "a1")])
+    if case == "inner gap":
+        return _inner_gap_bimodule(alg, ("a1", 1, "a1"))
+    # (a2)_1 a2, of weight 2, gains the weight-1 label a1; with a2 first
+    # among a2, a1, a1, only the outermost step of either walk reads it
+    return _inhomogeneous(alg, ("a2", 1, "a2"), "a1")
+
+
+def _same_or_same_error(inst, bra, ops, ket, mode, module_at):
+    """_assert_same, or the degree-invariant ArithmeticError of the oracle,
+    with the same message and None for the series."""
+    try:
+        oracle_correlate.correlate(inst, bra, ops, ket, mode, module_at)
+    except ArithmeticError as e:
+        with pytest.raises(ArithmeticError) as got:
+            correlate(inst, bra, ops, ket, mode, module_at)
+        assert str(got.value) == str(e)
+        return None
+    return _assert_same(inst, bra, ops, ket, mode, module_at)
+
+
+@pytest.mark.parametrize("case, mode", [("gap", "product"), ("gap", "iterate"),
+                                        ("inhomogeneous", "product"),
+                                        ("inhomogeneous", "iterate"),
+                                        ("inner gap", "mixed")])
+def test_one_gap_or_inhomogeneous_entry_reads_the_full_window(monkeypatch, case, mode):
+    # one map of the chain has one absent key or one entry with a label of
+    # another weight: the outermost step pairs every mode of each state's
+    # window, as the oracle does, with the same coefficients, certified set
+    # and degree-invariant error
+    alg = build_heisenberg(level=1, cutoff=4)[0]
+    inst = _one_fault(alg, case)
+    at = 1 if mode == "mixed" else None
+    chain = chain_maps(inst, _module_position(inst, 3, mode, at), 3,
+                       nested=mode == "iterate")
+    assert not all(vmap.graded_without_gaps() for vmap in chain)
+    window = len(inst.space.mode_window(0))
+    counts = Counter()
+    pair = correlators._pair_ints
+
+    def counting_pair(vmap, table, bra, first, n, second):
+        counts[id(second if mode != "iterate" else first)] += 1
+        return pair(vmap, table, bra, first, n, second)
+
+    monkeypatch.setattr(correlators, "_pair_ints", counting_pair)
+    ops = [(inst.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a2", "a1", "a1"])]
+    raised = holed = nonzero = 0
+    for ket in ("vac", "a1", "a2"):
+        for bra_lbl in inst.space.labels():
+            counts.clear()
+            s = _same_or_same_error(inst, basis_dual(inst.space, bra_lbl), ops,
+                                    inst.basis_vec(ket), mode, at)
+            if s is None:  # the walk stopped at the stray label
+                raised += 1
+                continue
+            # every outermost state is paired at every mode of its window
+            assert counts and set(counts.values()) == {window}
+            holed += bool(s._holes)
+            nonzero += not s.is_zero()
+    assert nonzero
+    # the fault is read: a gap leaves holes, and the stray label breaks the
+    # degree invariant against the bra it pairs with
+    if "gap" in case:
+        assert holed and not raised
+    else:
+        assert raised and not holed
+
+
+@pytest.mark.parametrize("mode, key", [("product", ("a1", 0, "a1")),
+                                       ("iterate", ("vac", -2, "vac"))])
+def test_wrong_weight_output_off_the_bra_mode_raises_as_the_oracle(mode, key):
+    # the doctored table of test_correlators: the vacuum stored at a mode
+    # whose nominal output weight is 1 makes the full window run, and both
+    # walks raise the same degree-invariant error
+    alg = build_heisenberg(level=1, cutoff=4)[0]
+    assert key not in alg.Y.entries
+    inst = _inhomogeneous(alg, key, "vac")
+    assert not inst.Y.graded_without_gaps()
+    a = alg.basis_vec("a1")
+    ops = [(a, "z1"), (a, "z2")]
+    assert _same_or_same_error(inst, basis_dual(alg.space, "vac"), ops, alg.vacuum,
+                               mode, None) is None
+    # a bra that the doctored entry does not reach gives the same series
+    _assert_same(inst, basis_dual(alg.space, "a2"), ops, alg.vacuum, mode)
+
+
+def test_graded_without_gaps_is_shared_and_kept_from_validation():
+    alg = build_heisenberg(level=1, cutoff=4)[0]
+    bad = _inhomogeneous(alg, ("a1", 1, "a1"), "a2")
+    assert bad.Y._memo.graded is None
+    assert not validate_instance(bad).passed
+    # validate_instance stores the walk's answer for every map over the table
+    assert bad.Y._memo.graded is False
+    assert not bad.Y.with_kind("left").graded_without_gaps()
+    assert alg.Y.graded_without_gaps() and alg.Y.with_kind("right").graded_without_gaps()
+    assert not with_absent(alg, [("a1", 1, "a1")]).Y.graded_without_gaps()

@@ -321,16 +321,23 @@ def test_wrong_weight_output_off_the_bra_mode_raises(mode, key):
 def test_outermost_step_builds_at_most_one_vector_per_state(heis, mode, monkeypatch):
     # the walk applies inner steps through the integer kernel
     # vertex._mode_ints and pairs the outermost step with the bra through
-    # vertex._pair_ints, which builds no output vector
-    alg, _ = heis
+    # vertex._pair_ints, which builds no output vector; on a graded table
+    # without gaps it pairs each state at the bra's mode alone
+    for alg in (heis[0], build_heisenberg(level=Fraction(3, 2), cutoff=6)[0]):
+        with monkeypatch.context() as patch:
+            _check_outermost_step(alg, mode, patch)
+
+
+def _check_outermost_step(alg, mode, monkeypatch):
     ops = [(alg.basis_vec(x), f"z{i + 1}") for i, x in enumerate(["a1", "a2", "a1"])]
     ket = alg.basis_vec("a1")
     product = mode == "product"
-    built, paired = [], []
+    built, consumed, paired = [], set(), []
     apply, pair = correlators._mode_ints, correlators._pair_ints
 
-    def counting_apply(*args):
-        out = apply(*args)
+    def counting_apply(vmap, table, first, n, second):
+        consumed.add(id(second if product else first))
+        out = apply(vmap, table, first, n, second)
         built.append((len(paired), out))
         return out
 
@@ -344,6 +351,8 @@ def test_outermost_step_builds_at_most_one_vector_per_state(heis, mode, monkeypa
     assert not s.is_zero() and paired
     # no vector is built once the outermost step has begun
     assert all(at == 0 for at, _ in built)
-    # and every state it pairs is one an inner step built, read as it is
-    states = {id(out) for _, out in built if out}
-    assert {id(state) for state in paired} <= states
+    # the states of the outermost step are the vectors the inner steps built
+    # and did not read again; each is paired exactly once, read as it is
+    states = {id(out) for _, out in built if out} - consumed
+    assert len(paired) == len(states)
+    assert {id(state) for state in paired} == states

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mosva.constructions import contragredient_module, opposite_mosva
 from mosva.document import deserialize, from_document, load, save, serialize, to_document
+from mosva.report import _emit
 from mosva.errors import SchemaError
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
 from mosva.vertex import BI, LEFT, RIGHT, validate_instance
@@ -465,18 +466,15 @@ def _json_trees(leaves):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_json_trees(_json_leaves))
-def test_emit_writes_what_json_dumps_writes(tree):
-    from mosva.document import _emit
-
-    assert _emit(tree, "\n") == json.dumps(tree, indent=1)
+@given(_json_trees(_json_leaves), st.integers(1, 3))
+def test_emit_writes_what_json_dumps_writes(tree, indent):
+    assert _emit(tree, "\n", " " * indent) == json.dumps(tree, indent=indent)
 
 
 def test_emit_nests_foreign_nodes_at_their_depth():
-    from mosva.document import _emit
-
     tree = {"a": [[1.5, (2, [3.25])], {"b": {1: [None, 0.5]}, "c": []}], "d": {}}
-    assert _emit(tree, "\n") == json.dumps(tree, indent=1)
+    for indent in (1, 2):
+        assert _emit(tree, "\n", " " * indent) == json.dumps(tree, indent=indent)
 
 
 @pytest.mark.parametrize("level", [None, "1", "3/2", "-2", "1/3"])
