@@ -403,13 +403,6 @@ def _assoc_position(inst, flavor):
     return module_position(inst, 2, _FLAVOR_SIDES[flavor], 1, "compatibility checks")
 
 
-def _scaled_equal(lhs: dict, l_factor: int, rhs: dict, r_factor: int) -> bool:
-    """l_factor lhs == r_factor rhs, for nonzero factors and dicts without
-    zero values."""
-    return lhs.keys() == rhs.keys() and all(
-        x * l_factor == rhs[lbl] * r_factor for lbl, x in lhs.items())
-
-
 def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                              p1_max: int | None = None,
                              flavor: str | None = None) -> WeakAssocResult:
@@ -446,7 +439,8 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
 
     # the inputs and the four tables on cleared integers: P carries
     # d_outerP d_innerP and I carries d_innerI d_outerI times the same input
-    # scalings, so the sides compare after each takes the other's factor
+    # scalings, so each side is scaled by the other's factor before they are
+    # subtracted
     _check_arguments(inner_P, second.space, ket.space)
     _check_arguments(inner_I, first.space, second.space)
     u1, u2, u3 = (_cleared(v, _lcm_of_denominators([v])) for v in (first, second, ket))
@@ -457,8 +451,7 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
 
     # memos map a key to its integer dict, or to None when inexact (never to zero)
     P_memo: dict = {}
-    I_memo: dict = {}
-    S_memo: dict = {}
+    D_memo: dict = {}
     P_inner: dict = {}  # b -> Y_{-b-1}(second) ket
     I_inner: dict = {}  # a -> Y_{-a-1}(first) second
 
@@ -472,19 +465,12 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                            else _mode_ints(outer_P, t_oP, u1, -a - 1, innerv))
         return P_memo[key]
 
-    def I(a, b):
-        key = (a, b)
-        if key not in I_memo:
-            if a not in I_inner:
-                I_inner[a] = _mode_ints(inner_I, t_iI, u1, -a - 1, u2)
-            innerv = I_inner[a]
-            I_memo[key] = (None if innerv is None
-                           else _mode_ints(outer_I, t_oI, innerv, -b - 1, u3))
-        return I_memo[key]
-
-    def P_shifted(c, d):
+    def difference(c, d):
+        """l_factor sum_k C(c+k, k) P(c+k, d-k) - r_factor Y_{-d-1}(Y_{-c-1}(first)
+        second)ket, the product side's x0^c x2^d coefficient less the iterate
+        side's; None when a term is inexact, and both sides are read either way."""
         key = (c, d)
-        if key not in S_memo:
+        if key not in D_memo:
             total: dict | None = {}
             for k in range(0, d - b_lo + 1):
                 coeff = binomial(c + k, k)
@@ -494,9 +480,17 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
                 if term is None:
                     total = None
                     break
-                _accumulate(total, coeff, term)
-            S_memo[key] = total
-        return S_memo[key]
+                _accumulate(total, l_factor * coeff, term)
+            if c not in I_inner:
+                I_inner[c] = _mode_ints(inner_I, t_iI, u1, -c - 1, u2)
+            innerv = I_inner[c]
+            term = None if innerv is None else _mode_ints(outer_I, t_oI, innerv, -d - 1, u3)
+            if term is None:
+                total = None
+            elif total is not None:
+                _accumulate(total, -r_factor, term)
+            D_memo[key] = total
+        return D_memo[key]
 
     found = None
     last_diff = ""
@@ -509,18 +503,15 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
             c_lo = s + p1 - b_hi
             for c in range(c_lo, c_hi + 1):
                 d = s + p1 - c
-                lhs: dict = {}
-                rhs: dict = {}
+                acc: dict = {}
                 for i, w in enumerate(row):
-                    l_term = P_shifted(c - i, d - p1 + i)
-                    r_term = I(c - i, d - p1 + i)
-                    if l_term is None or r_term is None:
+                    term = difference(c - i, d - p1 + i)
+                    if term is None:
                         break  # an inexact term: the monomial is not compared
-                    _accumulate(lhs, w, l_term)
-                    _accumulate(rhs, w, r_term)
+                    _accumulate(acc, w, term)
                 else:
                     compared += 1
-                    if diff is None and not _scaled_equal(lhs, l_factor, rhs, r_factor):
+                    if diff is None and acc:
                         diff = f"x0^{c} x2^{d} at p1={p1}"
         if compared and diff is None:
             found = p1

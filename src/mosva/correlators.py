@@ -161,7 +161,8 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     operators at separate variables; "iterate" nests them at successive
     differences (the emitted variables are z1-z2, ..., zn); "mixed" needs a
     bimodule and the position of the module element among the operators.
-    Operators must be homogeneous.
+    Operators must be homogeneous.  Raises ValueError, naming the monomial,
+    when an inner step builds a state with a label off its weight.
     """
     if mode not in (PRODUCT, ITERATE, MIXED):
         raise ValueError(f"unknown correlator mode {mode!r}")
@@ -202,10 +203,11 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # (VertexMap.graded_without_gaps) every state is homogeneous, and every
     # other mode of its window has an output of another weight than the bra
     # and no miss: it pairs to exactly zero, so the last step reads the bra's
-    # mode alone, with the same coefficients, holes and order.  The walk runs
-    # on integers cleared by the lcm of the denominators of the bra, the
-    # start, each fixed argument and each map's table; one scale per step,
-    # their product, divides each coefficient once.
+    # mode alone, with the same coefficients, holes and order.  Otherwise an
+    # inner step whose output has a label off its weight raises ValueError.
+    # The walk runs on integers cleared by the lcm of the denominators of the
+    # bra, the start, each fixed argument and each map's table; one scale per
+    # step, their product, divides each coefficient once.
     at_bra = all(vmap.graded_without_gaps() for vmap in chain)
     vecs = [u for u, _ in ops] + [ket]
     wts = [_plain(w) for w in op_weights + [kw]]
@@ -246,7 +248,11 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
                 if not last:
                     out = _mode_ints(vmap, table, first, n, second)
                     if out:
-                        nxt.append((key, out, w - n - 1))
+                        wo = w - n - 1
+                        if not at_bra and any(space.label_weights[lbl] != wo for lbl in out):
+                            raise ValueError(f"inhomogeneous state: monomial {key} has "
+                                             f"a label off its weight {wo}")
+                        nxt.append((key, out, wo))
                 else:
                     out = _pair_ints(vmap, table, bra_ints, first, n, second)
                     if out:

@@ -2,10 +2,10 @@
 copies of their previous loops (``oracle_assoc``): every ``WeakAssocResult``
 field of every sweep triple, and the machine-report bytes of the "assoc",
 "mobius" and "D" suites, on algebras, modules of every side, a
-contragredient, tables with absent entries, every fault of the suite
-benchmark and a seeded sweep of entries scaled by 3/2.  The checks run on
-the tables' cleared integer views (``VertexMap.cleared``), which are tested
-here too."""
+contragredient, a module rescaled apart from its algebra, tables with
+absent entries, every fault of the suite benchmark and a seeded sweep of
+entries scaled by 3/2.  The checks run on the tables' cleared integer views
+(``VertexMap.cleared``), which are tested here too."""
 
 import math
 import random
@@ -72,23 +72,40 @@ def with_operator_gaps(alg, d_gap, l1_gap):
                            drop(alg.L1, l1_gap))
 
 
-def rescaled(alg):
-    """The algebra in the basis e'_l = lam_l e_l, lam_l in {1, 2, 3} by label
-    position and 1 on the vacuum: the same structure, with denominators 2
-    and 3 in Y, D and L(1)."""
-    lam = {l: Fraction(1 + i % 3) for i, l in enumerate(alg.space.labels())}
-    lam["vac"] = Fraction(1)
+def _rescaling(space):
+    """lam_l in {1, 2, 3} by label position (1 on the first label, the
+    vacuum of an algebra), the map (v, c) -> c v written in the basis
+    e'_l = lam_l e_l, and the same change of basis for operators."""
+    lam = {l: Fraction(1 + i % 3) for i, l in enumerate(space.labels())}
 
     def move(v, c=1):
-        return Vec(alg.space, {l: c * x / lam[l] for l, x in v.entries.items()})
+        return Vec(space, {l: c * x / lam[l] for l, x in v.entries.items()})
 
     def op(o):
-        return GradedOp(alg.space, o.weight_shift,
-                        {l: move(v, lam[l]) for l, v in o.action.items()})
+        return GradedOp(space, o.weight_shift, {l: move(v, lam[l]) for l, v in o.action.items()})
 
+    return lam, move, op
+
+
+def rescaled(alg):
+    """The algebra in the basis e'_l = lam_l e_l of _rescaling: the same
+    structure, with denominators 2 and 3 in Y, D and L(1)."""
+    lam, move, op = _rescaling(alg.space)
+    assert lam["vac"] == 1
     Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space,
                   {(f, n, s): move(v, lam[f] * lam[s]) for (f, n, s), v in alg.Y.entries.items()})
     return AlgebraInstance(alg.space, Y, alg.vacuum, op(alg.D), op(alg.L1))
+
+
+def rescaled_module(mod):
+    """A left module in the basis e'_l = lam_l e_l of _rescaling, its
+    algebra untouched: YL, D and L(1) get denominators 2 and 3 that the
+    algebra's Y lacks, so the two sides of weak associativity clear to
+    different scales."""
+    lam, move, op = _rescaling(mod.space)
+    YL = VertexMap(LEFT, mod.algebra.space, mod.space, mod.space,
+                   {(u, n, w): move(v, lam[w]) for (u, n, w), v in mod.YL.entries.items()})
+    return ModuleInstance(LEFT, mod.space, mod.algebra, YL=YL, D=op(mod.D), L1=op(mod.L1))
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +124,7 @@ def instances():
         # inexact inner products on both sides: Y_{-1}(a1)a1 is unknown
         "heisenberg absent": with_absent(alg, [("a1", -1, "a1"), ("vac", -2, "vac")]),
         "heisenberg rescaled": rescaled(alg),
+        "fock rescaled": rescaled_module(fock),
         "heisenberg operator gaps": with_operator_gaps(alg, "a1.a1", "a2.a1"),
         "contragredient fock": contragredient_module(fock),
         "contragredient shifted fock": contragredient_module(shifted(fock, Fraction(1, 2))),
@@ -116,7 +134,8 @@ def instances():
 
 NAMES = ["heisenberg 1", "heisenberg 3/2", "heisenberg -2", "heisenberg 1/3", "fock", "right",
          "bi", "matrix", "matrix absent", "heisenberg absent", "heisenberg rescaled",
-         "heisenberg operator gaps", "contragredient fock", "contragredient shifted fock"]
+         "fock rescaled", "heisenberg operator gaps", "contragredient fock",
+         "contragredient shifted fock"]
 
 
 def _outcome(check, inst, first, second, ket, flavor):
@@ -160,6 +179,15 @@ def test_fault_reports_match_the_oracle(instances, example, key, max_weight, sui
     got = run_suite(bad, suite, max_weight=max_weight)
     want = oracle_assoc.run_suite(bad, suite, max_weight=max_weight)
     assert got.to_json() == want.to_json()
+
+
+def test_rescaled_module_clears_the_two_sides_to_different_scales(instances):
+    # the product side reads YL twice and the iterate side Y and YL once
+    # each, so check_weak_associativity scales the product side by 1 and the
+    # iterate side by 6 before it subtracts them
+    mod = instances["fock rescaled"]
+    assert mod.YL.cleared()[0] == 6 and mod.algebra.Y.cleared()[0] == 1
+    assert run_suite(mod, "all", max_weight=MAX_WEIGHT).passed
 
 
 @pytest.mark.parametrize("labels", [("E21", "E12", "E12"), ("E12", "E12", "E21")],

@@ -68,6 +68,31 @@ def test_vacuum_detects_creation_fault():
     assert any("creation" in r.check for r in rep.failures())
 
 
+def test_vacuum_detects_a_negative_power_of_a_graded_entry(heis4):
+    # (a1)_0 vac = vac has the weight 1 + 0 - 0 - 1 of its mode, so grading
+    # passes, but Y(a1, x) vac gains the term x^{-1} vac
+    alg, _ = heis4
+    entries = dict(alg.Y.entries)
+    assert ("a1", 0, "vac") not in entries
+    entries[("a1", 0, "vac")] = alg.vacuum
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space, entries)
+    bad = AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1)
+    assert run_suite(bad, "grading").passed
+    [r] = run_suite(bad, "vacuum").failures()
+    assert (r.check, r.witness) == ("Y: creation property", "a1: negative power -1")
+
+
+def test_derivative_detects_a_scaled_d(heis4):
+    # D doubled on a1 alone: exp(x2 D) no longer conjugates Y by the shift
+    alg, _ = heis4
+    D = GradedOp(alg.space, alg.D.weight_shift,
+                 {l: v.scale(2) if l == "a1" else v for l, v in alg.D.action.items()})
+    bad = AlgebraInstance(alg.space, alg.Y, alg.vacuum, D, alg.L1)
+    fails = {r.check: r for r in run_suite(bad, "D").failures()}
+    assert fails["shift conjugation via binomial expansion"].inputs == "(a1, vac, a2)"
+    assert fails["Y: derivative and commutator"].witness == "derivative at (a1, -3, vac)"
+
+
 def test_derivative_passes_and_detects_fault(heis4):
     alg, fock = heis4
     assert check_derivative(alg).passed

@@ -373,3 +373,20 @@ def test_graded_without_gaps_is_shared_and_kept_from_validation():
     assert not bad.Y.with_kind("left").graded_without_gaps()
     assert alg.Y.graded_without_gaps() and alg.Y.with_kind("right").graded_without_gaps()
     assert not with_absent(alg, [("a1", 1, "a1")]).Y.graded_without_gaps()
+
+
+@pytest.mark.parametrize("mode", ["product", "iterate"])
+def test_inhomogeneous_inner_state_raises(mode):
+    # (a1)_1 a1, of weight 0, gains the weight-2 label a2: the first inner
+    # step of either walk builds the state at monomial (-2,) from it.  Read
+    # at the nominal weight, later steps would work out windows, holes and
+    # certified set for the wrong weight; the oracle stops on the state
+    alg = build_heisenberg(level=1, cutoff=4)[0]
+    inst = _inhomogeneous(alg, ("a1", 1, "a1"), "a2")
+    a = inst.basis_vec("a1")
+    ops = [(a, "z1"), (a, "z2"), (a, "z3")]
+    bra = basis_dual(inst.space, "vac")
+    with pytest.raises(ValueError, match=r"monomial \(-2,\) has a label off its weight 0"):
+        correlate(inst, bra, ops, a, mode)
+    with pytest.raises(TypeError):
+        oracle_correlate.correlate(inst, bra, ops, a, mode)
