@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except WindowError as e:
         print(f"window insufficient: {e}", file=sys.stderr)
         return EXIT_WINDOW
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, ArithmeticError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,6 +15,7 @@ were never computed.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -54,7 +55,7 @@ class CorrelationSeries:
 
     __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_plane", "_lower",
                  "_upper", "_holes", "_trivial", "_certified", "_reconstructed",
-                 "_diagonal")
+                 "_diagonal", "__weakref__")
 
     def __init__(self, variables, coefficients, mode, op_weights, ket_weight,
                  bra_weight, chain_cutoffs, chain_minw, holes=(),
@@ -163,6 +164,13 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     bimodule and the position of the module element among the operators.
     Operators must be homogeneous.  Raises ValueError, naming the monomial,
     when an inner step builds a state with a label off its weight.
+
+    While a caller holds the series of a call, an equal call returns that
+    same object, with the reconstructions kept on it, after the same checks
+    and without walking the chain again.  Equal means the same mode, module
+    position, chain tables, variables and coefficients; a call whose
+    operators or ket live in another space object than the chain's maps
+    expect, even an equal one, always walks.
     """
     if mode not in (PRODUCT, ITERATE, MIXED):
         raise ValueError(f"unknown correlator mode {mode!r}")
@@ -190,6 +198,23 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
                                  bw or Fraction(0), zeros, zeros, trivially_zero=True)
     if bra.space != inst.space:
         raise ValueError("bra lives in the wrong space")
+    vecs = [u for u, _ in ops] + [ket]
+    # The walk tests vector j against one space of the chain, below; when
+    # each is that very object, the table memos in the key fix every space,
+    # weight and table the walk reads, so a held series is its result.
+    tested = ([chain[0].first_space] + [m.second_space for m in chain] if mode == ITERATE
+              else [m.first_space for m in chain] + [chain[-1].second_space])
+    held = None
+    if all(v.space is s for v, s in zip(vecs, tested)):
+        memo = chain[0]._memo
+        if memo.correlations is None:
+            memo.correlations = weakref.WeakValueDictionary()
+        held = memo.correlations
+        call = (mode, position, tuple(m._memo for m in chain), tuple(names),
+                _int_items(bra), *map(_int_items, vecs))
+        hit = held.get(call)
+        if hit is not None:
+            return hit
 
     # A step (vmap, fixed) applies every mode n in the output window of vmap
     # to each state.  A product walk starts at the ket and works outward: the
@@ -209,7 +234,6 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # bra, the start, each fixed argument and each map's table; one scale per
     # step, their product, divides each coefficient once.
     at_bra = all(vmap.graded_without_gaps() for vmap in chain)
-    vecs = [u for u, _ in ops] + [ket]
     wts = [_plain(w) for w in op_weights + [kw]]
     top = _plain(bw + 1)  # w - top is the bra's mode for a state of weight w
     prepend = mode != ITERATE
@@ -265,8 +289,17 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         states = nxt
     if prepend:  # the product chain data is indexed by operator position
         cutoffs, minws = cutoffs[::-1], minws[::-1]
-    return CorrelationSeries(names, coefficients, mode, op_weights, kw, bw,
-                             cutoffs, minws, holes)
+    series = CorrelationSeries(names, coefficients, mode, op_weights, kw, bw,
+                               cutoffs, minws, holes)
+    if held is not None:
+        held[call] = series
+    return series
+
+
+def _int_items(vec) -> tuple:
+    """A vector's (label, numerator, denominator) items, a key that hashes
+    ints rather than Fractions."""
+    return tuple([(lbl, c.numerator, c.denominator) for lbl, c in vec.entries.items()])
 
 
 # Why a reconstruction did or did not certify (ReconstructionResult.reason).

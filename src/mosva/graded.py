@@ -175,8 +175,8 @@ class _Entries:
         """Take ownership of a dict that already maps labels of ``space`` to
         nonzero Fractions, without checking it again."""
         self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", clean)
+        _set_space(self, space)
+        _set_entries(self, clean)
         return self
 
     def __setattr__(self, name, value):
@@ -241,6 +241,11 @@ class _Entries:
             c = self.entries[lbl]
             bits.append(lbl if c == 1 else f"{format_scalar(c)}*{lbl}")
         return " + ".join(bits)
+
+
+# the slots' own setters, which _wrap calls past the read-only __setattr__
+_set_space = _Entries.__dict__["space"].__set__
+_set_entries = _Entries.__dict__["entries"].__set__
 
 
 class Vec(_Entries):

@@ -45,9 +45,11 @@ class _TableMemo:
     nonzero nonnegative mode per pair; and the skew maps of
     constructions._skew_map, one per D operator, keyed by the operator's
     id.  Each skew is kept beside its operator, so the id names no other
-    object while the entry lives."""
+    object while the entry lives.  On the memo of the first map of a
+    correlator chain (chain_maps), correlators.correlate keeps the series its
+    callers still hold, weakly: an entry goes when its series does."""
 
-    __slots__ = ("cleared", "graded", "mode_starts", "pair_tops", "skews")
+    __slots__ = ("cleared", "graded", "mode_starts", "pair_tops", "skews", "correlations")
 
     def __init__(self):
         self.cleared = None
@@ -55,6 +57,7 @@ class _TableMemo:
         self.mode_starts = {}
         self.pair_tops = None
         self.skews = {}
+        self.correlations = None
 
 
 class VertexMap:

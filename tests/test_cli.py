@@ -5,7 +5,8 @@ import pytest
 
 from mosva.cli import main
 from mosva.document import load, save
-from mosva.factory import with_scaled_entry
+from mosva.factory import build_heisenberg, with_scaled_entry
+from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
 
 
 @pytest.fixture()
@@ -153,6 +154,26 @@ def test_unknown_label_usage_error(heis_file, capsys):
 
 def test_usage_error_exits_three(capsys):
     assert main(["frobnicate"]) == 3
+
+
+@pytest.mark.parametrize("command", ["correlate", "reconstruct", "regions"])
+def test_broken_degree_invariant_exits_three(tmp_path, capsys, command):
+    # vac stored at the unstored key (a1, 0, a1), whose output weight is 1:
+    # the last step of the chain pairs it with the bra away from the bra's
+    # mode, an ArithmeticError that is reported like the inner-step
+    # ValueError, not as a verified failure
+    alg, _ = build_heisenberg(1, cutoff=4)
+    entries = dict(alg.Y.entries)
+    assert ("a1", 0, "a1") not in entries
+    entries[("a1", 0, "a1")] = alg.vacuum
+    broken = AlgebraInstance(alg.space, VertexMap(ALGEBRA, alg.space, alg.space, alg.space,
+                                                  entries), alg.vacuum, alg.D, alg.L1)
+    path = str(tmp_path / "broken.mosva")
+    save(broken, path)
+    assert main([command, path, "--bra", "vac", "--ops", "a1@z1,a1@z2",
+                 "--ket", "vac"]) == 3
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: degree invariant: monomial")
 
 
 def test_correlate_mixed_mode_via_cli(heis_file, tmp_path, capsys):

@@ -113,10 +113,15 @@ def _algebra(level, cutoff, holes):
     return _BUILDS[key]
 
 
+class _Pair(list):
+    """(series, oracle series): a list subclass, which correlate's memo can
+    hold weakly as it holds a series, where a tuple cannot be."""
+
+
 def _with_oracle(*args, **kwargs):
     """correlate(...) and the old series built from the same constructor
     arguments."""
-    both = lambda *a, **k: (CorrelationSeries(*a, **k), OracleSeries(*a, **k))
+    both = lambda *a, **k: _Pair((CorrelationSeries(*a, **k), OracleSeries(*a, **k)))
     with mock.patch.object(correlators, "CorrelationSeries", both):
         return correlate(*args, **kwargs)
 

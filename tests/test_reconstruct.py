@@ -2,6 +2,7 @@
 Fraction convolution, its typed reasons, the divisor term order, and the
 pole-order search against the search that runs every bump vector."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -355,7 +356,13 @@ def test_equivalent_witnesses_share_one_result(heis4):
     other = reconstruct_rational(series, PoleOrderWitness({}, {("z1", "z2"): 2}))
     assert other is not first and not other.certified
     assert reconstruct_rational(series, PoleOrderWitness({"z2": 0}, {("z1", "z2"): 2})) is other
-    # a fresh series of the same correlator computes an equal result anew
+    # while series is held, the same correlator is that series, results and
+    # all; once it is dropped, a new series computes an equal result anew
+    assert correlate(heis4, bra, [(heis4.basis_vec("a1"), v) for _, v in ops],
+                     heis4.basis_vec("a1")) is series
+    assert reconstruct_rational(correlate(heis4, bra, ops, a1), by_name) is first
+    del series
+    gc.collect()
     fresh = reconstruct_rational(correlate(heis4, bra, ops, a1), by_name)
     assert fresh == first and fresh is not first
 

@@ -2,7 +2,8 @@
 against Wick's theorem: level^2 times the sum over the three perfect
 matchings of (z_i - z_j)^-2, compared with sympy.
 
-The product series is reconstructed as a rational function and cancelled
+The product series is reconstructed as a rational function, compared with
+the Fraction convolution of tests/oracle_reconstruct.py and cancelled
 against Wick's sum; check_region_consistency then matches both the product
 and the iterate series against that function's region expansions.  The
 cutoff is 9, the first at which the reconstruction certifies."""
@@ -16,6 +17,8 @@ from mosva.checks import check_region_consistency
 from mosva.correlators import PRODUCT, correlate, estimate_pole_orders, reconstruct_rational
 from mosva.factory import build_heisenberg
 from mosva.graded import basis_dual
+
+from test_reconstruct import _same_as_convolution
 
 Z = sympy.symbols("z1:5")
 MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -51,6 +54,14 @@ def test_product_correlator_is_wick(four_point):
         *[1 / ((Z[i] - Z[j]) ** 2 * (Z[k] - Z[l]) ** 2) for (i, j), (k, l) in MATCHINGS])
     # over one common denominator first: cancel alone takes seconds here
     assert sympy.cancel(sympy.together(_sympy_fn(rec.fn) - wick)) == 0
+
+
+def test_reconstruction_is_the_fraction_convolution(four_point):
+    _, alg, bra, ops, prod, rec = four_point
+    # prod is held, so the search reuses its series and its certified trial
+    witness = estimate_pole_orders(alg, bra, ops, alg.vacuum, series=prod)
+    assert reconstruct_rational(prod, witness) is rec
+    _same_as_convolution(prod, witness, rec)
 
 
 def test_region_consistency_certifies_both_halves(four_point):
