@@ -26,7 +26,7 @@ from .laurent import LaurentPoly, taylor_shift
 from .report import FAIL, PASS, SKIP, Report
 from .scalars import binomial, format_scalar
 from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _check_arguments,
-                     _mode_ints, _validate, chain_maps, mode_apply, module_position,
+                     _mode_ints, _plain, _validate, chain_maps, mode_apply, module_position,
                      validate_instance, vertex_series)
 
 COMPAT = "compat"
@@ -415,21 +415,25 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     WindowError (naming a sufficient cutoff) when the cutoff certifies no
     comparison window at all.
     """
-    w1, w2, wk = first.weight(), second.weight(), ket.weight()
-    if None in (w1, w2, wk):
+    weights = first.weight(), second.weight(), ket.weight()
+    if None in weights:
         raise ValueError("weak associativity takes homogeneous arguments")
     position = _assoc_position(inst, flavor)
     outer_P, inner_P = chain_maps(inst, position, 2)
     inner_I, outer_I = chain_maps(inst, position, 2, nested=True)
-    out_space = outer_P.out_space
+    # integral weights and bounds as ints, so the window costs no Fraction
+    # arithmetic unless a weight is fractional
+    w1, w2, wk = map(_plain, weights)
+    out_space, iP_space = outer_P.out_space, inner_P.out_space
+    cutoff = _plain(out_space.cutoff)
     if p1_max is None:
-        p1_max = max(0, math.floor(w1 + wk + out_space.cutoff))
+        p1_max = max(0, math.floor(w1 + wk + cutoff))
 
-    b_hi = math.floor(inner_P.out_space.cutoff - w2 - wk)
-    b_lo = math.ceil(inner_P.out_space.min_weight - w2 - wk)
-    c_hi = math.floor(inner_I.out_space.cutoff - w1 - w2)
-    s_lo = math.ceil(out_space.min_weight - w1 - w2 - wk)
-    s_hi = math.floor(out_space.cutoff - w1 - w2 - wk)
+    b_hi = math.floor(_plain(iP_space.cutoff) - w2 - wk)
+    b_lo = math.ceil(_plain(iP_space.min_weight) - w2 - wk)
+    c_hi = math.floor(_plain(inner_I.out_space.cutoff) - w1 - w2)
+    s_lo = math.ceil(_plain(out_space.min_weight) - w1 - w2 - wk)
+    s_hi = math.floor(cutoff - w1 - w2 - wk)
 
     if s_lo + 0 - b_hi > c_hi:
         needed = math.ceil(Fraction(s_lo + w1 + 2 * w2 + wk) / 2)
@@ -449,80 +453,102 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     g = math.gcd(d_oP * d_iP, d_iI * d_oI)
     l_factor, r_factor = d_iI * d_oI // g, d_oP * d_iP // g
 
-    # memos map a key to its integer dict, or to None when inexact (never to zero)
-    P_memo: dict = {}
-    D_memo: dict = {}
-    P_inner: dict = {}  # b -> Y_{-b-1}(second) ket
-    I_inner: dict = {}  # a -> Y_{-a-1}(first) second
+    # the product side's inner vectors Y_{-b-1}(second)ket on the whole
+    # window, the nonzero ones by ascending b and the unknown ones apart; an
+    # exact zero is never handed to an outer map
+    live_b: dict = {}
+    unknown_b: list = []
+    for b in range(b_lo, b_hi + 1):
+        innerv = _mode_ints(inner_P, t_iP, u2, -b - 1, u3)
+        if innerv is None:
+            unknown_b.append(b)
+        elif innerv:
+            live_b[b] = innerv
+    I_inner: dict = {}  # c -> Y_{-c-1}(first) second, None when inexact
 
-    def P(a, b):
-        key = (a, b)
-        if key not in P_memo:
-            if b not in P_inner:
-                P_inner[b] = _mode_ints(inner_P, t_iP, u2, -b - 1, u3)
-            innerv = P_inner[b]
-            P_memo[key] = (None if innerv is None
-                           else _mode_ints(outer_P, t_oP, u1, -a - 1, innerv))
-        return P_memo[key]
-
-    def difference(c, d):
-        """l_factor sum_k C(c+k, k) P(c+k, d-k) - r_factor Y_{-d-1}(Y_{-c-1}(first)
-        second)ket, the product side's x0^c x2^d coefficient less the iterate
-        side's; None when a term is inexact, and both sides are read either way."""
-        key = (c, d)
-        if key not in D_memo:
+    def antidiagonal(s):
+        """The differences on x0^c x2^d with c + d = s and c in
+        [s - b_hi, c_hi], the window every p1 reads: l_factor sum_k C(c+k, k)
+        P(c+k, d-k) - r_factor Y_{-d-1}(Y_{-c-1}(first) second)ket, the
+        product side expanded in nonnegative powers of x2 less the iterate
+        side.  Returns (the nonzero differences by c, the c whose difference
+        reads an inexact vector)."""
+        P: dict = {}  # b -> Y_{b-s-1}(first) Y_{-b-1}(second)ket, None when inexact
+        nonzero: dict = {}
+        unknown = []
+        for c in range(s - b_hi, c_hi + 1):
+            d = s - c
+            # C(c+k, k) vanishes from k = -c on when c < 0, and b = d - k
+            lo_b = b_lo if c >= 0 else max(b_lo, s + 1)
             total: dict | None = {}
-            for k in range(0, d - b_lo + 1):
-                coeff = binomial(c + k, k)
-                if coeff == 0:
-                    continue
-                term = P(c + k, d - k)
+            if unknown_b and any(lo_b <= b <= d for b in unknown_b):
+                total = None
+            else:
+                for b, innerv in live_b.items():
+                    if b > d:
+                        break
+                    if b < lo_b:
+                        continue
+                    if b not in P:
+                        P[b] = _mode_ints(outer_P, t_oP, u1, b - s - 1, innerv)
+                    term = P[b]
+                    if term is None:
+                        total = None
+                        break
+                    _accumulate(total, l_factor * binomial(s - b, d - b), term)
+            if total is not None:
+                if c not in I_inner:
+                    I_inner[c] = _mode_ints(inner_I, t_iI, u1, -c - 1, u2)
+                innerv = I_inner[c]  # None stays unknown and {} an exact zero
+                term = innerv and _mode_ints(outer_I, t_oI, innerv, -d - 1, u3)
                 if term is None:
                     total = None
-                    break
-                _accumulate(total, l_factor * coeff, term)
-            if c not in I_inner:
-                I_inner[c] = _mode_ints(inner_I, t_iI, u1, -c - 1, u2)
-            innerv = I_inner[c]
-            term = None if innerv is None else _mode_ints(outer_I, t_oI, innerv, -d - 1, u3)
-            if term is None:
-                total = None
-            elif total is not None:
-                _accumulate(total, -r_factor, term)
-            D_memo[key] = total
-        return D_memo[key]
+                elif term:
+                    _accumulate(total, -r_factor, term)
+            if total is None:
+                unknown.append(c)
+            elif total:
+                nonzero[c] = total
+        return s, nonzero, unknown
 
+    diagonals = [antidiagonal(s) for s in range(s_lo, s_hi + 1)]
     found = None
     last_diff = ""
-    compared_at_found = 0
     for p1 in range(0, p1_max + 1):
+        row = [binomial(p1, i) for i in range(p1 + 1)]  # the same for every (s, c)
         compared = 0
         diff = None
-        row = [binomial(p1, i) for i in range(p1 + 1)]  # the same for every (s, c)
-        for s in range(s_lo, s_hi + 1):
+        for s, nonzero, unknown in diagonals:
+            # the monomial x0^c x2^(s+p1-c) sums C(p1, i) times the
+            # differences at c - i for i in [0, p1]: it is compared unless one
+            # of them is unknown, and can differ only near a nonzero one
             c_lo = s + p1 - b_hi
-            for c in range(c_lo, c_hi + 1):
-                d = s + p1 - c
+            if c_lo > c_hi:
+                break
+            blocked = {c for u in unknown for c in range(max(u, c_lo), min(u + p1, c_hi) + 1)}
+            compared += c_hi - c_lo + 1 - len(blocked)
+            near = {c for n in nonzero for c in range(max(n, c_lo), min(n + p1, c_hi) + 1)}
+            for c in sorted(near - blocked):
                 acc: dict = {}
                 for i, w in enumerate(row):
-                    term = difference(c - i, d - p1 + i)
-                    if term is None:
-                        break  # an inexact term: the monomial is not compared
-                    _accumulate(acc, w, term)
-                else:
-                    compared += 1
-                    if diff is None and acc:
-                        diff = f"x0^{c} x2^{d} at p1={p1}"
-        if compared and diff is None:
+                    term = nonzero.get(c - i)
+                    if term is not None:
+                        _accumulate(acc, w, term)
+                if acc:
+                    diff = f"x0^{c} x2^{s + p1 - c} at p1={p1}"
+                    break
+            if diff:
+                break
+        if diff:
+            last_diff = diff
+        elif compared:
             found = p1
-            compared_at_found = compared
             break
-        last_diff = diff or last_diff
 
     if found is None:
         return WeakAssocResult(False, None, 0, p1_max,
                                last_diff or "no certified monomials compared")
-    return WeakAssocResult(True, found, compared_at_found, p1_max)
+    return WeakAssocResult(True, found, compared, p1_max)
 
 
 def audit_pole_order(inst, samples, p1_max: int | None = None,

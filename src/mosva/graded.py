@@ -228,10 +228,16 @@ class _Entries:
 
     def weight(self):
         """The weight if homogeneous (zero counts as any weight), else None."""
-        ws = {self.space.weight_of(lbl) for lbl in self.entries}
-        if not ws:
+        if not self.entries:
             return None
-        return ws.pop() if len(ws) == 1 else None
+        weight_of = self.space.label_weights
+        labels = iter(self.entries)
+        w = weight_of[next(labels)]
+        for lbl in labels:
+            x = weight_of[lbl]
+            if x is not w and x != w:  # the labels of a component share one weight object
+                return None
+        return w
 
     def __repr__(self):
         if not self.entries:

@@ -3,15 +3,17 @@ copies of their previous loops (``oracle_assoc``): every ``WeakAssocResult``
 field of every sweep triple, and the machine-report bytes of the "assoc",
 "mobius" and "D" suites, on algebras, modules of every side, a
 contragredient, a module rescaled apart from its algebra, tables with
-absent entries, every fault of the suite benchmark and a seeded sweep of
-entries scaled by 3/2.  The checks run on the tables' cleared integer views
+absent entries, every fault of the suite benchmark, a seeded sweep of
+entries scaled by 3/2 and random tables with absences and scaled entries.  The checks run on the tables' cleared integer views
 (``VertexMap.cleared``), which are tested here too."""
 
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosva.checks import _SIDE_FLAVORS, _assoc_position, check_weak_associativity, run_suite
 from mosva.constructions import contragredient_module
@@ -266,3 +268,68 @@ def test_cleared_operator_rows():
     # D lacks the labels of the top weight: their rows are missing, not zero
     top = alg.space.labels_at(alg.space.cutoff)
     assert top and not any(lbl in alg.D.cleared()[1] for lbl in top)
+
+
+# Y_{-b-1}(vac)vac absent on the vacuum triple at cutoff 4, for b = 0 and 1.
+# At p1 = 0 the check compares 35 monomials x0^c x2^d, c + d = s in [0, 4]
+# and c in [s - 4, 4].  The product side of each sums C(c+k, k) times the
+# terms with b = d - k in [0, d], and for c < 0 the binomial vanishes from
+# k = -c on, which leaves b in [s + 1, d].  For b = 0 the 10 monomials with
+# c < 0 reach the absent vector only through zero binomials and stay
+# compared, while the 15 with c, d >= 0 are not compared (10 compared if
+# every b in [0, d] were read).  For b = 1 the 10 with c >= 0 and d >= 1 are
+# not compared, nor the 4 with c < 0 at s = 0, where b = s + 1 opens the
+# range, nor the 2 with c = 1 and d <= 0, whose iterate side reads
+# Y_{-2}(vac)vac (23 compared if the range began at s + 2).
+@pytest.mark.parametrize("b, compared", [(0, 20), (1, 19)],
+                         ids=["zero binomial", "inside the range"])
+def test_an_absent_inner_vector_uncompares_only_the_monomials_that_read_it(b, compared):
+    alg, _ = build_heisenberg(level=1, cutoff=4)
+    bad = with_absent(alg, [("vac", -b - 1, "vac")])
+    vac = (bad.vacuum,) * 3
+    res = check_weak_associativity(bad, *vac)
+    assert (res.passed, res.p1, res.compared) == (True, 0, compared)
+    assert check_weak_associativity(alg, *vac).compared == 35
+    assert res == oracle_assoc.check_weak_associativity(bad, *vac)
+
+
+@lru_cache(maxsize=None)
+def base_algebra(name):
+    """matrix_units_mosva(2) for "matrix", else the Heisenberg algebra at
+    (level, cutoff); each built once."""
+    if name == "matrix":
+        return matrix_units_mosva(2)
+    level, cutoff = name
+    return build_heisenberg(level=level, cutoff=cutoff)[0]
+
+
+LEVELS = [Fraction(1), Fraction(3, 2), Fraction(-2), Fraction(1, 3)]
+
+
+@st.composite
+def gapped(draw):
+    """An algebra whose Y has random explicit absences, among its stored
+    entries and the unstored keys of the mode window, and random stored
+    entries scaled by a random rational (zero too, a stored exact zero)."""
+    alg = base_algebra(draw(st.sampled_from(
+        ["matrix"] + [(level, cutoff) for level in LEVELS for cutoff in (3, 4)])))
+    Y, sp = alg.Y, alg.space
+    window_keys = [(f, n, s) for f in sp.labels() for s in sp.labels()
+                   for n in Y.mode_range(f, s)]
+    gaps = set(draw(st.lists(st.sampled_from(window_keys), max_size=6)))
+    factors = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    scaled = draw(st.dictionaries(st.sampled_from(sorted(Y.entries)), factors, max_size=8))
+    entries = {k: v.scale(scaled[k]) if k in scaled else v
+               for k, v in Y.entries.items() if k not in gaps}
+    return AlgebraInstance(sp, VertexMap(ALGEBRA, sp, sp, sp, entries, gaps | Y.absent),
+                           alg.vacuum, alg.D, alg.L1, meta=alg.meta)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(gapped())
+def test_random_gaps_and_rescalings_match_the_oracle(alg):
+    sp = alg.space
+    for f, s, k in oracle_assoc.assoc_triples((sp, sp, sp), MAX_WEIGHT):
+        args = (Vec(sp, {f: 1}), Vec(sp, {s: 1}), Vec(sp, {k: 1}), None)
+        assert (_outcome(check_weak_associativity, alg, *args)
+                == _outcome(oracle_assoc.check_weak_associativity, alg, *args)), (f, s, k)

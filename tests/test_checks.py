@@ -417,11 +417,12 @@ def _counting_mode_apply(monkeypatch):
     # the checks apply modes through the integer kernel vertex._mode_ints
     from mosva import checks
 
-    calls = [0]
+    calls = [0, 0]  # every call, and the calls given an empty first or second dict
     apply = checks._mode_ints
 
     def counted(*args):
         calls[0] += 1
+        calls[1] += not (args[2] and args[4])
         return apply(*args)
 
     monkeypatch.setattr(checks, "_mode_ints", counted)
@@ -430,12 +431,13 @@ def _counting_mode_apply(monkeypatch):
 
 def test_assoc_and_mobius_mode_apply_counts(monkeypatch):
     # the inner vectors Y_{-b-1}(second)ket and Y_{-a-1}(first)second are
-    # computed once per mode for a call (13800 applications before), and
-    # the Mobius images L(j)f at mode m are shared by both formulas (9576)
+    # computed once per mode for a call (13800 applications before), an
+    # exact-zero inner vector is never handed to an outer map (8265 before),
+    # and the Mobius images L(j)f at mode m are shared by both formulas (9576)
     calls = _counting_mode_apply(monkeypatch)
     alg, _ = build_heisenberg(level=1, cutoff=5)
     assert run_suite(alg, "assoc", max_weight=4).passed
-    assert calls[0] == 8265
+    assert calls == [4027, 0]
     calls[0] = 0
     assert check_mobius(alg).passed
     assert calls[0] == 7296

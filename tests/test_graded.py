@@ -1,17 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mosva.graded import (DualVec, GradedOp, GradedSpace, Vec, basis_dual,
                           basis_vec, dual_space, exp_op_series, op_power_apply, pair,
                           transpose_op, weight_diagonal_op)
 
 
+# weights 0..3 with dimensions 1,1,2,3 (a small Fock-like profile)
+SPACE = GradedSpace({0: ["e0"], 1: ["e1"], 2: ["e2a", "e2b"],
+                     3: ["e3a", "e3b", "e3c"]}, cutoff=3)
+
+
 @pytest.fixture
 def space():
-    # weights 0..3 with dimensions 1,1,2,3 (a small Fock-like profile)
-    return GradedSpace({0: ["e0"], 1: ["e1"], 2: ["e2a", "e2b"],
-                        3: ["e3a", "e3b", "e3c"]}, cutoff=3)
+    return SPACE
 
 
 def test_space_structure(space):
@@ -50,6 +54,16 @@ def test_vec_arithmetic(space):
     assert set(parts) == {Fraction(1), Fraction(2)}
     assert v.weight() is None
     assert w.weight() == 1
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(SPACE.labels()), st.integers(-2, 2), max_size=5),
+       st.sampled_from([Vec, DualVec]))
+def test_weight_is_the_one_weight_of_the_labels(entries, kind):
+    v = kind(SPACE, entries)
+    # the set-based definition: None for zero and for more than one weight
+    ws = {SPACE.weight_of(lbl) for lbl in v.entries}
+    assert v.weight() == (ws.pop() if len(ws) == 1 else None)
 
 
 def test_pairing_dual_basis(space):
