@@ -315,17 +315,32 @@ def _check_keys(doc, allowed, path):
         _expect(key in allowed, f"unknown field {key!r}", path)
 
 
-def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
-    _check_keys(doc, _ALGEBRA_KEYS, path)
+def _check_format_version(doc, path):
     _expect(doc.get("format_version") == FORMAT_VERSION,
             f"unsupported format_version {doc.get('format_version')!r}",
             f"{path}.format_version")
-    _expect(doc.get("kind") == "algebra", "expected kind 'algebra'", f"{path}.kind")
+
+
+def _parse_header_space(doc, path) -> GradedSpace:
+    """The space a document's cutoff, complete and weights fields give."""
     cutoff = _parse_scalar_at(doc.get("cutoff"), f"{path}.cutoff")
     complete = doc.get("complete", False)
     _expect(isinstance(complete, bool), "complete must be a boolean",
             f"{path}.complete")
-    space = _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
+    return _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
+
+
+def _parse_metadata(doc, path) -> dict:
+    meta = doc.get("metadata") or {}
+    _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
+    return meta
+
+
+def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
+    _check_keys(doc, _ALGEBRA_KEYS, path)
+    _check_format_version(doc, path)
+    _expect(doc.get("kind") == "algebra", "expected kind 'algebra'", f"{path}.kind")
+    space = _parse_header_space(doc, path)
     vacuum = _parse_vec(doc.get("vacuum"), space, f"{path}.vacuum", scalars)
     ops = doc.get("operators")
     _check_keys(ops, _OPERATOR_KEYS, f"{path}.operators")
@@ -337,8 +352,7 @@ def _parse_algebra(doc, path, scalars) -> AlgebraInstance:
     Y = _parse_vertex(doc.get("vertex"), ALGEBRA, space, space, space,
                       doc.get("absent"), f"{path}.vertex", scalars)
     _expect(Y is not None, "algebra needs a vertex table", f"{path}.vertex")
-    meta = doc.get("metadata") or {}
-    _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
+    meta = _parse_metadata(doc, path)
     return AlgebraInstance(space, Y, vacuum, D, L1, meta=meta)
 
 
@@ -352,18 +366,12 @@ def _repeats(node, alg_node) -> bool:
 
 def _parse_module(doc, path, scalars) -> ModuleInstance:
     _check_keys(doc, _MODULE_KEYS, path)
-    _expect(doc.get("format_version") == FORMAT_VERSION,
-            f"unsupported format_version {doc.get('format_version')!r}",
-            f"{path}.format_version")
+    _check_format_version(doc, path)
     side = doc.get("side")
     _expect(side in (LEFT, RIGHT, BI), f"unknown side {side!r}", f"{path}.side")
     alg_doc = doc.get("algebra")
     algebra = _parse_algebra(alg_doc, f"{path}.algebra", scalars)
-    cutoff = _parse_scalar_at(doc.get("cutoff"), f"{path}.cutoff")
-    complete = doc.get("complete", False)
-    _expect(isinstance(complete, bool), "complete must be a boolean",
-            f"{path}.complete")
-    space = _parse_space(doc.get("weights"), cutoff, complete, f"{path}.weights")
+    space = _parse_header_space(doc, path)
     # a part that repeats the algebra's over the algebra's space is taken
     # from the algebra: its parse would run the same checks on the same
     # keys, labels and scalar texts, and it shares the algebra's objects
@@ -390,8 +398,7 @@ def _parse_module(doc, path, scalars) -> ModuleInstance:
 
     YL = table("vertex_left", "absent_left", LEFT, algebra.space, space)
     YR = table("vertex_right", "absent_right", RIGHT, space, algebra.space)
-    meta = doc.get("metadata") or {}
-    _expect(isinstance(meta, dict), "metadata must be an object", f"{path}.metadata")
+    meta = _parse_metadata(doc, path)
     try:
         return ModuleInstance(side, space, algebra, YL=YL, YR=YR, D=D, L1=L1,
                               N0=N0, meta=meta)

@@ -141,16 +141,6 @@ def label_partition(label: str) -> tuple[int, ...]:
     return tuple(exact_int(parse_scalar(piece[1:]), "part") for piece in label.split("."))
 
 
-def _remove_part(part: tuple[int, ...], p: int) -> tuple[int, ...]:
-    lst = list(part)
-    lst.remove(p)
-    return tuple(lst)
-
-
-def _add_part(part: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple(sorted(part + (p,), reverse=True))
-
-
 def _field_coeff(n: int, j: int) -> int:
     """Coefficient of a_j x^{-j-n} in (1/(n-1)!) d^{n-1}/dx^{n-1} of the field."""
     return (-1) ** (n - 1) * binomial(j + n - 1, n - 1)
@@ -250,9 +240,6 @@ def build_heisenberg(level=1, cutoff=6):
         comps.setdefault(sum(p), []).append(labels[p])
     space = GradedSpace(comps, cutoff)
 
-    def vec(d):
-        return Vec(space, {labels[p]: c for p, c in d.items()})
-
     # the DP runs nu by nu; entries are keyed and ordered mu by mu
     rows: dict[tuple, list] = {mu: [] for mu in parts}
     for mu, nu, mode, out in _heisenberg_modes(parts, level, cutoff):
@@ -261,22 +248,18 @@ def build_heisenberg(level=1, cutoff=6):
     Y = VertexMap(ALGEBRA, space, space, space,
                   dict(item for mu in parts for item in rows[mu]))
 
+    # omega = a1.a1 / (2 level) is the conformal vector, and L(n) = omega_{n+1};
+    # D = L(-1) and L(1) are its modes 0 and 2, read off the table so the DP
+    # stays the one copy of the oscillator algebra.  An entry that is not
+    # exact (output above the cutoff) leaves its label out of the action.
+    norm = 1 / (2 * level)
     d_action = {}
     l1_action = {}
-    for p in parts:
-        lbl = labels[p]
-        if sum(p) < cutoff:
-            img: dict[tuple, Fraction] = {}
-            for q in set(p):
-                key = _add_part(_remove_part(p, q), q + 1)
-                img[key] = img.get(key, Fraction(0)) + q * p.count(q)
-            d_action[lbl] = vec(img)
-        img1: dict[tuple, Fraction] = {}
-        for q in set(p):
-            if q >= 2:
-                key = _add_part(_remove_part(p, q), q - 1)
-                img1[key] = img1.get(key, Fraction(0)) + q * p.count(q)
-        l1_action[lbl] = vec(img1)
+    for action, n in ((d_action, 0), (l1_action, 2)):
+        for lbl in space.labels():
+            out, exact = Y.basis_entry("a1.a1", n, lbl)
+            if exact:
+                action[lbl] = out.scale(norm)
     D = GradedOp(space, 1, d_action)
     L1 = GradedOp(space, -1, l1_action)
     vacuum = Vec(space, {"vac": 1})

@@ -69,7 +69,7 @@ class GradedSpace:
             raise KeyError(f"label {label!r} not in space") from None
 
     def labels_at(self, weight) -> tuple[str, ...]:
-        return self.components.get(Fraction(weight), ())
+        return self.components.get(exact_scalar(weight, "weight"), ())
 
     def mode_window(self, weight_sum) -> range:
         """The modes n whose output weight weight_sum - n - 1 lies in

@@ -6,10 +6,18 @@ pruned and prefix-shared rewrite in ``mosva.factory``, kept verbatim.
 coefficients throughout and no pruning: every state is carried to the end
 and states above the cutoff are dropped at readout.  Tests compare the new
 factory against it in value, mode order and partition order.
+
+``hand_d_l1(space, cutoff)`` is the factory's former hand-written action of
+``D = L(-1)`` and ``L(1)`` on oscillator monomials, kept verbatim:
+``[L(-1), a_{-q}] = q a_{-q-1}`` and ``[L(1), a_{-q}] = q a_{-q+1}``, with
+``a_0`` killing the vacuum.  The factory now reads both off the table as
+modes 0 and 2 of the conformal vector.
 """
 
 from fractions import Fraction
 
+from mosva.factory import partition_label, partitions_up_to
+from mosva.graded import Vec
 from mosva.scalars import binomial
 
 
@@ -67,3 +75,31 @@ def _mode_table_for_pair(mu, nu, level: Fraction, cutoff: int):
         table.setdefault(mode, {})
         table[mode][final] = table[mode].get(final, Fraction(0)) + coeff
     return {m: {p: c for p, c in v.items() if c != 0} for m, v in table.items()}
+
+
+def hand_d_l1(space, cutoff):
+    """``(d_action, l1_action)``, label -> Vec, as the factory built them by
+    hand; ``D`` lacks the labels at the cutoff weight."""
+    parts = partitions_up_to(cutoff)
+    labels = {p: partition_label(p) for p in parts}
+
+    def vec(d):
+        return Vec(space, {labels[p]: c for p, c in d.items()})
+
+    d_action = {}
+    l1_action = {}
+    for p in parts:
+        lbl = labels[p]
+        if sum(p) < cutoff:
+            img: dict[tuple, Fraction] = {}
+            for q in set(p):
+                key = _add_part(_remove_part(p, q), q + 1)
+                img[key] = img.get(key, Fraction(0)) + q * p.count(q)
+            d_action[lbl] = vec(img)
+        img1: dict[tuple, Fraction] = {}
+        for q in set(p):
+            if q >= 2:
+                key = _add_part(_remove_part(p, q), q - 1)
+                img1[key] = img1.get(key, Fraction(0)) + q * p.count(q)
+        l1_action[lbl] = vec(img1)
+    return d_action, l1_action

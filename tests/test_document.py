@@ -293,6 +293,31 @@ def _absent_of(key, i):
     return lambda doc: doc.__setitem__("absent", [doc[key][i][:3]])
 
 
+def _both(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
+def _header_rows(keys):
+    """One row per header check of a document, or of the document under
+    ``keys``: format version, cutoff, completeness, weights and metadata."""
+    path = "".join(f".{k}" for k in ("$", *keys))[1:]
+    return [
+        (f"{path} format_version", _set(*keys, "format_version", 7),
+         "unsupported format_version 7", f"{path}.format_version"),
+        (f"{path} malformed cutoff", _set(*keys, "cutoff", "x"),
+         "not a rational scalar: 'x'", f"{path}.cutoff"),
+        (f"{path} complete not a bool", _set(*keys, "complete", 1),
+         "complete must be a boolean", f"{path}.complete"),
+        (f"{path} weights not a list", _set(*keys, "weights", {}),
+         "expected a list of [weight, labels] pairs", f"{path}.weights"),
+        (f"{path} metadata not an object", _set(*keys, "metadata", [1]),
+         "metadata must be an object", f"{path}.metadata"),
+    ]
+
+
 # One row per check of _parse_vec and _parse_vertex: the mutation, the exact
 # message and the exact path.  Recorded before the loader raised inline, so
 # the inline checks must say and locate every failure as the _expect calls did.
@@ -345,6 +370,7 @@ LOADER_ROWS = [
      "an algebra has no N0; its L(0) is its grading", "$.operators.N0"),
     ("algebra N0 malformed", _set("operators", "N0", "garbage"),
      "an algebra has no N0; its L(0) is its grading", "$.operators.N0"),
+    *_header_rows(()),
 ]
 
 MODULE_ROWS = [
@@ -358,6 +384,17 @@ MODULE_ROWS = [
      "expected [first, mode, second]", "$.vertex_left-absent[0]"),
     ("nested algebra entry", _set("algebra", "vertex", 0, 1, "0"),
      "mode must be an integer", "$.algebra.vertex[0]"),
+    *_header_rows(()),
+    *_header_rows(("algebra",)),
+    # of two faults, the one met first in reading order is reported
+    ("format_version before the algebra",
+     _both(_set("algebra", "format_version", 7), _set("format_version", 7)),
+     "unsupported format_version 7", "$.format_version"),
+    ("algebra metadata before the cutoff",
+     _both(_set("algebra", "metadata", [1]), _set("cutoff", "x")),
+     "metadata must be an object", "$.algebra.metadata"),
+    ("cutoff before the metadata", _both(_set("cutoff", "x"), _set("metadata", [1])),
+     "not a rational scalar: 'x'", "$.cutoff"),
 ]
 
 

@@ -31,6 +31,13 @@ def test_space_structure(space):
         GradedSpace({0: ["x"], 1: ["x"]}, cutoff=1)
 
 
+@pytest.mark.parametrize("weight", [True, 2.0], ids=repr)
+def test_labels_at_rejects_a_bool_or_float_weight(weight):
+    # True would read as weight 1 and 2.0 as weight 2
+    with pytest.raises(TypeError):
+        SPACE.labels_at(weight)
+    assert SPACE.labels_at(Fraction(2)) == SPACE.labels_at("2") == ("e2a", "e2b")
+
 
 def test_mode_window_matches_brute_force_on_fractional_weights():
     half = GradedSpace({Fraction(1, 2): ["h1"], Fraction(3, 2): ["h3"],

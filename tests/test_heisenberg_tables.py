@@ -12,7 +12,7 @@ import pytest
 
 from mosva.factory import build_heisenberg, partition_label, partitions_up_to
 
-from oracle_heisenberg import _mode_table_for_pair
+from oracle_heisenberg import _mode_table_for_pair, hand_d_l1
 
 LEVELS = [Fraction(1), Fraction(3, 2), Fraction(-2), Fraction(1, 3)]
 
@@ -62,6 +62,24 @@ def test_stored_coefficients_are_nonzero_fractions(cutoff, level):
     for vec in vecs:
         for lbl, c in vec.entries.items():
             assert type(c) is Fraction and c != 0, (lbl, c)
+
+
+@pytest.mark.parametrize("cutoff", range(2, 8))
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+def test_d_and_l1_match_the_hand_rules(cutoff, level):
+    # D = L(-1) and L(1) are read off the table as modes 0 and 2 of a1.a1,
+    # scaled by 1/(2 level); the former hand-written loops pin them
+    alg, fock = build_heisenberg(level=level, cutoff=cutoff)
+    d_want, l1_want = hand_d_l1(alg.space, cutoff)
+    for op, want in ((alg.D, d_want), (alg.L1, l1_want)):
+        assert list(op.action) == list(want)
+        for lbl, vec in want.items():
+            got = op.action[lbl].entries
+            assert list(got.items()) == list(vec.entries.items()), lbl
+            assert all(type(c) is Fraction for c in got.values()), lbl
+    assert set(alg.space.labels()) - set(alg.D.action) == set(alg.space.labels_at(cutoff))
+    assert set(alg.L1.action) == set(alg.space.labels())
+    assert fock.D is alg.D and fock.L1 is alg.L1
 
 
 ENTRY_COUNTS = {2: 21, 3: 91, 4: 359, 5: 1176, 6: 3623, 7: 9892, 8: 25657}

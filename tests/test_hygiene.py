@@ -206,3 +206,71 @@ def test_unchecked_constructors_stay_internal(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "_wrap"]
     assert not lines, f"{path.name}: unchecked _wrap constructor on lines {lines}"
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the module never reads;
+    ``from __future__`` binds nothing."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(node.lineno, bound) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in read]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = _unused_imports(tree)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _unreferenced_privates(trees):
+    """(module, name) of each private module-level function or class that no
+    code in ``trees`` (module name -> tree) names outside its own body."""
+    refs: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                refs[name] = refs.get(name, 0) + 1
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                inside = sum(1 for sub in ast.walk(node)
+                             if getattr(sub, "id", None) == node.name
+                             or getattr(sub, "attr", None) == node.name
+                             or (isinstance(sub, ast.alias) and sub.name == node.name))
+                if refs.get(node.name, 0) == inside:
+                    dead.append((module, node.name))
+    return dead
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper that nothing in src/mosva names is dead code: tests
+    # may read it, but only through something the package itself calls
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SOURCES}
+    dead = _unreferenced_privates(trees)
+    assert not dead, f"private definitions never referenced: {dead}"
+
+
+def test_the_dead_code_rules_see_dead_code():
+    factory = ROOT / "src" / "mosva" / "factory.py"
+    text = factory.read_text(encoding="utf-8")
+    assert _unused_imports(ast.parse("import os\n" + text)) == [(1, "os")]
+    leftover = ("\n\ndef _add_part(part, p):\n"
+                "    return tuple(sorted(part + (p,), reverse=True))\n")
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    trees["factory.py"] = ast.parse(text + leftover)
+    assert _unreferenced_privates(trees) == [("factory.py", "_add_part")]
+    # a private helper that only calls itself is still dead
+    trees["factory.py"] = ast.parse(text + "\n\ndef _spin(n):\n    return _spin(n - 1)\n")
+    assert _unreferenced_privates(trees) == [("factory.py", "_spin")]
