@@ -158,13 +158,13 @@ def check_derivative(inst) -> Report:
                     if below is None:
                         skipped += 1
                         continue
-                    # Y_n(Du)v, and D Y_n(u)v - Y_n(u)Dv
-                    derivative = None if dfv is None else _mode_ints(vmap, table, dfv, n, sv)
+                    # Y_n(Du)v, and D Y_n(u)v - Y_n(u)Dv; {} at once for Du or Dv 0
+                    derivative = dfv and _mode_ints(vmap, table, dfv, n, sv)
                     commutator = None
                     here = _entry(vmap, table, f, n, s)
                     d_here = None if here is None else _op_step(o_rows, here)
                     if d_here is not None and dsv is not None:
-                        tail = _mode_ints(vmap, table, fv, n, dsv)
+                        tail = dsv and _mode_ints(vmap, table, fv, n, dsv)
                         if tail is not None:
                             _accumulate(d_here, -1, tail)
                             commutator = d_here
@@ -343,7 +343,9 @@ def check_mobius(inst) -> Report:
             firsts = [rows.get(f) for rows in f_rows]  # None where unknown
             ok_first = [all(firsts[j + 1] is not None for _, j, _ in shifts)
                         for *_, shifts in formulas]
-            terms: dict = {}  # (j, m, s) -> Y_m(L(j) f) s on integers, or None
+            # (j, m, s) -> Y_m(L(j) f) s on integers, or None; this and tail
+            # are {} at once, without a call, where their L(j) image is 0
+            terms: dict = {}
             for s, sv, s_imgs in seconds:
                 for n in vmap.mode_range(f, s):
                     here = _entry(vmap, table, f, n, s)
@@ -353,12 +355,13 @@ def check_mobius(inst) -> Report:
                             t[1] += 1
                             continue
                         out_img = _op_step(out_rows, here)
-                        tail = _mode_ints(vmap, table, fv, n, s_img)
+                        tail = s_img and _mode_ints(vmap, table, fv, n, s_img)
                         rhs: dict | None = {}
                         for off, j, scale in shifts:
                             key = (j, n + off, s)
                             if key not in terms:
-                                terms[key] = _mode_ints(vmap, table, firsts[j + 1], n + off, sv)
+                                terms[key] = (firsts[j + 1] and _mode_ints(
+                                    vmap, table, firsts[j + 1], n + off, sv))
                             term = terms[key]
                             if term is None:
                                 rhs = None

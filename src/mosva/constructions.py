@@ -16,6 +16,7 @@ absences, never as silent zeros.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _cleared,
                      _lcm_of_denominators, _op_step, _Quotients, _same_space, dual_space,
                      exp_op_series, transpose_op)
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
-                     VertexMap, _mode_ints, mode_apply)
+                     VertexMap, mode_apply)
 
 
 def _skew_map(source: VertexMap, D: GradedOp, out_kind: str):
@@ -204,38 +205,20 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
     return GradedOp(W.space, shift, action), exact
 
 
-def _dual_rows(YL: VertexMap, table: dict, terms: list, n: int, sources,
-               scale: int, quotients: _Quotients) -> dict | None:
-    """The dual rows b -> {g': coefficient of b in (Y^o)_n(u) g} that the
-    source labels g feed, where terms lists (2h - 2 - m, the signed
-    coefficients of L(1)^m u / m!) and table is YL.cleared()'s, both on
-    integers whose products are ``scale`` times the rational ones, divided
-    back through ``quotients``; None when some source touches an absent
-    entry of YL, by the rule ``mode_apply`` uses."""
-    rows: dict[str, dict] = {}
-    for g in sources:
-        image: dict = {}
-        unit = {g: 1}
-        for base, coeffs in terms:
-            if _mode_ints(YL, table, coeffs, base - n, unit, image) is None:
-                return None
-        g_dual = g + DUAL_SUFFIX
-        for b, c in image.items():
-            rows.setdefault(b, {})[g_dual] = quotients[c, scale]
-    return rows
-
-
 def contragredient_module(W: ModuleInstance) -> ModuleInstance:
     """The graded dual of a left module as a left module over the opposite
     algebra, with <Y'(u,x)w', w> = <w', Y^o(u,x)w> and L'(j) the transpose
     of L(-j).
 
-    The rows of Y'_n(u) are written directly from one L(1) chain per u:
-    each source label g of weight wv is sent to (Y^o)_n(u) g, and the
-    coefficient of b in that image lands in the row of b' under g'.  The
-    rows of weight wv + n + 1 - wt u are all absent when some L(1)^m u is
-    unknown or some source of weight wv touches an absent entry, just as
-    transposing ``opposite_vertex_components`` would leave them.
+    The rows of Y'_n(u) are scattered from the stored entries of Y^L on
+    integers, one L(1) chain per u: a stored (a, k, g), a a label of
+    L(1)^m u / m!, adds to the image of g under (Y^o)_n(u) at
+    n = 2 wt u - 2 - m - k, whose coefficient of b lands in the row of b'
+    under g'.  Such a read has the output weight of a component of W, so an
+    unstored key there is an exact zero unless absent.  The rows of weight
+    wv + n + 1 - wt u are all absent when some L(1)^m u is unknown or a read
+    for a source of weight wv is absent, just as transposing
+    ``opposite_vertex_components`` would leave them.
 
     Every representable instance has finite-dimensional weight spaces, so
     the grading restriction the construction needs always holds.
@@ -244,17 +227,22 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         raise ValueError("contragredient is defined for left modules")
     if W.L1 is None or W.algebra.L1 is None:
         raise ValueError("contragredient needs L(1) on both the algebra and the module")
+    if W.algebra.L1.weight_shift != -1:
+        raise ValueError("contragredient needs an algebra L(1) of weight shift -1")
     algebra_op = opposite_mosva(W.algebra).result
     space, alg_space = W.space, W.algebra.space
     d_y, table = W.YL.cleared()
     dual = dual_space(space)
-    # (sources, targets) per pair of components, keyed by the integer
-    # weight offset between them; in ascending source weight
+    stored: dict[str, list] = {}  # first label a -> [(k, g, ints)]
+    for (a, k, g), ints in table.items():
+        stored.setdefault(a, []).append((k, g, ints))
+    # (source weight, sources, targets) per pair of components, keyed by the
+    # integer weight offset between them; in ascending source weight
     links: dict[int, list] = {}
     for wv, sources in space.components.items():
         for tw, targets in space.components.items():
             if (tw - wv).denominator == 1:
-                links.setdefault((tw - wv).numerator, []).append((sources, targets))
+                links.setdefault((tw - wv).numerator, []).append((wv, sources, targets))
     quotients = _Quotients()
     entries: dict[tuple, Vec] = {}
     absent = set()
@@ -265,24 +253,35 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         h = h.numerator
         powers, known = exp_op_series(W.algebra.L1, Vec(alg_space, {u_lbl: 1}))
         d_t = _lcm_of_denominators(powers.values())
-        sign = -1 if h % 2 else 1
-        # (2h - 2 - m, the coefficients of (-1)^h dT L(1)^m u / m!)
-        terms = [(2 * h - 2 - m, {a: sign * c for a, c in _cleared(um, d_t).items()})
-                 for m, um in powers.items()]
+        # (n, g) -> the image of g under (Y^o)_n(u) times dT dY, and the
+        # (n, source weight) pairs that read an absent key
+        images = defaultdict(dict)
+        blocked = set()
+        for m, um in powers.items() if known else ():
+            base = 2 * h - 2 - m
+            coeffs = _cleared(um, -d_t if h % 2 else d_t)  # (-1)^h dT L(1)^m u / m!
+            for a, c in coeffs.items():
+                for k, g, ints in stored.get(a, ()):
+                    _accumulate(images[base - k, g], c, ints)
+            blocked.update((base - k, space.label_weights[g])
+                           for a, k, g in W.YL.absent if a in coeffs)
         # the union over module weights wt w of the windows of h + wt w
         for n in range(space.mode_window(h + space.min_weight).start,
                        space.mode_window(h + space.cutoff).stop):
             # sources of weight wv feed the rows of weight wv + n + 1 - h
-            for sources, targets in links.get(n + 1 - h, ()):
-                rows = (_dual_rows(W.YL, table, terms, n, sources, d_t * d_y, quotients)
-                        if known else None)
+            for wv, sources, targets in links.get(n + 1 - h, ()):
+                if not known or (n, wv) in blocked:
+                    absent.update((u_lbl, n, b + DUAL_SUFFIX) for b in targets)
+                    continue
+                rows: dict[str, dict] = {}
+                for g in sources:
+                    for b, c in images.get((n, g), {}).items():
+                        rows.setdefault(b, {})[g + DUAL_SUFFIX] = quotients[c, d_t * d_y]
                 for b in targets:
-                    key = (u_lbl, n, b + DUAL_SUFFIX)
-                    if rows is None:
-                        absent.add(key)
-                    elif b in rows:
-                        entries[key] = Vec._wrap(dual, rows[b])
-    Yp = VertexMap(LEFT, alg_space, dual, dual, entries, absent)
+                    if b in rows:
+                        entries[(u_lbl, n, b + DUAL_SUFFIX)] = Vec._wrap(dual, rows[b])
+    # the keys and rows are well formed by construction
+    Yp = VertexMap._wrap(LEFT, alg_space, dual, dual, entries, frozenset(absent))
     D_p = transpose_op(W.L1, dual)
     L1_p = transpose_op(W.D, dual)
     N0_p = transpose_op(W.N0, dual) if W.N0 is not None else None

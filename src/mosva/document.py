@@ -113,54 +113,65 @@ def _document(inst, vertex) -> dict:
     raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
+def _table_text(vmap: VertexMap, nl) -> str:
+    """``_emit(_vertex_doc(vmap), nl)``: the entries sorted by key and each
+    vector's pairs sorted by label, as the nested lists are."""
+    if not vmap.entries:
+        return "[]"
+    i1 = nl + " "
+    i2, i3, i4 = i1 + " ", i1 + "  ", i1 + "   "
+    between = "," + i3
+    quoted = {lbl: _quote(lbl) for space in (vmap.first_space, vmap.second_space,
+                                             vmap.out_space)
+              for lbl in space.labels()}
+    parts = []
+    add = parts.append
+    lead = "[" + i1
+    for (f, n, s), out in sorted(vmap.entries.items()):
+        add(f"{lead}[{i2}{quoted[f]},{i2}{n},{i2}{quoted[s]},{i2}")
+        lead = "," + i1
+        pairs = out.entries.items()
+        if not pairs:
+            add(f"[]{i1}]")
+            continue
+        if len(pairs) > 1:
+            pairs = sorted(pairs)
+        sep = "[" + i3
+        for lbl, c in pairs:
+            add(f'{sep}[{i4}{quoted[lbl]},{i4}"{c!s}"{i3}]')
+            sep = between
+        add(f"{i2}]{i1}]")
+    add(nl + "]")
+    return "".join(parts)
+
+
 class _Table(Chunk):
-    """A vertex table that _emit writes in one flat walk, at its depth."""
+    """A vertex table that _emit writes in one flat walk, at its depth.  Its
+    text depends on its entries alone: ``kept`` holds it per entries dict, to
+    re-indent for the next use (_quote escapes line breaks in labels)."""
 
-    __slots__ = ("vmap",)
+    __slots__ = ("vmap", "kept")
 
-    def __init__(self, vmap: VertexMap | None):
+    def __init__(self, vmap: VertexMap | None, kept: dict):
         self.vmap = vmap
+        self.kept = kept
 
     def text(self, nl) -> str:
-        """``_emit(_vertex_doc(vmap), nl)``: the entries sorted by key and
-        each vector's pairs sorted by label, as the nested lists are."""
-        vmap = self.vmap
-        if vmap is None:
+        if self.vmap is None:
             return "null"
-        if not vmap.entries:
-            return "[]"
-        i1 = nl + " "
-        i2, i3, i4 = i1 + " ", i1 + "  ", i1 + "   "
-        between = "," + i3
-        quoted = {lbl: _quote(lbl) for space in (vmap.first_space, vmap.second_space,
-                                                 vmap.out_space)
-                  for lbl in space.labels()}
-        parts = []
-        add = parts.append
-        lead = "[" + i1
-        for (f, n, s), out in sorted(vmap.entries.items()):
-            add(f"{lead}[{i2}{quoted[f]},{i2}{n},{i2}{quoted[s]},{i2}")
-            lead = "," + i1
-            pairs = out.entries.items()
-            if not pairs:
-                add(f"[]{i1}]")
-                continue
-            if len(pairs) > 1:
-                pairs = sorted(pairs)
-            sep = "[" + i3
-            for lbl, c in pairs:
-                add(f'{sep}[{i4}{quoted[lbl]},{i4}"{c!s}"{i3}]')
-                sep = between
-            add(f"{i2}]{i1}]")
-        add(nl + "]")
-        return "".join(parts)
+        key = id(self.vmap.entries)
+        if key not in self.kept:
+            self.kept[key] = (nl, _table_text(self.vmap, nl))
+        kept_nl, text = self.kept[key]
+        return text if kept_nl == nl else text.replace(kept_nl, nl)
 
 
 def serialize(inst) -> str:
     """``json.dumps(to_document(inst), indent=1)`` and a final newline, byte
     for byte, without the pure-Python encoder that ``indent`` selects.  The
-    vertex tables are written by _Table, not built as nested lists."""
-    return _emit(_document(inst, _Table), "\n") + "\n"
+    vertex tables are written by _Table, each distinct one once."""
+    kept: dict = {}
+    return _emit(_document(inst, lambda vmap: _Table(vmap, kept)), "\n") + "\n"
 
 
 # -- parsing -----------------------------------------------------------------

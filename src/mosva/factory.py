@@ -293,8 +293,9 @@ def with_scaled_entry(inst, key, factor=2):
             raise KeyError(f"no stored entry {key}")
         entries = dict(vmap.entries)
         entries[key] = entries[key].scale(factor)
-        return VertexMap(vmap.kind, vmap.first_space, vmap.second_space,
-                         vmap.out_space, entries, vmap.absent)
+        # vmap's keys, absences and space, so nothing to check; a new memo
+        return VertexMap._wrap(vmap.kind, vmap.first_space, vmap.second_space,
+                               vmap.out_space, entries, vmap.absent)
 
     meta = {**inst.meta, "fault": str(key)}
     if isinstance(inst, AlgebraInstance):

@@ -433,14 +433,19 @@ def test_assoc_and_mobius_mode_apply_counts(monkeypatch):
     # the inner vectors Y_{-b-1}(second)ket and Y_{-a-1}(first)second are
     # computed once per mode for a call (13800 applications before), an
     # exact-zero inner vector is never handed to an outer map (8265 before),
-    # and the Mobius images L(j)f at mode m are shared by both formulas (9576)
+    # and the Mobius images L(j)f at mode m are shared by both formulas (9576);
+    # an exact-zero image in either slot gives {} without a call (Mobius
+    # 7296 with 1340 empty, derivative 2280 with 190 empty before)
     calls = _counting_mode_apply(monkeypatch)
     alg, _ = build_heisenberg(level=1, cutoff=5)
     assert run_suite(alg, "assoc", max_weight=4).passed
     assert calls == [4027, 0]
     calls[0] = 0
     assert check_mobius(alg).passed
-    assert calls[0] == 7296
+    assert calls == [5956, 0]
+    calls[0] = 0
+    assert check_derivative(alg).passed
+    assert calls == [2090, 0]
 
 
 def _swept_triples(monkeypatch, inst, spaces, max_weight):

@@ -7,7 +7,7 @@ from mosva.constructions import (contragredient_module, opposite_mosva,
 from mosva.document import serialize
 from mosva.factory import (build_heisenberg, label_partition, matrix_units_mosva,
                            partition_label, self_module)
-from mosva.graded import GradedOp, GradedSpace, Vec, basis_dual, pair
+from mosva.graded import GradedOp, GradedSpace, Vec, basis_dual, dual_space, pair
 from mosva.scalars import factorial_fraction
 from mosva.vertex import (BI, LEFT, AlgebraInstance, ModuleInstance, VertexMap, mode_apply,
                           validate_instance)
@@ -381,6 +381,17 @@ def _fock_beside_a_half_shifted_copy():
     return ModuleInstance(LEFT, space, alg, YL=YL, D=op(fock.D), L1=op(fock.L1))
 
 
+def _fock_with_a_stored_zero():
+    # a1_0 vac is an in-window exact zero that the table leaves unstored;
+    # here it is stored as a zero vector, which every read must skip
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    key = ("a1", 0, "vac")
+    assert key not in fock.YL.entries and 0 in fock.YL.mode_range("a1", "vac")
+    YL = VertexMap(LEFT, alg.space, fock.space, fock.space,
+                   {**fock.YL.entries, key: Vec(fock.space)})
+    return ModuleInstance(LEFT, fock.space, alg, YL=YL, D=fock.D, L1=fock.L1, N0=fock.N0)
+
+
 ORACLE_MODULES = {
     **{f"fock-c{cutoff}-{level}": (lambda c=cutoff, l=level:
                                    build_heisenberg(level=l, cutoff=c)[1])
@@ -394,6 +405,7 @@ ORACLE_MODULES = {
     "fock-c4-partial-l1": _fock_with_partial_l1,
     "fock-c4-1/3-fractional-l1": _fock_with_fractional_l1,
     "fock-c4-beside-half-shifted-copy": _fock_beside_a_half_shifted_copy,
+    "fock-c4-stored-zero": _fock_with_a_stored_zero,
 }
 
 
@@ -403,6 +415,36 @@ def test_contragredient_matches_row_loop_oracle(name):
     got, want = contragredient_module(W), oracle_contragredient.contragredient_module(W)
     assert_same_map(got.YL, want.YL)
     assert serialize(got) == serialize(want)
+
+
+@pytest.mark.parametrize("name", ORACLE_MODULES)
+def test_contragredient_map_passes_the_validating_constructor(name):
+    # the map is wrapped without the key and space checks of VertexMap(...);
+    # run over its entries and absences, those checks accept them and give
+    # the same map
+    W = ORACLE_MODULES[name]()
+    Yp = contragredient_module(W).YL
+    checked = VertexMap(LEFT, W.algebra.space, dual_space(W.space), dual_space(W.space),
+                        Yp.entries, Yp.absent)
+    assert_same_map(checked, Yp)
+    assert checked == Yp
+
+
+def test_a_stored_zero_entry_reads_as_the_unstored_one():
+    want = contragredient_module(build_heisenberg(level=1, cutoff=4)[1]).YL
+    W = _fock_with_a_stored_zero()
+    assert_same_map(contragredient_module(W).YL, want)
+    assert_same_map(oracle_contragredient.contragredient_module(W).YL, want)
+
+
+def test_contragredient_needs_a_weight_lowering_l1():
+    # the rows are read off the stored entries, which holds only when each
+    # L(1)^m u / m! sits at weight wt u - m
+    alg, fock = build_heisenberg(level=1, cutoff=3)
+    flat = AlgebraInstance(alg.space, alg.Y, alg.vacuum, alg.D, GradedOp.zero(alg.space))
+    W = ModuleInstance(LEFT, fock.space, flat, YL=fock.YL, D=fock.D, L1=fock.L1)
+    with pytest.raises(ValueError, match="weight shift -1"):
+        contragredient_module(W)
 
 
 def test_oracle_modules_reach_the_absence_paths():

@@ -10,7 +10,9 @@ from mosva.document import deserialize, from_document, load, save, serialize, to
 from mosva.report import _emit
 from mosva.errors import SchemaError
 from mosva.factory import build_heisenberg, matrix_units_mosva, self_module, with_scaled_entry
-from mosva.vertex import BI, LEFT, RIGHT, validate_instance
+from mosva.graded import GradedOp, GradedSpace, Vec
+from mosva.vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, VertexMap,
+                          validate_instance)
 
 
 def same_algebra(a, b):
@@ -531,6 +533,46 @@ def test_serialize_is_json_dumps_indent_one(level):
                      contragredient_module(fock)]
     for inst in instances:
         assert serialize(inst) == json.dumps(to_document(inst), indent=1) + "\n"
+
+
+def _oddly_labelled_algebra():
+    # labels holding a quote, a backslash, a line break and a non-ASCII
+    # letter, which the writer escapes; one key absent
+    v, x = 'v"\\', "x\n\u00e9"
+    space = GradedSpace({0: [v], 1: [x]}, 2)
+    Y = VertexMap(ALGEBRA, space, space, space, {
+        (v, -1, v): Vec(space, {v: 1}), (v, -1, x): Vec(space, {x: 1}),
+        (x, -1, v): Vec(space, {x: 1}), (x, 1, x): Vec(space, {v: Fraction(-1, 2)})},
+        absent=[(x, 0, x)])
+    return AlgebraInstance(space, Y, Vec(space, {v: 1}), GradedOp(space, 1, {v: Vec(space)}),
+                           GradedOp(space, -1, {v: Vec(space), x: Vec(space)}))
+
+
+def test_each_shared_table_is_rendered_once(monkeypatch):
+    # a table the document names more than once, as an algebra's and a
+    # module's, is rendered once per serialize call and re-indented
+    from mosva import document
+    from mosva.constructions import transport_module
+
+    rendered = []
+    render = document._table_text
+
+    def counted(vmap, nl):
+        rendered.append(vmap)
+        return render(vmap, nl)
+
+    monkeypatch.setattr(document, "_table_text", counted)
+    alg, fock = build_heisenberg(level="3/2", cutoff=4)
+    odd = _oddly_labelled_algebra()
+    # (instance, its distinct nonempty tables)
+    cases = [(fock, 1), (transport_module(fock, "left_to_right_op"), 1),
+             (transport_module(fock, "left_op_to_right"), 1), (self_module(alg, BI), 1),
+             (odd, 1), (self_module(odd, BI), 1), (contragredient_module(fock), 2)]
+    for inst, tables in cases:
+        rendered.clear()
+        text = serialize(inst)
+        assert len(rendered) == tables
+        assert text == json.dumps(to_document(inst), indent=1) + "\n"
 
 
 # -- a module file that repeats its algebra's table loads as a self-module -----

@@ -252,6 +252,32 @@ def test_fault_injection_keeps_absent_entries_absent():
     assert bad.Y.basis_entry("E11", -1, "E12") == (m.basis_vec("E12").scale(2), True)
 
 
+@pytest.mark.parametrize("side", [None, "left", "right", "bi"])
+def test_fault_injection_copy_equals_the_validated_copy(side):
+    # the copy is wrapped without checking its keys again: it equals the
+    # copy the validating constructor makes, entry order and absences
+    # included, and keeps no derived view of the source table
+    alg, _ = build_heisenberg(level="3/2", cutoff=4)
+    gap, key = ("a1", 1, "a1"), ("a1", -1, "a1")
+    Y = VertexMap(ALGEBRA, alg.space, alg.space, alg.space,
+                  {k: v for k, v in alg.Y.entries.items() if k != gap}, absent=[gap])
+    inst = AlgebraInstance(alg.space, Y, alg.vacuum, alg.D, alg.L1)
+    inst = inst if side is None else self_module(inst, side)
+    source = next(iter(inst.vertex_maps().values()))
+    source.cleared()
+    got = next(iter(with_scaled_entry(inst, key, Fraction(-3, 2)).vertex_maps().values()))
+    entries = dict(source.entries)
+    entries[key] = entries[key].scale(Fraction(-3, 2))
+    want = VertexMap(source.kind, source.first_space, source.second_space,
+                     source.out_space, entries, source.absent)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.absent == want.absent == frozenset([gap]) and got.kind == want.kind
+    assert got.cleared() == want.cleared() != source.cleared()
+    missing = ("vac", 5, "vac")
+    with pytest.raises(KeyError, match=r"no stored entry \('vac', 5, 'vac'\)"):
+        with_scaled_entry(inst, missing, 2)
+
+
 def test_fault_injection_rejects_keys_of_missing_maps():
     alg, fock = build_heisenberg(level=1, cutoff=3)
     # a left module has no right map; the key is in neither
