@@ -19,12 +19,11 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _cleared,
-                     _lcm_of_denominators, _op_step, basis_dual, exp_op_series,
-                     op_power_apply, pair)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _op_step, basis_dual,
+                     exp_op_series, op_power_apply, pair)
 from .laurent import LaurentPoly, taylor_shift
 from .report import FAIL, PASS, SKIP, Report
-from .scalars import binomial, format_scalar
+from .scalars import binomial, clear_denominators, format_scalar
 from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _check_arguments,
                      _mode_ints, _plain, _validate, chain_maps, mode_apply, module_position,
                      validate_instance, vertex_series)
@@ -450,7 +449,7 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     # subtracted
     _check_arguments(inner_P, second.space, ket.space)
     _check_arguments(inner_I, first.space, second.space)
-    u1, u2, u3 = (_cleared(v, _lcm_of_denominators([v])) for v in (first, second, ket))
+    u1, u2, u3 = (clear_denominators(v.entries)[1] for v in (first, second, ket))
     (d_oP, t_oP), (d_iP, t_iP), (d_iI, t_iI), (d_oI, t_oI) = (
         vmap.cleared() for vmap in (outer_P, inner_P, inner_I, outer_I))
     g = math.gcd(d_oP * d_iP, d_iI * d_oI)

@@ -113,39 +113,29 @@ def _emit(report: Report, style: str, command: str) -> None:
             fh.write(text)
 
 
-def _parse_ops(inst, text: str):
+def _correlator_args(inst, args):
+    """The bra, operators and ket that --bra, --ops and --ket name.  Operator
+    i, or the ket at chain position len(ops), is read in the module's space
+    at the module element's position and in the algebra's elsewhere."""
+    if args.bra not in inst.space.label_weights:
+        raise _UsageError(f"unknown bra label {args.bra!r}")
+    pieces = [piece.strip() for piece in args.ops.split(",")]
+    # reconstruct and regions take the product form whatever --mode says
+    mode = args.mode if args.command == "correlate" else PRODUCT
+    position = _module_position(inst, len(pieces), mode, args.module_at)
+    spaces = [inst.space if i == position else inst.algebra.space
+              for i in range(len(pieces) + 1)]
+    if args.ket not in spaces[-1].label_weights:
+        raise _UsageError(f"unknown ket label {args.ket!r}")
     ops = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    for piece, space in zip(pieces, spaces):
         if "@" not in piece:
             raise _UsageError(f"operator {piece!r} must look like label@variable")
         lbl, var = piece.split("@", 1)
-        space = _op_space(inst, lbl)
+        if lbl not in space.label_weights:
+            raise _UsageError(f"unknown label {lbl!r}")
         ops.append((Vec(space, {lbl: 1}), var))
-    return ops
-
-
-def _op_space(inst, lbl):
-    for space in (inst.algebra.space, inst.space):
-        if lbl in space.label_weights:
-            return space
-    raise _UsageError(f"unknown label {lbl!r}")
-
-
-def _bra_ket(inst, args):
-    bra_lbl, ket_lbl = args.bra, args.ket
-    bra_space = inst.space
-    if bra_lbl not in bra_space.label_weights:
-        raise _UsageError(f"unknown bra label {bra_lbl!r}")
-    bra = DualVec(bra_space, {bra_lbl: 1})
-    # reconstruct and regions take the product form whatever --mode says
-    n_ops = len(args.ops.split(","))
-    mode = args.mode if args.command == "correlate" else PRODUCT
-    at_ket = _module_position(inst, n_ops, mode, args.module_at) == n_ops
-    ket_space = inst.space if at_ket else inst.algebra.space
-    if ket_lbl not in ket_space.label_weights:
-        raise _UsageError(f"unknown ket label {ket_lbl!r}")
-    return bra, Vec(ket_space, {ket_lbl: 1})
+    return DualVec(inst.space, {args.bra: 1}), ops, Vec(spaces[-1], {args.ket: 1})
 
 
 def _series_report(series: CorrelationSeries, command: str) -> Report:
@@ -205,8 +195,7 @@ def _run(args) -> int:
         print(f"wrote {args.output}")
         return EXIT_PASS
 
-    bra, ket = _bra_ket(inst, args)
-    ops = _parse_ops(inst, args.ops)
+    bra, ops, ket = _correlator_args(inst, args)
 
     if args.command == "correlate":
         if args.order is not None:

@@ -22,9 +22,9 @@ from itertools import accumulate
 from operator import add, ge, sub
 
 from .expansion import RationalFn, Region, divisor_terms, pole_orders
-from .graded import DualVec, Vec, _cleared, _lcm_of_denominators
+from .graded import DualVec, Vec
 from .laurent import LaurentPoly, _mul
-from .scalars import exact_scalar
+from .scalars import _Frozen, clear_denominators, exact_scalar
 from .vertex import (BI, _check_arguments, _mode_ints, _pair_ints, _plain, chain_maps,
                      joining_map, module_position)
 
@@ -50,7 +50,7 @@ class PoleOrderWitness:
     search_exhausted: bool = False
 
 
-class CorrelationSeries:
+class CorrelationSeries(_Frozen):
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
     __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_plane", "_lower",
@@ -97,9 +97,6 @@ class CorrelationSeries:
         object.__setattr__(self, "_reconstructed", {})
         # normalized diagonal pole orders -> their divisor_terms
         object.__setattr__(self, "_diagonal", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CorrelationSeries is immutable")
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -239,10 +236,9 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     prepend = mode != ITERATE
     order = range(len(ops), -1, -1) if prepend else range(len(ops) + 1)
     chain = chain[::-1] if prepend else chain
-    dens = [_lcm_of_denominators([v]) for v in vecs]
-    ints = [_cleared(v, d) for v, d in zip(vecs, dens)]
-    scale = _lcm_of_denominators([bra])
-    bra_ints = list(_cleared(bra, scale).items())
+    dens, ints = zip(*(clear_denominators(v.entries) for v in vecs))
+    scale, bra_cleared = clear_denominators(bra.entries)
+    bra_ints = list(bra_cleared.items())
     scale *= dens[order[0]]
     holes, cutoffs, minws, coefficients = set(), [], [], {}
     states = [((), ints[order[0]], wts[order[0]])]
@@ -396,10 +392,8 @@ def _reconstruct(series: CorrelationSeries, p_axis: dict,
         top.append(mono)
 
     # convolve the cleared series; the divisor terms are ints already
-    coefficients = series.coefficients
-    den = math.lcm(*(c.denominator for c in coefficients.values()))
-    product = _mul({m: c.numerator * (den // c.denominator)
-                    for m, c in coefficients.items()}, divisor)
+    den, cleared = clear_denominators(series.coefficients)
+    product = _mul(cleared, divisor)
     numerator_terms = {mono: Fraction(product[mono], den)
                        for mono in top if product.get(mono)}
 

@@ -36,10 +36,6 @@ _MODULE_KEYS = {"format_version", "kind", "side", "metadata", "algebra",
 _OPERATOR_KEYS = {"D", "L1", "N0"}
 
 
-def _fmt_weight(w) -> str:
-    return format_scalar(w)
-
-
 def _vec_doc(v: Vec):
     # entries are nonzero Fractions or ints, whose str is already ``p`` or ``p/q``
     return [[lbl, str(c)] for lbl, c in sorted(v.entries.items())]
@@ -52,7 +48,7 @@ def _op_doc(op: GradedOp | None):
 
 
 def _space_doc(space: GradedSpace):
-    return [[_fmt_weight(w), list(labels)] for w, labels in space.components.items()]
+    return [[format_scalar(w), list(labels)] for w, labels in space.components.items()]
 
 
 def _vertex_doc(vmap: VertexMap | None):
@@ -84,7 +80,7 @@ def _document(inst, vertex) -> dict:
             "format_version": FORMAT_VERSION,
             "kind": "algebra",
             "metadata": _meta_doc(inst.meta),
-            "cutoff": _fmt_weight(inst.cutoff),
+            "cutoff": format_scalar(inst.cutoff),
             "complete": inst.space.complete,
             "weights": _space_doc(inst.space),
             "vacuum": _vec_doc(inst.vacuum),
@@ -100,7 +96,7 @@ def _document(inst, vertex) -> dict:
             "side": inst.side,
             "metadata": _meta_doc(inst.meta),
             "algebra": _document(inst.algebra, vertex),
-            "cutoff": _fmt_weight(inst.cutoff),
+            "cutoff": format_scalar(inst.cutoff),
             "complete": inst.space.complete,
             "weights": _space_doc(inst.space),
             "operators": {"D": _op_doc(inst.D), "L1": _op_doc(inst.L1),

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import add
 from typing import Mapping
 
 from .laurent import LaurentPoly, _mul
-from .scalars import binomial, exact_int
+from .scalars import _Frozen, binomial, clear_denominators, exact_int
 
 
 def _divide_by_diff(poly: LaurentPoly, vi: str, vj: str) -> LaurentPoly | None:
@@ -109,7 +108,7 @@ def pole_orders(variables, pole_axis: Mapping, pole_diag: Mapping) -> tuple[dict
     return read[0], read[1]
 
 
-class RationalFn:
+class RationalFn(_Frozen):
     """g(z) over the pole divisor {z_i = 0, z_i = z_j}, stored reduced, with
     the pole orders as ``pole_orders`` reads them.  z_v and the z_i - z_j
     are pairwise coprime primes, so one pass reduces: each z_v once by the
@@ -146,9 +145,6 @@ class RationalFn:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "pole_axis", axis)
         object.__setattr__(self, "pole_diag", diag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -253,9 +249,7 @@ def expand_rational(f: RationalFn, region: Region, order: int) -> ExpandedSeries
     order = exact_int(order, "order")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = f.numerator.terms
-    den = lcm(*(c.denominator for c in num.values()))
-    head = {e: c.numerator * (den // c.denominator) for e, c in num.items()}
+    den, head = clear_denominators(f.numerator.terms)
     if region.kind == "product":
         if set(region.chain) != set(f.variables):
             raise ValueError("region chain must mention exactly the function's variables")

@@ -72,7 +72,7 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
                     raise ValueError(
                         f"table is not associative at ({labels[i]}, {labels[j]}, {labels[k]})")
     if isinstance(unit, int):
-        unit_vec = basis[unit]
+        unit_vec = basis[exact_int(unit, "unit index")]
     else:
         unit_vec = [exact_scalar(unit.get(lbl, 0), "unit coefficient") for lbl in labels] \
             if isinstance(unit, dict) else [exact_scalar(c, "unit coefficient") for c in unit]
@@ -115,20 +115,14 @@ def matrix_units_mosva(k: int = 2) -> AlgebraInstance:
 
 def partitions_up_to(n: int):
     """All partitions of 0..n as descending tuples, by weight then lex."""
-    out = [()]
-    for total in range(1, n + 1):
-        level = []
+    def descending(total, top):  # parts <= top, in descending lex order
+        if not total:
+            yield ()
+        for p in range(min(top, total), 0, -1):
+            for rest in descending(total - p, p):
+                yield (p,) + rest
 
-        def gen(remaining, maxpart, prefix):
-            if remaining == 0:
-                level.append(tuple(prefix))
-                return
-            for p in range(min(maxpart, remaining), 0, -1):
-                gen(remaining - p, p, prefix + [p])
-
-        gen(total, total, [])
-        out.extend(sorted(level, reverse=True))
-    return out
+    return [part for total in range(n + 1) for part in descending(total, total)]
 
 
 def partition_label(part: tuple[int, ...]) -> str:

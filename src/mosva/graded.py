@@ -12,10 +12,10 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import exact_scalar, factorial_fraction, format_scalar
+from .scalars import _denominator_lcm, _Frozen, exact_scalar, factorial_fraction, format_scalar
 
 
-class GradedSpace:
+class GradedSpace(_Frozen):
     """Ordered basis labels per weight, bounded below, truncated at a cutoff.
 
     ``complete=True`` asserts the true object has no components beyond those
@@ -36,6 +36,8 @@ class GradedSpace:
                 continue
             if wt > cut:
                 raise ValueError(f"component weight {wt} exceeds cutoff {cut}")
+            if wt in comp:
+                raise ValueError(f"duplicate component weight {wt}")
             comp[wt] = labels
             for lbl in labels:
                 if lbl in label_weights:
@@ -54,9 +56,6 @@ class GradedSpace:
         # bounds, so the lookup does no Fraction arithmetic
         object.__setattr__(self, "_window_lo", math.ceil(-1 - cut))
         object.__setattr__(self, "_window_hi", math.floor(-minw))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSpace is immutable")
 
     def labels(self) -> tuple[str, ...]:
         """Every basis label, in component order; one tuple per space."""
@@ -120,7 +119,7 @@ def _accumulate(acc: dict, c, entries: Mapping[str, Fraction]) -> None:
 
 def _lcm_of_denominators(vecs) -> int:
     """The lcm of the denominators of every coefficient of the vectors."""
-    return math.lcm(*{c.denominator for v in vecs for c in v.entries.values()})
+    return _denominator_lcm(c for v in vecs for c in v.entries.values())
 
 
 def _cleared(vec: Vec, d: int) -> dict:
@@ -153,7 +152,7 @@ def _op_step(rows: dict, vec: dict) -> dict | None:
     return out
 
 
-class _Entries:
+class _Entries(_Frozen):
     """Shared behaviour of Vec and DualVec: sparse label -> scalar maps."""
 
     __slots__ = ("space", "entries")
@@ -178,9 +177,6 @@ class _Entries:
         _set_space(self, space)
         _set_entries(self, clean)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -257,9 +253,13 @@ _set_entries = _Entries.__dict__["entries"].__set__
 class Vec(_Entries):
     """An element of a graded space."""
 
+    __slots__ = ()
+
 
 class DualVec(_Entries):
     """An element of the graded dual, expressed in the dual basis."""
+
+    __slots__ = ()
 
 
 def pair(dual: DualVec, vec: Vec) -> Fraction:
@@ -272,7 +272,7 @@ def pair(dual: DualVec, vec: Vec) -> Fraction:
     return sum((small[l] * big[l] for l in small if l in big), Fraction(0))
 
 
-class GradedOp:
+class GradedOp(_Frozen):
     """A homogeneous operator given by its action on basis labels.
 
     Labels missing from ``action`` are absent (unknown beyond the cutoff),
@@ -297,9 +297,6 @@ class GradedOp:
         object.__setattr__(self, "weight_shift", shift)
         object.__setattr__(self, "action", act)
         object.__setattr__(self, "_cleared_view", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedOp is immutable")
 
     @classmethod
     def zero(cls, space: GradedSpace, weight_shift=0) -> "GradedOp":

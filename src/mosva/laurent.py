@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .scalars import binomial, exact_int, exact_scalar, format_scalar
+from .scalars import _Frozen, binomial, exact_int, exact_scalar, format_scalar
 
 
 def _nonzero(terms: dict) -> dict:
@@ -31,7 +31,7 @@ def _mul(a: dict, b: dict) -> dict:
     return out
 
 
-class LaurentPoly:
+class LaurentPoly(_Frozen):
     """A finite map from integer exponent tuples to nonzero rationals."""
 
     __slots__ = ("variables", "terms")
@@ -72,9 +72,6 @@ class LaurentPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 

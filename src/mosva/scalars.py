@@ -1,4 +1,4 @@
-"""Exact rational scalars, their canonical text form, and binomial helpers.
+"""Exact rational scalars, their text form, binomial helpers and the frozen value base.
 
 Every public value of this package is a ``fractions.Fraction``: stored
 entries, operator actions and the results of ``mode_apply``.  The hot
@@ -18,6 +18,19 @@ from fractions import Fraction
 Scalar = Fraction
 
 _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+
+class _Frozen:
+    """Base of the value classes: their constructors set each attribute once
+    through ``object.__setattr__``; none is reassigned or deleted after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -54,6 +67,18 @@ def exact_int(x, what: str) -> int:
     if q.denominator != 1:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return q.numerator
+
+
+def _denominator_lcm(fractions) -> int:
+    """The lcm of the denominators of some Fractions; 1 for none."""
+    return math.lcm(*{c.denominator for c in fractions})
+
+
+def clear_denominators(entries: dict) -> tuple[int, dict]:
+    """(d, cleared) for a dict of Fractions: d the lcm of their denominators
+    and cleared each value times d as an int, under the same keys."""
+    d = _denominator_lcm(entries.values())
+    return d, {k: c.numerator * (d // c.denominator) for k, c in entries.items()}
 
 
 def format_scalar(x) -> str:

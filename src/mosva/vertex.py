@@ -14,6 +14,7 @@ from typing import Mapping
 from .graded import (GradedOp, GradedSpace, Vec, _accumulate, _cleared,
                      _lcm_of_denominators, weight_diagonal_op)
 from .report import Report
+from .scalars import _Frozen
 
 ALGEBRA = "algebra"
 LEFT = "left"
@@ -60,7 +61,7 @@ class _TableMemo:
         self.correlations = None
 
 
-class VertexMap:
+class VertexMap(_Frozen):
     """Sparse mode table for one vertex operator map.
 
     kind "algebra": Y(u, x)v with u, v in V.
@@ -122,9 +123,6 @@ class VertexMap:
         return VertexMap._wrap(kind, self.first_space, self.second_space,
                                self.out_space, self.entries, self.absent,
                                self._memo)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexMap is immutable")
 
     def basis_entry(self, first_label: str, n: int, second_label: str):
         """(Vec, exact) for one basis pair; a zero vector with exact=False
@@ -226,14 +224,11 @@ def mode_apply(vmap: VertexMap, first: Vec, n: int, second: Vec) -> tuple[Vec, b
     return Vec._wrap(out_space, acc), exact
 
 
-def _mode_ints(vmap: VertexMap, table: dict, first: dict, n: int, second: dict,
-               acc: dict | None = None) -> dict | None:
-    """mode_apply on integers: table is vmap.cleared()'s, first and second
-    are integer dicts over labels of its first and second spaces, and the
-    products go into acc, a new dict when None, which is returned.  None
-    instead at the first miss mode_apply would call inexact."""
-    if acc is None:
-        acc = {}
+def _mode_ints(vmap: VertexMap, table: dict, first: dict, n: int, second: dict) -> dict | None:
+    """mode_apply on integers, into a new dict: table is vmap.cleared()'s and
+    first and second are integer dicts over labels of its first and second
+    spaces.  None instead at the first miss mode_apply would call inexact."""
+    acc: dict = {}
     for f, cf in first.items():
         for s, cs in second.items():
             hit = table.get((f, n, s))
@@ -297,7 +292,7 @@ def vertex_series(vmap: VertexMap, first: Vec, second: Vec):
     return coeffs, (lo_w, hi_w), exact
 
 
-class AlgebraInstance:
+class AlgebraInstance(_Frozen):
     """A vertex algebra bundle truncated at a weight cutoff."""
 
     __slots__ = ("space", "Y", "vacuum", "D", "L1", "cutoff", "d", "meta")
@@ -317,9 +312,6 @@ class AlgebraInstance:
         object.__setattr__(self, "meta", dict(meta or {}))
         _check_spaces(self, {"vacuum": vacuum})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraInstance is immutable")
-
     @property
     def algebra(self) -> "AlgebraInstance":
         """The algebra the instance lives over: an algebra is its own."""
@@ -332,7 +324,7 @@ class AlgebraInstance:
         return Vec(self.space, {label: 1})
 
 
-class ModuleInstance:
+class ModuleInstance(_Frozen):
     """A left, right or bi module bundle over an algebra instance."""
 
     __slots__ = ("side", "space", "algebra", "YL", "YR", "D", "L1", "N0",
@@ -366,9 +358,6 @@ class ModuleInstance:
         object.__setattr__(self, "d", weight_diagonal_op(space))
         object.__setattr__(self, "meta", dict(meta or {}))
         _check_spaces(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleInstance is immutable")
 
     def vertex_maps(self) -> dict:
         return {name: vmap for name, vmap in (("Y_left", self.YL), ("Y_right", self.YR))

@@ -1,12 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from mosva.cli import main
+from mosva.cli import _series_report, main
+from mosva.correlators import correlate
 from mosva.document import load, save
 from mosva.factory import build_heisenberg, with_scaled_entry
-from mosva.vertex import ALGEBRA, AlgebraInstance, VertexMap
+from mosva.graded import DualVec, GradedOp, GradedSpace, Vec
+from mosva.vertex import ALGEBRA, LEFT, AlgebraInstance, ModuleInstance, VertexMap
 
 
 @pytest.fixture()
@@ -186,6 +189,40 @@ def test_correlate_mixed_mode_via_cli(heis_file, tmp_path, capsys):
                  "--module-at", "1"]) == 0
     out = capsys.readouterr().out
     assert "coefficient" in out
+
+
+@pytest.mark.parametrize("ops, bra", [("a1@z1,vac@z2", "a1"), ("a1@z1,a1@z2", "a1.a1")])
+def test_correlate_reads_each_label_in_the_space_of_its_position(tmp_path, capsys,
+                                                                  ops, bra):
+    # the Fock module with the algebra's labels at weights raised by 1/2,
+    # transported to a right module: its first operator is a module element,
+    # though the algebra has a label of the same name at another weight
+    alg, fock = build_heisenberg(level=1, cutoff=4)
+    h = Fraction(1, 2)
+    space = GradedSpace({w + h: ls for w, ls in fock.space.components.items()},
+                        fock.cutoff + h)
+
+    def op(o):
+        return GradedOp(space, o.weight_shift,
+                        {lbl: Vec(space, v.entries) for lbl, v in o.action.items()})
+
+    YL = VertexMap(LEFT, alg.space, space, space,
+                   {key: Vec(space, v.entries) for key, v in fock.YL.entries.items()},
+                   absent=fock.YL.absent)
+    left = str(tmp_path / "shifted.mosva")
+    save(ModuleInstance(LEFT, space, alg, YL=YL, D=op(fock.D), L1=op(fock.L1)), left)
+    right = str(tmp_path / "shifted-right.mosva")
+    assert main(["transport", left, "--direction", "left_to_right_op", "-o", right]) == 0
+    capsys.readouterr()
+    assert main(["correlate", right, "--bra", bra, "--ops", ops, "--ket", "vac",
+                 "--report", "machine"]) == 0
+    inst = load(right)
+    (first, z1), (second, z2) = (piece.split("@") for piece in ops.split(","))
+    series = correlate(inst, DualVec(inst.space, {bra: 1}),
+                       [(inst.basis_vec(first), z1), (inst.algebra.basis_vec(second), z2)],
+                       inst.algebra.basis_vec("vac"))
+    assert not series.is_zero()
+    assert capsys.readouterr().out == _series_report(series, "correlate").to_json()
 
 
 def test_example_module_flag(tmp_path, capsys):

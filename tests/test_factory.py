@@ -215,6 +215,16 @@ def test_matrix_rejects_float_coefficients():
         build_matrix_mosva(one, {"e0": 1.0})
 
 
+@pytest.mark.parametrize("unit", [True, False], ids=repr)
+def test_matrix_rejects_a_bool_unit_index(unit):
+    # e1 is the unit of this algebra, so True would pass as index 1
+    table = [[[1, 0], [1, 0]], [[1, 0], [0, 1]]]
+    alg = build_matrix_mosva(table, 1)
+    assert alg.vacuum == alg.basis_vec("e1")
+    with pytest.raises(TypeError, match="unit index"):
+        build_matrix_mosva(table, unit)
+
+
 def test_self_module_sides():
     alg, fock = build_heisenberg(level=1, cutoff=3)
     assert fock.side == "left"

@@ -31,6 +31,14 @@ def test_space_structure(space):
         GradedSpace({0: ["x"], 1: ["x"]}, cutoff=1)
 
 
+@pytest.mark.parametrize("again", ["1", "2/2"], ids=repr)
+def test_space_rejects_a_repeated_component_weight(again):
+    # the second component would replace the first, leaving "a" a weight
+    # but no place in components or labels(), so every sweep skips it
+    with pytest.raises(ValueError, match="duplicate component weight 1"):
+        GradedSpace({1: ["a"], again: ["b"]}, cutoff=2)
+
+
 @pytest.mark.parametrize("weight", [True, 2.0], ids=repr)
 def test_labels_at_rejects_a_bool_or_float_weight(weight):
     # True would read as weight 1 and 2.0 as weight 2

@@ -274,3 +274,69 @@ def test_the_dead_code_rules_see_dead_code():
     # a private helper that only calls itself is still dead
     trees["factory.py"] = ast.parse(text + "\n\ndef _spin(n):\n    return _spin(n - 1)\n")
     assert _unreferenced_privates(trees) == [("factory.py", "_spin")]
+
+
+FROZEN_BASE = "_Frozen"
+FROZEN_HOOKS = {"__setattr__", "__delattr__"}
+
+
+def _source_trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in SOURCES}
+
+
+def _stray_frozen_hooks(trees):
+    """(module, line) of each __setattr__ or __delattr__ that a module defines
+    or assigns anywhere but in the body of the frozen base in scalars.py."""
+    base = [node for node in ast.walk(trees["scalars.py"])
+            if isinstance(node, ast.ClassDef) and node.name == FROZEN_BASE]
+    allowed = {id(node) for cls in base for node in cls.body}
+    return [(module, node.lineno) for module, tree in trees.items()
+            for node in ast.walk(tree) if id(node) not in allowed
+            and ((isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in FROZEN_HOOKS)
+                 or (isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) in FROZEN_HOOKS for t in node.targets)))]
+
+
+def _frozen_without_slots(trees):
+    """The classes that are the frozen base or inherit it, directly or not,
+    and declare no __slots__ (so their instances grow a __dict__)."""
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    frozen = {FROZEN_BASE}
+    while True:
+        more = {cls.name for cls in classes if cls.name not in frozen
+                and any(getattr(b, "id", getattr(b, "attr", None)) in frozen
+                        for b in cls.bases)}
+        if not more:
+            break
+        frozen |= more
+    return sorted(cls.name for cls in classes if cls.name in frozen
+                  and not any(isinstance(node, ast.Assign)
+                              and any(getattr(t, "id", None) == "__slots__"
+                                      for t in node.targets)
+                              for node in cls.body))
+
+
+def test_immutability_is_written_once():
+    # every value class inherits scalars._Frozen, whose __setattr__ and
+    # __delattr__ refuse assignment and deletion; a second copy drifts
+    assert not _stray_frozen_hooks(_source_trees())
+
+
+def test_every_frozen_class_declares_slots():
+    # without __slots__ a subclass's instances carry a __dict__, which
+    # object.__setattr__ writes past the frozen base
+    assert not _frozen_without_slots(_source_trees())
+
+
+def test_the_frozen_rules_see_strays():
+    text = (ROOT / "src" / "mosva" / "factory.py").read_text(encoding="utf-8")
+    trees = _source_trees()
+    trees["factory.py"] = ast.parse(text + "\n\nclass _Loose(Vec):\n    pass\n")
+    assert _frozen_without_slots(trees) == ["_Loose"]
+    sealed = ("\n\nclass _Sealed:\n    def __setattr__(self, name, value):\n"
+              "        raise AttributeError(name)\n")
+    trees["factory.py"] = ast.parse(text + sealed)
+    assert _stray_frozen_hooks(trees) == [("factory.py", text.count("\n") + 4)]
