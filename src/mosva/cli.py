@@ -80,21 +80,25 @@ def _build_parser() -> _Parser:
         q.add_argument("--ops", required=True,
                        help="comma-separated label@variable pairs")
         q.add_argument("--ket", required=True, help="basis label")
-        q.add_argument("--mode", choices=["product", "iterate", "mixed"],
-                       default="product")
-        q.add_argument("--module-at", type=int, default=None)
         q.add_argument("--report", choices=["text", "machine"], default="text")
 
     co = sub.add_parser("correlate", help="compute a correlation series")
     add_correlator_args(co)
+    co.add_argument("--mode", choices=["product", "iterate", "mixed"],
+                    default=PRODUCT)
+    co.add_argument("--module-at", type=int, default=None)
     co.add_argument("--order", type=int, default=None)
 
+    # reconstruct and regions work in the product form, with the module
+    # element where that form puts it
     rc = sub.add_parser("reconstruct", help="reconstruct the rational function")
     add_correlator_args(rc)
+    rc.set_defaults(mode=PRODUCT, module_at=None)
 
     rg = sub.add_parser("regions", help="match region expansions against series")
     add_correlator_args(rg)
     rg.add_argument("--order", type=int, default=6)
+    rg.set_defaults(mode=PRODUCT, module_at=None)
     return p
 
 
@@ -120,9 +124,7 @@ def _correlator_args(inst, args):
     if args.bra not in inst.space.label_weights:
         raise _UsageError(f"unknown bra label {args.bra!r}")
     pieces = [piece.strip() for piece in args.ops.split(",")]
-    # reconstruct and regions take the product form whatever --mode says
-    mode = args.mode if args.command == "correlate" else PRODUCT
-    position = _module_position(inst, len(pieces), mode, args.module_at)
+    position = _module_position(inst, len(pieces), args.mode, args.module_at)
     spaces = [inst.space if i == position else inst.algebra.space
               for i in range(len(pieces) + 1)]
     if args.ket not in spaces[-1].label_weights:

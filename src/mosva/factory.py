@@ -1,7 +1,8 @@
 """Shipped example generators.
 
 build_matrix_mosva: the weight-zero algebra with Y_{-1}(u)v = uv for an
-associative unital multiplication table.  All other modes vanish.
+associative unital multiplication table.  All other modes vanish.  The
+table and unit are checked on their nonzero structure constants.
 
 build_heisenberg: the rank-1 free boson at an arbitrary nonzero level,
 truncated at a weight cutoff.  Basis states are oscillator monomials
@@ -14,7 +15,8 @@ with sum(gamma) + sum(sigma[r:]) > cutoff, r bounding the slots left, is
 pruned: each slot removes at most one part of sigma and gamma only grows, so
 every descendant overflows the cutoff.  States after a prefix of mu are
 memoized per (prefix, nu) within one build and shared by every mu extending
-the prefix.
+the prefix; what depends only on a partition (its removals, insertions and
+suffix sums) is worked out once per build, not once per state.
 
 Inputs must be exact: a float or bool level, coefficient or cutoff raises
 TypeError (see ``scalars.exact_scalar``).
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedOp, GradedSpace, Vec
+from .graded import GradedOp, GradedSpace, Vec, _Quotients
 from .scalars import binomial, exact_int, exact_scalar, parse_scalar
 from .vertex import (ALGEBRA, BI, LEFT, RIGHT, AlgebraInstance, ModuleInstance,
                      VertexMap)
@@ -36,66 +38,82 @@ def build_matrix_mosva(table, unit, labels=None) -> AlgebraInstance:
     """Weight-zero algebra from a multiplication tensor.
 
     ``table[i][j][c]`` is the coefficient of basis c in (basis i * basis j).
-    ``unit`` is either a basis index or a coefficient vector for the unit
-    element.  Associativity and unitality are checked exhaustively.
+    ``unit`` is a basis index, a dict from labels to coefficients or a
+    sequence of dim coefficients for the unit element.  Associativity and
+    unitality are checked exhaustively, on the nonzero structure constants:
+    ``(e_i e_j) e_k`` is ``sum_c T[i][j][c] e_c e_k``, and likewise on the
+    right.
     """
     dim = len(table)
+    if dim < 1:
+        raise ValueError("table must have at least one basis element")
     if labels is None:
         labels = [f"e{i}" for i in range(dim)]
     labels = list(labels)
-    if len(labels) != dim or any(len(row) != dim for row in table):
+    if len(labels) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
+                                 for row in table):
         raise ValueError("table must be dim x dim x dim with matching labels")
     space = GradedSpace({0: labels}, cutoff=0, complete=True)
-    table = [[[exact_scalar(c, "table coefficient") for c in cell] for cell in row]
-             for row in table]
+    # products[i][j]: {c: T[i][j][c]} over the nonzero constants
+    products = [[{c: x for c, x in enumerate(exact_scalar(y, "table coefficient")
+                                             for y in cell) if x}
+                 for cell in row] for row in table]
 
-    def mult_vec(a, b):
-        out = [Fraction(0)] * dim
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                for c, coeff in enumerate(table[i][j]):
-                    out[c] += ca * cb * coeff
-        return out
+    def mult(a, b):
+        """The product of two sparse vectors {index: coefficient}, zeros dropped."""
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                for c, z in products[i][j].items():
+                    out[c] = out.get(c, 0) + x * y * z
+        return {c: v for c, v in out.items() if v}
 
-    basis = [[Fraction(1) if k == i else Fraction(0) for k in range(dim)]
-             for i in range(dim)]
+    basis = [{i: 1} for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                left = mult_vec(mult_vec(basis[i], basis[j]), basis[k])
-                right = mult_vec(basis[i], mult_vec(basis[j], basis[k]))
-                if left != right:
+                if mult(products[i][j], basis[k]) != mult(basis[i], products[j][k]):
                     raise ValueError(
                         f"table is not associative at ({labels[i]}, {labels[j]}, {labels[k]})")
+    # a fault of the table is reported before one of the unit
     if isinstance(unit, int):
-        unit_vec = basis[exact_int(unit, "unit index")]
+        index = exact_int(unit, "unit index")
+        if not 0 <= index < dim:
+            raise ValueError(f"unit index {index} is out of range for dim {dim}")
+        unit_vec = {index: 1}
     else:
-        unit_vec = [exact_scalar(unit.get(lbl, 0), "unit coefficient") for lbl in labels] \
-            if isinstance(unit, dict) else [exact_scalar(c, "unit coefficient") for c in unit]
+        if isinstance(unit, dict):
+            for lbl in unit:
+                if lbl not in labels:
+                    raise ValueError(f"unit names {lbl!r}, which is not a basis label")
+            unit = [unit.get(lbl, 0) for lbl in labels]
+        coeffs = [exact_scalar(c, "unit coefficient") for c in unit]
+        if len(coeffs) != dim:
+            raise ValueError(f"unit has {len(coeffs)} coefficients for dim {dim}")
+        unit_vec = {c: x for c, x in enumerate(coeffs) if x}
     for i in range(dim):
-        if mult_vec(unit_vec, basis[i]) != basis[i] or mult_vec(basis[i], unit_vec) != basis[i]:
+        if mult(unit_vec, basis[i]) != basis[i] or mult(basis[i], unit_vec) != basis[i]:
             raise ValueError(f"unit fails on basis {labels[i]}")
 
     entries = {}
     for i in range(dim):
         for j in range(dim):
-            out = {labels[c]: coeff for c, coeff in enumerate(table[i][j]) if coeff}
-            if out:
-                entries[(labels[i], -1, labels[j])] = Vec(space, out)
+            if products[i][j]:
+                entries[(labels[i], -1, labels[j])] = Vec(
+                    space, {labels[c]: x for c, x in products[i][j].items()})
     Y = VertexMap(ALGEBRA, space, space, space, entries)
     zero = GradedOp.zero(space, 1)
     zero_l1 = GradedOp.zero(space, -1)
-    vacuum = Vec(space, {labels[c]: v for c, v in enumerate(unit_vec) if v})
+    vacuum = Vec(space, {labels[c]: v for c, v in unit_vec.items()})
     return AlgebraInstance(space, Y, vacuum, zero, zero_l1,
                            meta={"example": "matrix", "dim": dim})
 
 
 def matrix_units_mosva(k: int = 2) -> AlgebraInstance:
-    """The full k x k matrix algebra on the matrix-unit basis E_ij."""
+    """The full k x k matrix algebra on the matrix-unit basis E_ij, k >= 1."""
+    k = exact_int(k, "matrix size")
+    if k < 1:
+        raise ValueError(f"matrix size must be at least 1, got {k}")
     labels = [f"E{i+1}{j+1}" for i in range(k) for j in range(k)]
     dim = k * k
     table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -140,29 +158,51 @@ def _field_coeff(n: int, j: int) -> int:
     return (-1) ** (n - 1) * binomial(j + n - 1, n - 1)
 
 
-def _slot(states: dict, field: list, n: int, r: int, cutoff: int) -> dict:
+def _shapes(parts, cutoff: int) -> dict:
+    """Per-partition work of the slot DP, done once per build.  For each
+    ``part`` of ``parts``: its weight; ``tails[r] = sum(part[r:])`` for
+    ``r = 0..cutoff``; its removals ``(p, child, p * multiplicity,
+    tails of child)`` in ``set(part)`` order; and ``grow[b]``, the partition
+    with one more part ``b``, for ``1 <= b <= cutoff - weight``."""
+    shapes = {}
+    for part in parts:
+        weight = sum(part)
+        tails = [sum(part[r:]) for r in range(cutoff + 1)]
+        drops = []
+        for p in set(part):
+            lst = list(part)
+            lst.remove(p)
+            child = tuple(lst)
+            drops.append((p, child, p * part.count(p), shapes[child][1]))
+        grow = [None] + [tuple(sorted(part + (b,), reverse=True))
+                         for b in range(1, cutoff - weight + 1)]
+        shapes[part] = (weight, tails, drops, grow)
+    return shapes
+
+
+def _slot(states: dict, field: list, n: int, r: int, cutoff: int, shapes: dict) -> dict:
     """Advance the slot DP by one field slot of part ``n``.
 
     Each state ``(sigma, gamma) -> int`` either annihilates a part ``p`` of
     ``sigma`` (coefficient ``field[p] * p * multiplicity``; the factor
     ``level`` is left to readout) or adds a creation ``a_{-b}``, ``b >= n``,
     with coefficient ``field[-b]``, to ``gamma``.  Children that fail the
-    prune rule for ``r`` slots still to come are not made.
+    prune rule for ``r`` slots still to come are not made.  ``shapes`` is
+    ``_shapes(parts, cutoff)``.
     """
     nxt: dict[tuple, int] = {}
     get = nxt.get
     for (sigma, gamma), coeff in states.items():
-        wg = sum(gamma)
-        for p in set(sigma):
-            lst = list(sigma)
-            lst.remove(p)
-            child = tuple(lst)
-            if wg + sum(child[r:]) > cutoff:
+        wg, _, _, grow = shapes[gamma]
+        room = cutoff - wg
+        _, tails, drops, _ = shapes[sigma]
+        for p, child, pm, child_tails in drops:
+            if child_tails[r] > room:
                 continue
             key = (child, gamma)
-            nxt[key] = get(key, 0) + coeff * field[p] * p * sigma.count(p)
-        for b in range(n, cutoff - wg - sum(sigma[r:]) + 1):
-            key = (sigma, tuple(sorted(gamma + (b,), reverse=True)))
+            nxt[key] = get(key, 0) + coeff * field[p] * pm
+        for b in range(n, room - tails[r] + 1):
+            key = (sigma, grow[b])
             nxt[key] = get(key, 0) + coeff * field[-b]
     return {k: v for k, v in nxt.items() if v}
 
@@ -179,7 +219,10 @@ def _heisenberg_modes(parts, level: Fraction, cutoff: int):
     applied once when the state is read out (over the common denominator
     ``level.denominator**len(nu)``).  States after a prefix of ``mu`` do not
     depend on the rest of ``mu``, so one memo per ``nu`` maps each prefix to
-    its states; it lives for this call only.
+    its states; it lives for this call only, as do the per-shape memos: the
+    removals, weights and insertions of each partition (``_shapes``), each
+    state's readout ``(weight, merged partition, len(sigma))`` and each
+    quotient.
 
     A state with ``sum(gamma) + sum(sigma[r:]) > cutoff`` is pruned, ``r``
     bounding the slots still to come: each slot removes at most one part of
@@ -193,6 +236,9 @@ def _heisenberg_modes(parts, level: Fraction, cutoff: int):
     field = [None] + [[_field_coeff(n, j) for j in range(cutoff + 1)]
                       + [_field_coeff(n, j) for j in range(-cutoff, 0)]
                       for n in range(1, cutoff + 1)]
+    shapes = _shapes(parts, cutoff)
+    readouts: dict[tuple, tuple] = {}
+    quotients = _Quotients()
     for nu in parts:
         k_max = len(nu)
         scale = [a ** k * b ** (k_max - k) for k in range(k_max + 1)]
@@ -200,21 +246,27 @@ def _heisenberg_modes(parts, level: Fraction, cutoff: int):
         memo = {(): {(nu, ()): 1}}
         yield (), nu, -1, {nu: Fraction(1)}
         for mu in parts[1:]:
-            weight = sum(mu)
-            states = _slot(memo[mu[:-1]], field[mu[-1]], mu[-1], cutoff - weight, cutoff)
+            weight = shapes[mu][0]
+            states = _slot(memo[mu[:-1]], field[mu[-1]], mu[-1], cutoff - weight, cutoff,
+                           shapes)
             if weight < cutoff:
                 memo[mu] = states
-            total_in = weight + sum(nu)
+            total_in = weight + shapes[nu][0]
             acc: dict[int, dict[tuple, int]] = {}
-            for (sigma, gamma), coeff in states.items():
-                h = sum(sigma) + sum(gamma)
+            for state, coeff in states.items():
+                readout = readouts.get(state)
+                if readout is None:
+                    sigma, gamma = state
+                    readout = readouts[state] = (
+                        shapes[sigma][0] + shapes[gamma][0],
+                        tuple(sorted(sigma + gamma, reverse=True)), len(sigma))
+                h, final, kept = readout
                 if h > cutoff:
                     continue
-                final = tuple(sorted(sigma + gamma, reverse=True))
                 out = acc.setdefault(total_in - h - 1, {})
-                out[final] = out.get(final, 0) + coeff * scale[k_max - len(sigma)]
+                out[final] = out.get(final, 0) + coeff * scale[k_max - kept]
             for mode, out in acc.items():
-                out = {p: Fraction(c, denom) for p, c in out.items() if c}
+                out = {p: quotients[c, denom] for p, c in out.items() if c}
                 if out:
                     yield mu, nu, mode, out
 

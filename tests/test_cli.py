@@ -191,6 +191,52 @@ def test_correlate_mixed_mode_via_cli(heis_file, tmp_path, capsys):
     assert "coefficient" in out
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "regions"])
+@pytest.mark.parametrize("flag", [["--mode", "iterate"], ["--mode", "product"],
+                                  ["--module-at", "7"], ["--module-at", "0"]], ids=" ".join)
+def test_product_form_commands_refuse_mode_and_module_at(heis_file, capsys, command, flag):
+    # both work in the product form; an option they would ignore is refused
+    assert main([command, heis_file, "--bra", "vac", "--ops", "a1@z1,a1@z2",
+                 "--ket", "vac", *flag]) == 3
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage error: unrecognized arguments") and flag[0] in err
+
+
+@pytest.mark.parametrize("mode, module_at", [("product", None), ("iterate", None),
+                                             ("mixed", 0), ("mixed", 1)])
+def test_correlate_honours_mode_and_module_at(heis_file, tmp_path, capsys, mode, module_at):
+    from mosva.factory import self_module
+    bi = self_module(load(heis_file), "bi")
+    bi_path = str(tmp_path / "bi.mosva")
+    save(bi, bi_path)
+    flags = ["--mode", mode] + (["--module-at", str(module_at)] if module_at is not None else [])
+    assert main(["correlate", bi_path, "--bra", "vac", "--ops", "a1@z1,a1@z2",
+                 "--ket", "vac", "--report", "machine", *flags]) == 0
+    series = correlate(bi, DualVec(bi.space, {"vac": 1}),
+                       [(bi.basis_vec("a1"), "z1"), (bi.basis_vec("a1"), "z2")],
+                       bi.basis_vec("vac"), mode, module_at=module_at)
+    assert not series.is_zero()
+    assert capsys.readouterr().out == _series_report(series, "correlate").to_json()
+
+
+def test_correlate_modes_give_different_reports(heis_file, capsys):
+    outs = []
+    for mode in ("product", "iterate"):
+        assert main(["correlate", heis_file, "--bra", "vac", "--ops", "a1@z1,a1@z2",
+                     "--ket", "vac", "--mode", mode]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
+
+
+def test_correlate_refuses_an_out_of_range_module_at(heis_file, tmp_path, capsys):
+    from mosva.factory import self_module
+    bi_path = str(tmp_path / "bi.mosva")
+    save(self_module(load(heis_file), "bi"), bi_path)
+    assert main(["correlate", bi_path, "--bra", "vac", "--ops", "a1@z1,a1@z2",
+                 "--ket", "vac", "--mode", "mixed", "--module-at", "7"]) == 3
+    assert not capsys.readouterr().out
+
+
 @pytest.mark.parametrize("ops, bra", [("a1@z1,vac@z2", "a1"), ("a1@z1,a1@z2", "a1.a1")])
 def test_correlate_reads_each_label_in_the_space_of_its_position(tmp_path, capsys,
                                                                   ops, bra):

@@ -215,6 +215,59 @@ def test_matrix_rejects_float_coefficients():
         build_matrix_mosva(one, {"e0": 1.0})
 
 
+M2_UNIT = {"E11": 1, "E22": 1}
+
+
+def m2_table():
+    k, dim = 2, 4
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            if a % k == b // k:
+                table[a][b][a // k * k + b % k] = 1
+    return table
+
+
+@pytest.mark.parametrize("table, unit, labels, message", [
+    # a short cell used to read as zeros and fail on the unit
+    ([[[]]], 0, None, "dim x dim x dim"),
+    ([[[1, 0]]], 0, None, "dim x dim x dim"),
+    ([[[1], [1]]], 0, None, "dim x dim x dim"),
+    ([[[1, 0], [0, 1]], [[0, 1], [1]]], 0, None, "dim x dim x dim"),
+    ([], 0, [], "at least one basis element"),
+    ([[[1]]], 3, ["e"], "unit index 3 is out of range for dim 1"),
+    ([[[1]]], -1, ["e"], "unit index -1 is out of range for dim 1"),
+    ([[[1]]], [1, 0], None, "unit has 2 coefficients for dim 1"),
+    ([[[1]]], [], None, "unit has 0 coefficients for dim 1"),
+    (m2_table(), {**M2_UNIT, "bogus": 5},
+     ["E11", "E12", "E21", "E22"], "unit names 'bogus', which is not a basis label"),
+], ids=["empty-cell", "long-cell", "long-row", "ragged-cell", "empty-table",
+        "index-above", "index-below", "long-unit", "empty-unit", "unknown-label"])
+def test_matrix_rejects_malformed_tables_and_units(table, unit, labels, message):
+    with pytest.raises(ValueError) as err:
+        build_matrix_mosva(table, unit, labels)
+    assert message in str(err.value)
+
+
+def test_matrix_unit_dict_over_labels_still_builds_m2():
+    alg = build_matrix_mosva(m2_table(), M2_UNIT, ["E11", "E12", "E21", "E22"])
+    assert serialize(alg) == serialize(matrix_units_mosva(2))
+
+
+@pytest.mark.parametrize("k, error", [(0, ValueError), (-1, ValueError),
+                                      (True, TypeError), (2.0, TypeError),
+                                      (Fraction(3, 2), ValueError)], ids=repr)
+def test_matrix_units_size_must_be_a_positive_int(k, error):
+    with pytest.raises(error, match="matrix size"):
+        matrix_units_mosva(k)
+
+
+def test_matrix_units_accepts_an_integral_size():
+    assert serialize(matrix_units_mosva(Fraction(2))) == serialize(matrix_units_mosva(2))
+    one = matrix_units_mosva(1)
+    assert list(one.space.labels()) == ["E11"] and one.vacuum == one.basis_vec("E11")
+
+
 @pytest.mark.parametrize("unit", [True, False], ids=repr)
 def test_matrix_rejects_a_bool_unit_index(unit):
     # e1 is the unit of this algebra, so True would pass as index 1

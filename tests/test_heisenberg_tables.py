@@ -6,10 +6,12 @@ mu by mu, nu by nu, modes and partitions in the order the old DP produced
 them.  ``oracle_oscillator`` stays the independent check of the values.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from mosva.document import serialize
 from mosva.factory import build_heisenberg, partition_label, partitions_up_to
 
 from oracle_heisenberg import _mode_table_for_pair, hand_d_l1
@@ -89,3 +91,11 @@ ENTRY_COUNTS = {2: 21, 3: 91, 4: 359, 5: 1176, 6: 3623, 7: 9892, 8: 25657}
 def test_entry_counts_are_pinned(cutoff):
     alg, _ = build_heisenberg(level=1, cutoff=cutoff)
     assert len(alg.Y.entries) == ENTRY_COUNTS[cutoff]
+
+
+def test_cutoff_8_table_bytes_are_pinned():
+    # sha256 of serialize() recorded before the DP kept its per-shape memos;
+    # the order pins above stop at cutoff 7, and cutoff 8 meets many more shapes
+    alg, _ = build_heisenberg(level=Fraction(3, 2), cutoff=8)
+    digest = hashlib.sha256(serialize(alg).encode()).hexdigest()
+    assert digest == "e37c1d9bb4677b233d441e0314da99de185dbc29c1d8b75cca12c3d39526ac18"
