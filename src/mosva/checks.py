@@ -19,13 +19,13 @@ from .correlators import (ITERATE, PRODUCT, WINDOW_LIMITED, CorrelationSeries,
                           reconstruct_rational)
 from .errors import WindowError
 from .expansion import Region, expand_rational
-from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _op_step, basis_dual,
-                     exp_op_series, op_power_apply, pair)
+from .graded import (DUAL_SUFFIX, GradedOp, Vec, _accumulate, _op_step, _weight,
+                     basis_dual, exp_op_series, op_power_apply, pair)
 from .laurent import LaurentPoly, taylor_shift
 from .report import FAIL, PASS, SKIP, Report
-from .scalars import binomial, clear_denominators, format_scalar
+from .scalars import binomial, clear_denominators, exact_int, format_scalar
 from .vertex import (BI, LEFT, RIGHT, ROLES, ModuleInstance, _check_arguments,
-                     _mode_ints, _plain, _validate, chain_maps, mode_apply, module_position,
+                     _mode_ints, _validate, chain_maps, mode_apply, module_position,
                      validate_instance, vertex_series)
 
 COMPAT = "compat"
@@ -417,24 +417,24 @@ def check_weak_associativity(inst, first: Vec, second: Vec, ket: Vec,
     WindowError (naming a sufficient cutoff) when the cutoff certifies no
     comparison window at all.
     """
+    if p1_max is not None and (p1_max := exact_int(p1_max, "p1_max")) < 0:
+        raise ValueError(f"p1_max must be nonnegative, got {p1_max}")
     weights = first.weight(), second.weight(), ket.weight()
     if None in weights:
         raise ValueError("weak associativity takes homogeneous arguments")
     position = _assoc_position(inst, flavor)
     outer_P, inner_P = chain_maps(inst, position, 2)
     inner_I, outer_I = chain_maps(inst, position, 2, nested=True)
-    # integral weights and bounds as ints, so the window costs no Fraction
-    # arithmetic unless a weight is fractional
-    w1, w2, wk = map(_plain, weights)
+    w1, w2, wk = weights
     out_space, iP_space = outer_P.out_space, inner_P.out_space
-    cutoff = _plain(out_space.cutoff)
+    cutoff = out_space.cutoff
     if p1_max is None:
         p1_max = max(0, math.floor(w1 + wk + cutoff))
 
-    b_hi = math.floor(_plain(iP_space.cutoff) - w2 - wk)
-    b_lo = math.ceil(_plain(iP_space.min_weight) - w2 - wk)
-    c_hi = math.floor(_plain(inner_I.out_space.cutoff) - w1 - w2)
-    s_lo = math.ceil(_plain(out_space.min_weight) - w1 - w2 - wk)
+    b_hi = math.floor(iP_space.cutoff - w2 - wk)
+    b_lo = math.ceil(iP_space.min_weight - w2 - wk)
+    c_hi = math.floor(inner_I.out_space.cutoff - w1 - w2)
+    s_lo = math.ceil(out_space.min_weight - w1 - w2 - wk)
     s_hi = math.floor(cutoff - w1 - w2 - wk)
 
     if s_lo + 0 - b_hi > c_hi:
@@ -672,6 +672,7 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
     structural, vacuum, derivative, grading, Mobius, weak associativity over
     the opposite algebra, region consistency, the transposition identity,
     and the double-contragredient round trip."""
+    max_weight = _weight(max_weight, "max_weight")
     rep = Report("contragredient")
     cg = contragredient_module(W)
     for sub in (check_grading(cg), check_vacuum(cg), check_derivative(cg),
@@ -681,9 +682,8 @@ def check_contragredient(W: ModuleInstance, max_weight: int = 3,
     vspace = cg.algebra.space
     triples, bad, worst_p1, _ = _assoc_sweep(
         cg, (vspace, vspace, cg.space), max_weight, p1_max, None)
-    rep.judge("weak associativity over the opposite algebra", bad,
-              inputs=f"{triples} triples with weight sum <= {max_weight}",
-              window=f"max minimal p1 = {worst_p1}")
+    _judge_sweep(rep, "weak associativity over the opposite algebra", triples, bad,
+                 max_weight, f"max minimal p1 = {worst_p1}")
 
     # transposition: <Y'_n(u) w', w> = <w', (Y^o)_n(u) w> on stored entries
     bad = None
@@ -781,10 +781,19 @@ def _assoc_suite(inst, max_weight: int, p1_max: int | None) -> Report:
         triples, bad, worst, compared = _assoc_sweep(inst, spaces, max_weight, p1_max,
                                                      flavor)
         label = f" [{flavor}]" if flavor else ""
-        rep.judge(f"weak associativity{label}", bad,
-                  inputs=f"{triples} triples with weight sum <= {max_weight}",
-                  window=f"max minimal p1 = {worst}, {compared} monomials")
+        _judge_sweep(rep, f"weak associativity{label}", triples, bad, max_weight,
+                     f"max minimal p1 = {worst}, {compared} monomials")
     return rep
+
+
+def _judge_sweep(rep, check, triples, bad, max_weight, window):
+    """Record an _assoc_sweep verdict; a sweep over no triple proves nothing
+    and is skipped."""
+    inputs = f"{triples} triples with weight sum <= {max_weight}"
+    if triples:
+        rep.judge(check, bad, inputs=inputs, window=window)
+    else:
+        rep.record(check, SKIP, inputs, witness=f"no triple has weight sum <= {max_weight}")
 
 
 # name -> checker(inst, max_weight, p1_max), in the order the CLI lists them
@@ -801,6 +810,7 @@ SUITES = {
 def run_suite(inst, suite: str, max_weight: int = 4,
               p1_max: int | None = None) -> Report:
     """Run one named checker suite, or all of them."""
+    max_weight = _weight(max_weight, "max_weight")
     if suite == "all":
         rep = Report("all")
         # grading subsumes the structural validation

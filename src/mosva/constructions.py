@@ -175,9 +175,8 @@ def opposite_vertex_components(W: ModuleInstance, u: Vec, n: int):
         raise ValueError("argument must be homogeneous; decompose first")
     if h.denominator != 1:
         raise ValueError("algebra weights must be integers")
-    h = h.numerator
     sign = -1 if h % 2 else 1
-    shift = Fraction(n + 1 - h)
+    shift = n + 1 - h
     # (1/m!) L(1)^m u until it vanishes; an unknown power leaves every action absent
     powers, exact = exp_op_series(algebra.L1, u)
     if not exact:
@@ -250,7 +249,6 @@ def contragredient_module(W: ModuleInstance) -> ModuleInstance:
         h = alg_space.weight_of(u_lbl)
         if h.denominator != 1:
             raise ValueError("algebra weights must be integers")
-        h = h.numerator
         powers, known = exp_op_series(W.algebra.L1, Vec(alg_space, {u_lbl: 1}))
         d_t = _lcm_of_denominators(powers.values())
         # (n, g) -> the image of g under (Y^o)_n(u) times dT dY, and the

@@ -25,7 +25,7 @@ from .expansion import RationalFn, Region, divisor_terms, pole_orders
 from .graded import DualVec, Vec
 from .laurent import LaurentPoly, _mul
 from .scalars import _Frozen, clear_denominators, exact_scalar
-from .vertex import (BI, _check_arguments, _mode_ints, _pair_ints, _plain, chain_maps,
+from .vertex import (BI, _check_arguments, _mode_ints, _pair_ints, chain_maps,
                      joining_map, module_position)
 
 PRODUCT = "product"
@@ -53,7 +53,7 @@ class PoleOrderWitness:
 class CorrelationSeries(_Frozen):
     """Exact coefficients of a correlator on an arithmetic certified set."""
 
-    __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_plane", "_lower",
+    __slots__ = ("variables", "coefficients", "mode", "degree_sum", "_lower",
                  "_upper", "_holes", "_trivial", "_certified", "_reconstructed",
                  "_diagonal", "__weakref__")
 
@@ -69,14 +69,8 @@ class CorrelationSeries(_Frozen):
                 exact[tuple(k)] = v
         object.__setattr__(self, "coefficients", exact)
         object.__setattr__(self, "mode", mode)
-        # weights and bounds as ints where integral, so that the bounds below
-        # and the hyperplane test of _decide_certified skip Fraction
-        op_weights = [_plain(w) for w in op_weights]
-        ket_weight = _plain(ket_weight)
         # the grading hyperplane: sum of exponents of any nonzero monomial
-        plane = _plain(_plain(bra_weight) - sum(op_weights) - ket_weight)
-        object.__setattr__(self, "degree_sum", Fraction(plane))
-        object.__setattr__(self, "_plane", plane)
+        object.__setattr__(self, "degree_sum", bra_weight - sum(op_weights) - ket_weight)
         # Chain position j holds the weight B_j + S_j, where B_j sums the
         # weights of the operators (and the ket) applied so far and S_j the
         # exponents of the monomial that go with them.  S_j is an integer,
@@ -87,9 +81,9 @@ class CorrelationSeries(_Frozen):
         else:  # B_j = ket + op_j + ... + op_{n-1}
             weights = list(accumulate(reversed(op_weights), initial=ket_weight))[:0:-1]
         object.__setattr__(self, "_lower", tuple(
-            math.ceil(_plain(m) - b) for m, b in zip(chain_minw, weights)))
+            math.ceil(m - b) for m, b in zip(chain_minw, weights)))
         object.__setattr__(self, "_upper", tuple(
-            math.floor(_plain(c) - b) for c, b in zip(chain_cutoffs, weights)))
+            math.floor(c - b) for c, b in zip(chain_cutoffs, weights)))
         object.__setattr__(self, "_holes", frozenset(holes))
         object.__setattr__(self, "_trivial", bool(trivially_zero))
         object.__setattr__(self, "_certified", {})  # monomial -> is_certified
@@ -127,7 +121,7 @@ class CorrelationSeries(_Frozen):
         for h in self._holes:
             if (mono[n - len(h):] if product else mono[: len(h)]) == h:
                 return False
-        if sum(mono) != self._plane:
+        if sum(mono) != self.degree_sum:
             return True  # off the grading hyperplane: exactly zero
         lower, upper = self._lower, self._upper
         total = 0
@@ -184,15 +178,15 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
         raise ValueError("operator variables must be distinct")
     position = _module_position(inst, len(ops), mode, module_at)
     chain = chain_maps(inst, position, len(ops), nested=mode == ITERATE)
-    op_weights = [w or Fraction(0) for w in weights]
+    op_weights = [w or 0 for w in weights]
     bw, kw = bra.weight(), ket.weight()
     zero_input = (bra.is_zero() or ket.is_zero() or any(u.is_zero() for u, _ in ops))
     if not zero_input and (bw is None or kw is None):
         raise ValueError("bra and ket must be homogeneous; decompose and sum")
     if zero_input:
-        zeros = [Fraction(0)] * len(ops)
-        return CorrelationSeries(names, {}, mode, op_weights, kw or Fraction(0),
-                                 bw or Fraction(0), zeros, zeros, trivially_zero=True)
+        zeros = [0] * len(ops)
+        return CorrelationSeries(names, {}, mode, op_weights, kw or 0, bw or 0,
+                                 zeros, zeros, trivially_zero=True)
     if bra.space != inst.space:
         raise ValueError("bra lives in the wrong space")
     vecs = [u for u, _ in ops] + [ket]
@@ -218,7 +212,7 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # operator is the fixed first argument and -n-1 is prepended.  An iterate
     # walk starts at the first operator and builds the nested operator: each
     # later operator, and finally the ket, is the fixed second argument and
-    # -n-1 is appended.  Each state carries its weight, an int when integral.
+    # -n-1 is appended.  Each state carries its weight.
     # The last step pairs each output with the bra without building it; a
     # nonzero pairing away from the mode of output weight wt(bra) breaks the
     # degree invariant.  When every map of the chain is graded without gaps
@@ -231,8 +225,8 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
     # bra, the start, each fixed argument and each map's table; one scale per
     # step, their product, divides each coefficient once.
     at_bra = all(vmap.graded_without_gaps() for vmap in chain)
-    wts = [_plain(w) for w in op_weights + [kw]]
-    top = _plain(bw + 1)  # w - top is the bra's mode for a state of weight w
+    wts = op_weights + [kw]
+    top = bw + 1  # w - top is the bra's mode for a state of weight w
     prepend = mode != ITERATE
     order = range(len(ops), -1, -1) if prepend else range(len(ops) + 1)
     chain = chain[::-1] if prepend else chain
@@ -261,8 +255,8 @@ def correlate(inst, bra: DualVec, ops, ket: Vec, mode: str = PRODUCT,
             first, second = (fixed, vec) if prepend else (vec, fixed)
             modes = space.mode_window(w)
             if last and at_bra:
-                n = _plain(w - top)
-                modes = (n,) if type(n) is int and n in modes else ()
+                n = w - top  # an integral Fraction when the weights are fractional
+                modes = (n.numerator,) if n.denominator == 1 and n.numerator in modes else ()
             for n in modes:
                 key = (-n - 1,) + mono if prepend else mono + (-n - 1,)
                 if not last:

@@ -15,22 +15,31 @@ from typing import Mapping
 from .scalars import _denominator_lcm, _Frozen, exact_scalar, factorial_fraction, format_scalar
 
 
+def _weight(x, what: str):
+    """A weight, cutoff or weight shift read through exact_scalar: an int
+    when integral and a Fraction otherwise, so integral weight arithmetic
+    never builds a Fraction.  Coefficients stay Fractions."""
+    q = exact_scalar(x, what)
+    return q.numerator if q.denominator == 1 else q
+
+
 class GradedSpace(_Frozen):
     """Ordered basis labels per weight, bounded below, truncated at a cutoff.
+    Each weight, the cutoff and min_weight are ints where integral.
 
     ``complete=True`` asserts the true object has no components beyond those
     listed: weights above the cutoff read as exactly zero rather than absent.
     """
 
     __slots__ = ("components", "cutoff", "label_weights", "complete", "min_weight",
-                 "_labels", "_window_lo", "_window_hi")
+                 "_labels")
 
     def __init__(self, components: Mapping, cutoff, complete: bool = False):
-        cut = exact_scalar(cutoff, "cutoff")
-        comp: dict[Fraction, tuple[str, ...]] = {}
-        label_weights: dict[str, Fraction] = {}
+        cut = _weight(cutoff, "cutoff")
+        comp: dict = {}
+        label_weights: dict = {}
         for w, labels in components.items():
-            wt = exact_scalar(w, "component weight")
+            wt = _weight(w, "component weight")
             labels = tuple(labels)
             if not labels:
                 continue
@@ -49,19 +58,13 @@ class GradedSpace(_Frozen):
         object.__setattr__(self, "_labels", tuple(l for labels in self.components.values()
                                                   for l in labels))
         object.__setattr__(self, "complete", bool(complete))
-        minw = min(comp) if comp else Fraction(0)
-        object.__setattr__(self, "min_weight", minw)
-        # mode_window for an integral weight sum k is the range
-        # [k + ceil(-1 - cutoff), k + floor(-min_weight)): exact integer
-        # bounds, so the lookup does no Fraction arithmetic
-        object.__setattr__(self, "_window_lo", math.ceil(-1 - cut))
-        object.__setattr__(self, "_window_hi", math.floor(-minw))
+        object.__setattr__(self, "min_weight", min(comp) if comp else 0)
 
     def labels(self) -> tuple[str, ...]:
         """Every basis label, in component order; one tuple per space."""
         return self._labels
 
-    def weight_of(self, label: str) -> Fraction:
+    def weight_of(self, label: str) -> int | Fraction:
         try:
             return self.label_weights[label]
         except KeyError:
@@ -73,9 +76,6 @@ class GradedSpace(_Frozen):
     def mode_window(self, weight_sum) -> range:
         """The modes n whose output weight weight_sum - n - 1 lies in
         [min_weight, cutoff]: all a truncated space can represent."""
-        if weight_sum.denominator == 1:
-            k = weight_sum.numerator
-            return range(k + self._window_lo, k + self._window_hi)
         return range(math.ceil(weight_sum - 1 - self.cutoff),
                      math.floor(weight_sum - 1 - self.min_weight) + 1)
 
@@ -231,7 +231,7 @@ class _Entries(_Frozen):
         w = weight_of[next(labels)]
         for lbl in labels:
             x = weight_of[lbl]
-            if x is not w and x != w:  # the labels of a component share one weight object
+            if x != w:
                 return None
         return w
 
@@ -282,7 +282,7 @@ class GradedOp(_Frozen):
     __slots__ = ("space", "weight_shift", "action", "_cleared_view")
 
     def __init__(self, space: GradedSpace, weight_shift, action: Mapping[str, Vec]):
-        shift = exact_scalar(weight_shift, "weight shift")
+        shift = _weight(weight_shift, "weight shift")
         act = {}
         for lbl, out in action.items():
             want = space.weight_of(lbl) + shift

@@ -1,7 +1,9 @@
 """Exact rational scalars, their text form, binomial helpers and the frozen value base.
 
-Every public value of this package is a ``fractions.Fraction``: stored
-entries, operator actions and the results of ``mode_apply``.  The hot
+Every coefficient of this package is a ``fractions.Fraction``: stored
+entries, operator actions and the results of ``mode_apply``.  Weights,
+cutoffs and weight shifts are an ``int`` when integral and a ``Fraction``
+otherwise, as ``GradedSpace`` and ``GradedOp`` store them.  The hot
 kernels (region expansion, rational reconstruction, the correlator chain
 walk, skew transport, contragredient rows and the axiom checks) run on
 integers cleared by a known common denominator, and turn back into Fractions, or into a verdict,

@@ -429,20 +429,15 @@ def chain_maps(inst, position: int | None, n_ops: int, nested: bool = False) -> 
     return [joining_map(inst, module[j], any(module[j + 1:])) for j in range(n_ops)]
 
 
-def _plain(w):
-    """A weight as an int where it is integral, so comparisons skip Fraction."""
-    return w.numerator if w.denominator == 1 else w
-
-
 def _weight_faults(vmap: VertexMap):
     """One walk over the stored entries against the grading axiom
     wt(u_n v) = wt u + wt v - n - 1.  Returns (faults, nonzero): faults maps
     each key that breaks it to "stored beyond cutoff", when that weight is
     above the cutoff, or to "weight {w} != {want}", when an output label has
     another weight w; nonzero lists the keys of the nonzero entries."""
-    firsts, seconds, outs = ({lbl: _plain(w) for lbl, w in sp.label_weights.items()}
-                             for sp in (vmap.first_space, vmap.second_space, vmap.out_space))
-    cutoff = _plain(vmap.out_space.cutoff)
+    firsts, seconds, outs = (sp.label_weights for sp in
+                             (vmap.first_space, vmap.second_space, vmap.out_space))
+    cutoff = vmap.out_space.cutoff
     faults, nonzero = {}, []
     for key, out in vmap.entries.items():
         f, n, s = key
