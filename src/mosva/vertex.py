@@ -42,20 +42,18 @@ class _TableMemo:
     """What is derived from one stored table, kept for every map that
     with_kind makes over it, each part built on first use: the cleared view;
     whether every entry is homogeneous (the _weight_faults walk finds no
-    fault); the mode window start per (first, second) label pair; the top
-    nonzero nonnegative mode per pair; and the skew maps of
-    constructions._skew_map, one per D operator, keyed by the operator's
-    id.  Each skew is kept beside its operator, so the id names no other
+    fault); the top nonzero nonnegative mode per (first, second) label pair;
+    and the skew maps of constructions._skew_map, one per D operator, keyed
+    by the operator's id.  Each skew is kept beside its operator, so the id names no other
     object while the entry lives.  On the memo of the first map of a
     correlator chain (chain_maps), correlators.correlate keeps the series its
     callers still hold, weakly: an entry goes when its series does."""
 
-    __slots__ = ("cleared", "graded", "mode_starts", "pair_tops", "skews", "correlations")
+    __slots__ = ("cleared", "graded", "pair_tops", "skews", "correlations")
 
     def __init__(self):
         self.cleared = None
         self.graded = None
-        self.mode_starts = {}
         self.pair_tops = None
         self.skews = {}
         self.correlations = None
@@ -147,18 +145,12 @@ class VertexMap(_Frozen):
     def _miss_is_exact(self, first_label: str, n: int, second_label: str) -> bool:
         """Whether an unstored entry reads as an exact zero: not when it is
         explicitly absent, nor when its output weight overflows the cutoff of
-        an incomplete space, that is when n is below the pair's mode window.
-        Window starts are kept per pair on first use."""
+        an incomplete space, that is when n is below the pair's mode window."""
         if (first_label, n, second_label) in self.absent:
             return False
-        if self.out_space.complete:
-            return True
-        starts = self._memo.mode_starts
-        start = starts.get((first_label, second_label))
-        if start is None:
-            start = starts[(first_label, second_label)] = self.mode_range(
-                first_label, second_label).start
-        return n >= start
+        out = self.out_space
+        return out.complete or (self.first_space.label_weights[first_label] - n - 1
+                                + self.second_space.label_weights[second_label] <= out.cutoff)
 
     def pair_top_modes(self) -> dict:
         """(first, second) -> the top nonnegative mode n with a nonzero stored
