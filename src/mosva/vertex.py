@@ -44,10 +44,11 @@ class _TableMemo:
     whether every entry is homogeneous (the _weight_faults walk finds no
     fault); the top nonzero nonnegative mode per (first, second) label pair;
     and the skew maps of constructions._skew_map, one per D operator, keyed
-    by the operator's id.  Each skew is kept beside its operator, so the id names no other
-    object while the entry lives.  On the memo of the first map of a
-    correlator chain (chain_maps), correlators.correlate keeps the series its
-    callers still hold, weakly: an entry goes when its series does."""
+    by the operator's id.  Each skew is kept beside its operator, so the id
+    names no other object while the entry lives.  On the memo of the first
+    map of a correlator chain (chain_maps), correlators.correlate keeps the
+    series its callers still hold, weakly: an entry goes when its series
+    does."""
 
     __slots__ = ("cleared", "graded", "pair_tops", "skews", "correlations")
 
